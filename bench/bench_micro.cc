@@ -397,7 +397,7 @@ BM_EpochMergeLadder(benchmark::State &state)
     core::WeaveStream out;
     for (auto _ : state) {
         out.clear();
-        core::mergeEpochLogs(logs, out, true);
+        core::mergeEpochLogs(logs, out);
         benchmark::DoNotOptimize(out.ts.data());
     }
     state.SetItemsProcessed(state.iterations() * kMergeCores *
@@ -438,18 +438,11 @@ BM_EpochMergeSort(benchmark::State &state)
         out.clear();
         for (const Key &k : keys) {
             const core::EpochLog &log = *logs[k.core];
-            const std::uint8_t flags = log.flags(k.seq);
-            if (flags & core::EpochLog::flagWrite) {
-                out.probe_paddr.push_back(log.paddr(k.seq));
-                out.probe_core.push_back(
-                    static_cast<std::uint8_t>(k.core));
-            }
-            if (!(flags & core::EpochLog::flagProbe)) {
-                out.ts.push_back(k.ts);
-                out.paddr.push_back(log.paddr(k.seq));
-                out.core.push_back(static_cast<std::uint8_t>(k.core));
-                out.flags.push_back(flags);
-            }
+            out.ts.push_back(k.ts);
+            out.paddr.push_back(log.paddr(k.seq));
+            out.core.push_back(static_cast<std::uint8_t>(k.core));
+            out.flags.push_back(log.flags(k.seq));
+            out.slot.push_back(log.slot(k.seq));
         }
         benchmark::DoNotOptimize(out.ts.data());
     }

@@ -14,10 +14,10 @@
  *
  * Each row also reports the per-phase host-time breakdown of the chunk
  * loop (System::phaseTimes): bound dispatch, fault service, canonical
- * merge, weave replay. That is the Amdahl decomposition for the
- * parallel knobs — BF_WORKERS scales only the bound share and
- * BF_WEAVE_WORKERS only the weave share — and lands in the JSON host
- * rows as the additive "phases" object (schema v3).
+ * merge, weave replay. That is the Amdahl decomposition for
+ * BF_WORKERS — it scales the bound share, the fault resumes and the
+ * probe drains inside the weave — and lands in the JSON host rows as
+ * the additive "phases" object (schema v3).
  *
  * Environment knobs (on top of bench/common.hh's):
  *   BF_REPEAT=n         time each workload n times, keep the fastest

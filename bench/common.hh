@@ -14,13 +14,9 @@
  *   BF_MEASURE_MS  override the measurement window.
  *   BF_JOBS=n      worker threads for independent configurations
  *                  (default: hardware concurrency; 1 = serial).
- *   BF_WORKERS=n   host threads for the bound phase INSIDE each System
- *                  (default 1; stats are byte-identical at any value).
- *   BF_WEAVE_WORKERS=n  host threads for the weave phase INSIDE each
- *                  System (default 1 = fused serial replay; rounded
- *                  down to a power of two, clamped to the shard limit;
- *                  stats are byte-identical at any value — DESIGN.md
- *                  §15).
+ *   BF_WORKERS=n   host threads INSIDE each System: bound phase, fault
+ *                  resumes, per-peer probe drains (default 1; stats are
+ *                  byte-identical at any value).
  *   BF_BATCH=n     references pulled per Thread::nextBatch call into
  *                  the cores' prefetch buffers (default 16; stats are
  *                  byte-identical at any value, 1 disables batching).
@@ -97,8 +93,7 @@ struct RunConfig
     double measure_ms = 35;
     double sample_ms = 1;      //!< Time-series period; 0 = off.
     unsigned jobs = 0;         //!< Worker threads; 0 = hardware.
-    unsigned system_workers = 1; //!< Bound-phase threads per System.
-    unsigned weave_workers = 1;  //!< Weave-phase threads per System.
+    unsigned system_workers = 1; //!< Pool threads per System.
     unsigned batch = 16;         //!< Core prefetch batch (BF_BATCH).
     Cycles sync_chunk = 20000;   //!< Lockstep chunk length in cycles.
     std::uint64_t seed = 42;
@@ -139,9 +134,11 @@ struct RunConfig
         if (const char *workers = std::getenv("BF_WORKERS"))
             cfg.system_workers =
                 std::max(1, std::atoi(workers));
-        if (const char *workers = std::getenv("BF_WEAVE_WORKERS"))
-            cfg.weave_workers =
-                static_cast<unsigned>(std::max(1, std::atoi(workers)));
+        if (std::getenv("BF_WEAVE_WORKERS")) {
+            std::fprintf(stderr, "BF_WEAVE_WORKERS was removed (the weave "
+                                 "is no longer sharded); use BF_WORKERS\n");
+            std::exit(2);
+        }
         if (const char *batch = std::getenv("BF_BATCH"))
             cfg.batch = static_cast<unsigned>(
                 std::max(1, std::atoi(batch)));
@@ -300,7 +297,6 @@ struct RunConfig
     applyExecKnobs(core::SystemParams &params) const
     {
         params.workers = system_workers;
-        params.weave_workers = weave_workers;
         params.sync_chunk = sync_chunk;
         params.core.batch = batch;
         params.mmu.backend = backend;
@@ -344,7 +340,6 @@ reportConfig(BenchReport &report, const RunConfig &cfg)
     report.config("sample_ms", cfg.sample_ms);
     report.config("jobs", cfg.workers());
     report.config("workers", cfg.system_workers);
-    report.config("weave_workers", cfg.weave_workers);
     report.config("batch", cfg.batch);
     report.config("sync_chunk", static_cast<double>(cfg.sync_chunk));
     report.config("seed", static_cast<double>(cfg.seed));

@@ -21,7 +21,7 @@
  * the sinks into the tenant subtree in fixed core order. Every lane is
  * an integer add or a bucket-wise Distribution merge, both
  * order-independent, so the drained values — like every other stat —
- * are byte-identical at any BF_WORKERS/BF_WEAVE_WORKERS.
+ * are byte-identical at any BF_WORKERS.
  *
  * The mirrored access counters are not booked per event. A core serves
  * exactly one process between scheduler switch points, so the core

@@ -23,30 +23,20 @@ spinUntil(Cond cond)
 /** Append event @p i of @p log (issued by @p core) to @p out. */
 void
 emitEvent(const EpochLog &log, std::size_t i, unsigned core,
-          WeaveStream &out, bool write_probes)
+          WeaveStream &out)
 {
-    const std::uint8_t flags = log.flags(i);
-    // Every write owes a peer probe: explicit flagProbe events (L1/L2
-    // write hits) carry only that, while a write access also needs the
-    // L3/DRAM service the historical replay fused with its probe.
-    if (write_probes && (flags & EpochLog::flagWrite)) {
-        out.probe_paddr.push_back(log.paddr(i));
-        out.probe_core.push_back(static_cast<std::uint8_t>(core));
-    }
-    if (!(flags & EpochLog::flagProbe)) {
-        out.ts.push_back(log.ts(i));
-        out.paddr.push_back(log.paddr(i));
-        out.core.push_back(static_cast<std::uint8_t>(core));
-        out.flags.push_back(flags);
-        out.slot.push_back(log.slot(i));
-    }
+    out.ts.push_back(log.ts(i));
+    out.paddr.push_back(log.paddr(i));
+    out.core.push_back(static_cast<std::uint8_t>(core));
+    out.flags.push_back(log.flags(i));
+    out.slot.push_back(log.slot(i));
 }
 
 } // namespace
 
 void
 mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
-               WeaveStream &out, bool write_probes)
+               WeaveStream &out)
 {
     out.clear();
     bf_assert(logs.size() <= 256, "WeaveStream packs core ids in a byte");
@@ -85,7 +75,7 @@ mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
     if (live == 1) {
         const EpochLog &log = *heads[0].log;
         for (std::size_t i = 0; i < log.size(); ++i)
-            emitEvent(log, i, heads[0].core, out, write_probes);
+            emitEvent(log, i, heads[0].core, out);
         return;
     }
 
@@ -102,7 +92,7 @@ mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
                 min = h;
         }
         Head &head = heads[min];
-        emitEvent(*head.log, head.idx, head.core, out, write_probes);
+        emitEvent(*head.log, head.idx, head.core, out);
         if (++head.idx < head.log->size()) {
             const Cycles next = head.log->ts(head.idx);
             bf_assert(next >= head.ts,
@@ -118,7 +108,7 @@ mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
     }
     const Head &last = heads[0];
     for (std::size_t i = last.idx; i < last.log->size(); ++i)
-        emitEvent(*last.log, i, last.core, out, write_probes);
+        emitEvent(*last.log, i, last.core, out);
 }
 
 BoundPool::BoundPool(unsigned extra_workers)
@@ -142,7 +132,7 @@ void
 BoundPool::drainBlock(unsigned block, const std::function<void(unsigned)> &fn)
 {
     const unsigned end =
-        block + 1 == active_stripes_ ? n_ : blockBegin(block + 1);
+        block + 1 == stripe_count_ ? n_ : blockBegin(block + 1);
     std::atomic<unsigned> &cursor = cursors_[block].next;
     // Cheap pre-check keeps steal sweeps from bumping exhausted
     // cursors; the fetch_add below is the authoritative unique claim.
@@ -165,15 +155,10 @@ BoundPool::workerLoop(unsigned stripe)
         if (stop_.load(std::memory_order_acquire))
             return;
         seen = generation_.load(std::memory_order_acquire);
-        // Stripes above the round's cap have no block; they only
-        // acknowledge the round so run() can retire it.
-        const unsigned active = active_stripes_;
-        if (stripe < active) {
-            const auto &fn = *job_;
-            // Own block first, then steal from the others round-robin.
-            for (unsigned b = 0; b < active; ++b)
-                drainBlock((stripe + b) % active, fn);
-        }
+        const auto &fn = *job_;
+        // Own block first, then steal from the others round-robin.
+        for (unsigned b = 0; b < stripe_count_; ++b)
+            drainBlock((stripe + b) % stripe_count_, fn);
         // Last touch of round state: after this the worker only reads
         // generation_, so the caller may safely set up the next round.
         done_.fetch_add(1, std::memory_order_release);
@@ -181,25 +166,21 @@ BoundPool::workerLoop(unsigned stripe)
 }
 
 void
-BoundPool::run(unsigned n, const std::function<void(unsigned)> &fn,
-               unsigned stripes)
+BoundPool::run(unsigned n, const std::function<void(unsigned)> &fn)
 {
-    if (stripes == 0 || stripes > stripe_count_)
-        stripes = stripe_count_;
-    if (threads_.empty() || n <= 1 || stripes <= 1) {
+    if (threads_.empty() || n <= 1) {
         for (unsigned i = 0; i < n; ++i)
             fn(i);
         return;
     }
     job_ = &fn;
     n_ = n;
-    active_stripes_ = stripes;
-    for (unsigned s = 0; s < stripes; ++s)
+    for (unsigned s = 0; s < stripe_count_; ++s)
         cursors_[s].next.store(blockBegin(s), std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
     generation_.fetch_add(1, std::memory_order_release);
     // The caller is stripe 0: drain its block, then steal.
-    for (unsigned b = 0; b < stripes; ++b)
+    for (unsigned b = 0; b < stripe_count_; ++b)
         drainBlock(b, fn);
     const unsigned workers = static_cast<unsigned>(threads_.size());
     spinUntil([&] {

@@ -6,20 +6,21 @@
  * core executes a *bound* phase that touches only per-core-private state
  * (L1/L2 caches, TLBs, PWC, MMU caches, per-core stats); everything that
  * would touch a shared level — an L2 cache miss into L3/DRAM, a
- * coherence probe of peer caches, a kernel page fault — is recorded in
- * the core's EpochLog with a deterministic timestamp instead of being
- * performed. A *weave* phase then drains the merged logs in canonical
+ * kernel page fault — is recorded in the core's EpochLog with a
+ * deterministic timestamp instead of being performed, and every write
+ * that owes peer caches a coherence probe lands in the log's write
+ * lane. A *weave* phase then drains the merged logs in canonical
  * (timestamp, core, seq) order against the shared L3, DRAM and kernel,
  * producing the authoritative latencies, fills, LRU updates and
- * statistics. The weave itself replays either fused on the calling
- * thread or sharded across workers (DESIGN.md §15); both orders are
- * byte-identical.
+ * statistics, while pool workers drain each peer's coherence probes
+ * against the chunk's write lanes concurrently (DESIGN.md §15).
  *
  * Because the per-core bound execution is independent of how cores are
- * scheduled onto host threads, and both the fault-service and weave
- * drains use a canonical order, the simulated machine is byte-identical
- * at every worker count — `workers=1` runs the exact same algorithm
- * inline. The golden-stats gate and test_parallel_system lock this down.
+ * scheduled onto host threads, both the fault-service and weave drains
+ * use a canonical order, and probe outcomes are order-independent, the
+ * simulated machine is byte-identical at every worker count —
+ * `workers=1` runs the exact same algorithm inline. The golden-stats
+ * gate and test_parallel_system lock this down.
  */
 
 #ifndef BF_CORE_EPOCH_HH
@@ -51,14 +52,20 @@ namespace bf::core
  * shrinks), so steady-state bound phases append without allocating.
  * The per-core issue order — the `seq` tiebreak of the canonical merge
  * key — is the append index itself and is never materialized.
+ *
+ * Coherence probes are not events: every write the core issues while
+ * probes are modeled (L1/L2 hit or deferred miss alike) appends its
+ * paddr to a separate untimed write lane. A peer's invalidation
+ * outcome does not depend on probe order (see CacheHierarchy::
+ * drainProbes), so the lane needs no timestamp and stays out of the
+ * canonical merge.
  */
 class EpochLog
 {
   public:
     /** @{ @name Event flag bits (packed per event) */
     static constexpr std::uint8_t flagWrite = 1;  //!< Dirties the line.
-    static constexpr std::uint8_t flagProbe = 2;  //!< Coherence probe.
-    static constexpr std::uint8_t flagWalker = 4; //!< Walk step: excess
+    static constexpr std::uint8_t flagWalker = 2; //!< Walk step: excess
                                                   //!< bills translation.
     /** @} */
 
@@ -97,15 +104,8 @@ class EpochLog
         slot_.push_back(cur_slot_);
     }
 
-    /** Record a coherence probe for an L1/L2 write hit. */
-    void
-    appendProbe(Cycles ts, Addr paddr)
-    {
-        ts_.push_back(ts);
-        paddr_.push_back(paddr);
-        flags_.push_back(flagWrite | flagProbe);
-        slot_.push_back(cur_slot_);
-    }
+    /** Record a write the peers' private caches must be probed for. */
+    void appendWrite(Addr paddr) { writes_.push_back(paddr); }
 
     /** @{ @name Deferred page fault (at most one; the core suspends) */
     bool faultPending() const { return fault_pending_; }
@@ -133,6 +133,9 @@ class EpochLog
     std::uint16_t slot(std::size_t i) const { return slot_[i]; }
     /** @} */
 
+    /** Write lane: paddr of every write of the chunk, in issue order. */
+    const std::vector<Addr> &writes() const { return writes_; }
+
     /** Pre-size the pooled buffers (tests / capacity-boundary checks). */
     void
     reserve(std::size_t n)
@@ -154,6 +157,7 @@ class EpochLog
         paddr_.clear();
         flags_.clear();
         slot_.clear();
+        writes_.clear();
     }
 
   private:
@@ -161,6 +165,7 @@ class EpochLog
     std::vector<Addr> paddr_;
     std::vector<std::uint8_t> flags_;
     std::vector<std::uint16_t> slot_; //!< Issuing tenant per event.
+    std::vector<Addr> writes_;        //!< Write lane (not events).
     std::uint16_t cur_slot_ = noSlot;
     vm::DeferredFault fault_{};
     Cycles fault_ts_ = 0;
@@ -169,44 +174,20 @@ class EpochLog
 };
 
 /**
- * The merged canonical event stream of one chunk, pooled across chunks.
- *
- * The merge splits the canonical (ts, core, seq) order into two
- * sub-streams that preserve it: L2-miss *accesses* (replayed against
- * L3/DRAM) and coherence *probes* (replayed against peer L1/L2). A
- * write access appears in both — the L3/DRAM service and the peer
- * invalidation the historical replay fused. The two sub-streams touch
- * disjoint simulated state, so replaying them separately is
- * state-identical to the historical interleaved drain; within one
- * chunk's probe stream, per-peer outcomes are even order-independent
- * (invalidation only moves a line present → absent, and no weave path
- * refills private levels), which is what lets the probe pass shard by
- * line rather than replay position.
- *
- * `hit` is the weave's L3-outcome scratch lane (1 = L3 hit): written by
- * the L3 pass, read by the DRAM pass. One byte per access so concurrent
- * shards write distinct memory locations.
+ * The merged canonical access stream of one chunk, pooled across
+ * chunks: every L2-miss access of every core in (ts, core, seq) order,
+ * replayed against L3/DRAM by CacheHierarchy::weaveSerial.
  */
 struct WeaveStream
 {
-    /** @{ @name Accesses, canonical order */
     std::vector<Cycles> ts;
     std::vector<Addr> paddr;
     std::vector<std::uint8_t> core;
     std::vector<std::uint8_t> flags; //!< EpochLog::flagWrite/flagWalker.
-    std::vector<std::uint8_t> hit;   //!< L3 pass outcome, per access.
     std::vector<std::uint16_t> slot; //!< Issuing tenant (EpochLog::noSlot
                                      //!< = unattributed).
-    /** @} */
-
-    /** @{ @name Probes, canonical order */
-    std::vector<Addr> probe_paddr;
-    std::vector<std::uint8_t> probe_core;
-    /** @} */
 
     std::size_t accesses() const { return ts.size(); }
-    std::size_t probes() const { return probe_paddr.size(); }
-    bool empty() const { return ts.empty() && probe_paddr.empty(); }
 
     void
     clear()
@@ -215,10 +196,7 @@ struct WeaveStream
         paddr.clear();
         core.clear();
         flags.clear();
-        hit.clear();
         slot.clear();
-        probe_paddr.clear();
-        probe_core.clear();
     }
 };
 
@@ -234,18 +212,14 @@ struct WeaveStream
  * head per core, ties broken by core id; seq ties cannot occur across
  * the merge because a head advances sequentially) therefore reproduces
  * the historical global sort exactly, in O(events × cores) with no
- * comparator calls or record copies.
- *
- * @param write_probes emit a probe-lane entry for every write access
- *        (the peer invalidation its replay owes); pass the hierarchy's
- *        coherence state so single-core runs skip the dead lanes.
+ * comparator calls or record copies. Write lanes are not merged.
  */
 void mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
-                    WeaveStream &out, bool write_probes);
+                    WeaveStream &out);
 
 /**
- * Persistent worker pool for bound and weave phases, with work
- * stealing.
+ * Persistent worker pool for the chunk's parallel rounds (bound phase,
+ * fault resumes, weave + probe drain), with work stealing.
  *
  * A chunked simulation crosses the fork/join point tens of thousands of
  * times per second, so the pool keeps its threads alive and uses
@@ -263,12 +237,6 @@ void mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
  * host thread runs an item cannot affect simulated state — the
  * determinism argument is unchanged from static striping.
  *
- * Rounds may cap their parallelism below the pool size (the `stripes`
- * argument): the bound phase runs on BF_WORKERS stripes and the weave
- * passes on BF_WEAVE_WORKERS stripes off one shared pool sized for the
- * larger of the two. Workers above the cap wake, find no block
- * assigned, and immediately signal done.
- *
  * Round isolation: workers signal done_ only after their final claim,
  * and run() returns only once every worker has signaled, so no claim
  * can leak into the next round's cursor reset.
@@ -285,13 +253,10 @@ class BoundPool
 
     /**
      * Run fn(0) ... fn(n-1) across the pool plus the calling thread;
-     * returns once all have completed.
-     *
-     * @param stripes cap on participating stripes (0 = the whole pool);
-     *        1 runs inline on the caller.
+     * returns once all have completed. A pool without workers (or a
+     * round of one item) runs inline on the caller, in index order.
      */
-    void run(unsigned n, const std::function<void(unsigned)> &fn,
-             unsigned stripes = 0);
+    void run(unsigned n, const std::function<void(unsigned)> &fn);
 
   private:
     /** One claim cursor per stripe block, padded against false sharing. */
@@ -311,7 +276,7 @@ class BoundPool
     blockBegin(unsigned stripe) const
     {
         return static_cast<unsigned>(
-            (static_cast<std::uint64_t>(n_) * stripe) / active_stripes_);
+            (static_cast<std::uint64_t>(n_) * stripe) / stripe_count_);
     }
 
     std::vector<std::thread> threads_;
@@ -322,7 +287,6 @@ class BoundPool
     std::atomic<bool> stop_{false};
     const std::function<void(unsigned)> *job_ = nullptr;
     unsigned n_ = 0;
-    unsigned active_stripes_ = 1; //!< Stripes sharing the current round.
 };
 
 } // namespace bf::core

@@ -103,23 +103,12 @@ struct SystemParams
     Cycles sync_chunk = 20000;
 
     /**
-     * Host worker threads for the bound phase, clamped to num_cores.
-     * Stats are byte-identical at every value — 1 runs the same
-     * two-phase algorithm inline. Benches override via BF_WORKERS.
+     * Host worker threads for the chunk's parallel rounds (bound phase,
+     * fault resumes, per-peer probe drains beside the weave), clamped
+     * to num_cores. Stats are byte-identical at every value — 1 runs
+     * the same algorithm inline. Benches override via BF_WORKERS.
      */
     unsigned workers = 1;
-
-    /**
-     * Host worker threads for the weave phase (DESIGN.md §15), rounded
-     * down to a power of two and clamped to the shard limit the cache
-     * geometries support (64 with Table I). 1 keeps the fused serial
-     * replay on the calling thread; higher values replay address
-     * shards of the canonical stream concurrently. Stats, LRU bytes
-     * and checkpoints are byte-identical at every value. Benches
-     * override via BF_WEAVE_WORKERS. Like workers, excluded from
-     * config hashes and checkpoint manifests.
-     */
-    unsigned weave_workers = 1;
 
     /**
      * @{

@@ -86,21 +86,11 @@ System::System(const SystemParams &params)
             cores_[i]->setAttrib(attrib_.get(), attrib_->sink(i));
     }
 
-    // More bound workers than cores cannot help; more weave workers
-    // than address shards the cache geometries support cannot either
-    // (and the shard mask needs a power of two). One pool sized for the
-    // larger phase serves both: each run() round caps its stripes to
-    // the requesting phase's worker count, so BF_WORKERS=1 still runs
-    // the bound phase inline even when the weave is parallel.
-    bound_workers_ = std::min<unsigned>(std::max(1u, params_.workers),
-                                        params_.num_cores);
-    weave_workers_ = std::min<unsigned>(
-        std::max(1u, params_.weave_workers), hierarchy_->maxWeaveShards());
-    while (weave_workers_ & (weave_workers_ - 1))
-        --weave_workers_;
-    pool_ = std::make_unique<BoundPool>(
-        std::max(bound_workers_, weave_workers_) - 1);
-    weave_scratch_.resize(weave_workers_);
+    // More workers than cores cannot help: every pool round has at
+    // most one item per core (plus the weave item).
+    const unsigned workers = std::min<unsigned>(
+        std::max(1u, params_.workers), params_.num_cores);
+    pool_ = std::make_unique<BoundPool>(workers - 1);
 
     kernel_->setTlbInvalidateHook([this](const vm::TlbInvalidate &inv) {
         for (auto &core : cores_)
@@ -143,19 +133,18 @@ System::runChunk(Cycles barrier)
     // touching only per-core-private state. Cores that hit a page fault
     // suspend early with the fault parked in their log.
     const auto t_bound = hostclock::now();
-    pool_->run(
-        numCores(), [&](unsigned i) { cores_[i]->runUntil(barrier); },
-        bound_workers_);
+    pool_->run(numCores(),
+               [&](unsigned i) { cores_[i]->runUntil(barrier); });
     const auto t_fault = hostclock::now();
     phase_times_.bound_seconds += elapsed(t_bound, t_fault);
 
     // Service deferred faults single-threaded in (fault time, core)
-    // order, then resume the suspended cores inline; they may fault
-    // again, so iterate until every core reaches the barrier. No core
-    // is executing here, so the kernel may mutate page tables and
-    // broadcast shootdowns freely. Faults of one round are a service
-    // batch: the kernel may memoize VMA/table lookups across them
-    // (vm/kernel.hh), which same-region fault storms amortize.
+    // order, then resume the suspended cores through the pool; they may
+    // fault again, so iterate until every core reaches the barrier. No
+    // core is executing during service, so the kernel may mutate page
+    // tables and broadcast shootdowns freely. Faults of one round are a
+    // service batch: the kernel may memoize VMA/table lookups across
+    // them (vm/kernel.hh), which same-region fault storms amortize.
     kernel_->beginFaultBatch();
     for (;;) {
         pending_faults_.clear();
@@ -213,11 +202,15 @@ System::runChunk(Cycles barrier)
             cores_[pf.core]->resolveFault(outcome.cycles);
         }
 
-        // Resume inline: the handful of unblocked cores re-issue their
-        // stalled references (pool dispatch per fault would cost more
-        // than it parallelizes).
-        for (const auto &pf : pending_faults_)
-            cores_[pf.core]->runUntil(barrier);
+        // Resume the unblocked cores in one pool round: like the bound
+        // phase, each touches only its own private state (the kernel
+        // stays read-only until the next service batch), so running
+        // them concurrently is state-identical to running them one by
+        // one. The round's join is the barrier before the next service.
+        pool_->run(static_cast<unsigned>(pending_faults_.size()),
+                   [&](unsigned k) {
+                       cores_[pending_faults_[k].core]->runUntil(barrier);
+                   });
     }
     kernel_->endFaultBatch();
     const auto t_weave = hostclock::now();
@@ -251,91 +244,69 @@ void
 System::weave()
 {
     using hostclock = std::chrono::steady_clock;
+    const auto t_round = hostclock::now();
 
+    // Per-tenant DRAM-excess lanes: sized at weave time, after every
+    // fault window of the chunk, so any slot a logged event can carry
+    // already exists.
+    const unsigned nslots =
+        attrib_ ? static_cast<unsigned>(attrib_->numTenants()) : 0;
+    weave_scratch_.reset(numCores(), nslots);
+    const std::uint64_t lru_base = hierarchy_->l3().lruClock();
+
+    // One pool round (DESIGN.md §15). Item 0 merges the logs and replays
+    // the access stream against L3/DRAM; item 1 + p drains the
+    // coherence probes owed to peer p's private caches. The items touch
+    // disjoint simulated state and only read the logs, and a peer's
+    // probe outcome is order-independent, so the round is
+    // state-identical to the serial drain at any worker count.
+    //
     // Merge: the per-core logs are already (ts, seq)-sorted, so a
     // linear k-way ladder reproduces the canonical (ts, core, seq)
     // order the historical global sort produced — see core/epoch.hh.
     // The key is unique, so the replay order — and with it every
     // L3/DRAM stat, LRU update and fill — is independent of how bound
     // work was scheduled onto host threads.
-    const auto t_merge = hostclock::now();
-    mergeEpochLogs(epoch_logs_, weave_stream_,
-                   hierarchy_->coherenceActive());
+    double merge_seconds = 0;
+    const unsigned peers = hierarchy_->coherenceActive() ? numCores() : 0;
+    pool_->run(1 + peers, [&](unsigned i) {
+        if (i > 0) {
+            hierarchy_->drainProbes(i - 1);
+            return;
+        }
+        const auto t_merge = hostclock::now();
+        mergeEpochLogs(epoch_logs_, weave_stream_);
+        merge_seconds =
+            std::chrono::duration<double>(hostclock::now() - t_merge)
+                .count();
+        hierarchy_->weaveSerial(weave_stream_, lru_base, weave_scratch_);
+    });
     for (auto &log : epoch_logs_)
         log->clearEvents();
-    const auto t_weave = hostclock::now();
-    phase_times_.merge_seconds +=
-        std::chrono::duration<double>(t_weave - t_merge).count();
-    if (weave_stream_.empty())
-        return;
+    hierarchy_->weaveCommit(weave_scratch_, weave_stream_.accesses());
 
-    const std::uint64_t num_accesses = weave_stream_.accesses();
-    const std::uint64_t lru_base = hierarchy_->l3().lruClock();
-    // Per-tenant DRAM-excess lanes: sized at weave time, after every
-    // fault window of the chunk, so any slot a logged event can carry
-    // already exists.
-    const unsigned nslots =
-        attrib_ ? static_cast<unsigned>(attrib_->numTenants()) : 0;
-    if (weave_workers_ <= 1) {
-        weave_scratch_[0].reset(numCores(), nslots);
-        hierarchy_->weaveSerial(weave_stream_, lru_base,
-                                weave_scratch_[0]);
-    } else {
-        // Sharded replay (DESIGN.md §15): first the L3 pass and the
-        // probe pass (disjoint state, so one round covers both), then
-        // the DRAM pass, which consumes the L3 pass's hit lane — the
-        // pool round boundary is the required barrier.
-        weave_stream_.hit.assign(num_accesses, 0);
-        const unsigned w = weave_workers_;
-        pool_->run(
-            w,
-            [&](unsigned s) {
-                auto &sc = weave_scratch_[s];
-                sc.reset(numCores(), nslots);
-                hierarchy_->weaveSharedPass(weave_stream_, s, w,
-                                            lru_base, sc);
-                hierarchy_->weaveProbePass(weave_stream_, s, w, sc);
-            },
-            w);
-        pool_->run(
-            w,
-            [&](unsigned s) {
-                hierarchy_->weaveDramPass(weave_stream_, s, w,
-                                          weave_scratch_[s]);
-            },
-            w);
-    }
-    const unsigned shards = weave_workers_ <= 1 ? 1 : weave_workers_;
-    hierarchy_->weaveCommit(weave_scratch_.data(), shards, num_accesses);
-
-    // Bill the DRAM excess per core in fixed core order (sums over
-    // shards, so the totals are shard-count-independent).
+    // Bill the DRAM excess per core, then per issuing tenant, in fixed
+    // order.
     for (unsigned c = 0; c < numCores(); ++c) {
-        Cycles data_extra = 0, walk_extra = 0;
-        for (unsigned s = 0; s < shards; ++s) {
-            data_extra += weave_scratch_[s].data_extra[c];
-            walk_extra += weave_scratch_[s].walk_extra[c];
-        }
+        const Cycles data_extra = weave_scratch_.data_extra[c];
+        const Cycles walk_extra = weave_scratch_.walk_extra[c];
         if (data_extra || walk_extra)
             cores_[c]->applyWeaveAdjustment(data_extra, walk_extra);
     }
-
-    // And per issuing tenant, likewise in fixed slot order (the same
-    // sums over shards, so totals are shard-count-independent).
     for (unsigned t = 0; t < nslots; ++t) {
-        Cycles data_extra = 0, walk_extra = 0;
-        for (unsigned s = 0; s < shards; ++s) {
-            data_extra += weave_scratch_[s].slot_data_extra[t];
-            walk_extra += weave_scratch_[s].slot_walk_extra[t];
-        }
-        if (data_extra)
-            attrib_->addDramExtra(static_cast<int>(t), false, data_extra);
-        if (walk_extra)
-            attrib_->addDramExtra(static_cast<int>(t), true, walk_extra);
+        if (const Cycles extra = weave_scratch_.slot_data_extra[t])
+            attrib_->addDramExtra(static_cast<int>(t), false, extra);
+        if (const Cycles extra = weave_scratch_.slot_walk_extra[t])
+            attrib_->addDramExtra(static_cast<int>(t), true, extra);
     }
-    phase_times_.weave_seconds +=
-        std::chrono::duration<double>(hostclock::now() - t_weave)
-            .count();
+
+    // merge is the merge item's own time; weave is the rest of the
+    // round (replay, concurrent probe drains, commit), so the phases
+    // still add up to no more than the host time of the run.
+    const double round_seconds =
+        std::chrono::duration<double>(hostclock::now() - t_round).count();
+    phase_times_.merge_seconds += merge_seconds;
+    phase_times_.weave_seconds += round_seconds - merge_seconds;
 }
 
 void

@@ -162,9 +162,11 @@ class System
      * accumulated across run()/runUntilFinished() calls (never reset by
      * resetStats — this is host-side observability, not a simulated
      * stat). fault_seconds covers the whole fault-service block,
-     * including the inline bound re-runs of unblocked cores; the other
-     * three are exactly the bound dispatch, the canonical merge, and
-     * the weave replay+commit. bench_simspeed surfaces these as the
+     * including the pooled bound re-runs of unblocked cores;
+     * bound_seconds is the bound dispatch; merge_seconds is the
+     * canonical merge inside the weave round and weave_seconds the rest
+     * of that round (L3/DRAM replay, the concurrent per-peer probe
+     * drains, commit and billing). bench_simspeed surfaces these as the
      * per-phase Amdahl breakdown.
      */
     struct PhaseTimes
@@ -175,9 +177,6 @@ class System
         double weave_seconds = 0;
     };
     const PhaseTimes &phaseTimes() const { return phase_times_; }
-
-    /** Effective (clamped) weave worker count. */
-    unsigned weaveWorkers() const { return weave_workers_; }
 
     /** Root of the statistics tree ("system."). */
     stats::StatGroup &stats() { return stat_group_; }
@@ -210,12 +209,9 @@ class System
     /** @{ @name Two-phase chunk execution (see core/epoch.hh) */
     std::vector<std::unique_ptr<EpochLog>> epoch_logs_; //!< Per core.
     std::unique_ptr<BoundPool> pool_;
-    unsigned bound_workers_ = 1; //!< Clamped params.workers.
-    unsigned weave_workers_ = 1; //!< Clamped params.weave_workers.
 
     WeaveStream weave_stream_; //!< Merged canonical stream, pooled.
-    std::vector<mem::CacheHierarchy::WeaveScratch>
-        weave_scratch_; //!< One per weave worker, pooled.
+    mem::CacheHierarchy::WeaveScratch weave_scratch_; //!< Pooled.
 
     /** A core suspended on a deferred fault, keyed for service order. */
     struct PendingFault
@@ -245,9 +241,9 @@ class System
      */
     void drainAttrib() const;
     /**
-     * Replay the merged logs in canonical order: fused on this thread
-     * at weave_workers_ == 1, sharded across the pool otherwise
-     * (byte-identical either way — DESIGN.md §15).
+     * Replay the merged logs in canonical order against L3/DRAM while
+     * pool workers drain each peer's coherence probes (byte-identical
+     * at any worker count — DESIGN.md §15).
      */
     void weave();
     /** @} */

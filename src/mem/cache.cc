@@ -197,21 +197,13 @@ Cache::weaveAccessFill(Addr line_addr, bool is_write,
 bool
 Cache::invalidate(Addr line_addr)
 {
-    if (!invalidateQuiet(line_addr))
-        return false;
-    ++invalidations;
-    return true;
-}
-
-bool
-Cache::invalidateQuiet(Addr line_addr)
-{
     Line *line = find(lineOf(line_addr));
     if (!line)
         return false;
     line->valid = false;
     line->dirty = false;
     key_[static_cast<std::size_t>(line - lines_.data())] = 0;
+    ++invalidations;
     return true;
 }
 

@@ -39,11 +39,9 @@ struct CacheParams
 };
 
 /**
- * Externally accumulated cache statistics for weave shards: a shard
- * replays its slice of the canonical stream against the shared cache
- * tallying here, and the single-threaded commit folds the tallies into
- * the stats::Scalar counters in fixed shard order — sums of sums, so
- * the totals are independent of the shard count.
+ * Externally accumulated cache statistics of one weave replay: the
+ * replay tallies here, and the commit folds the tally into the
+ * stats::Scalar counters once per chunk.
  */
 struct CacheTally
 {
@@ -51,7 +49,6 @@ struct CacheTally
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t writebacks = 0;
-    std::uint64_t invalidations = 0;
 };
 
 /** Tag-only set-associative cache with LRU replacement. */
@@ -106,12 +103,10 @@ class Cache
      *
      * The weave pre-computes each access's stamp as
      * lruClock() + 1 + its canonical index (every access bumps the
-     * clock exactly once, hit or fill), replays shards concurrently —
-     * sound because accesses to the same set always share a shard —
-     * and then commitTally()s and advanceLruClock()s once. The
-     * resulting tag/LRU/dirty bytes and stat totals are exactly those
-     * of a serial accessAndFill drain; checkpoints cannot tell the
-     * difference.
+     * clock exactly once, hit or fill), replays the stream, and then
+     * commitTally()s and advanceLruClock()s once. The resulting
+     * tag/LRU/dirty bytes and stat totals are exactly those of an
+     * accessAndFill drain; checkpoints cannot tell the difference.
      *
      * @return true on hit.
      */
@@ -121,13 +116,7 @@ class Cache
     /** Invalidate a line if present (coherence or TLB-shootdown path). */
     bool invalidate(Addr line_addr);
 
-    /**
-     * invalidate() without the stat bump (weave probe shards count
-     * successes in per-shard scratch and commit them in fixed order).
-     */
-    bool invalidateQuiet(Addr line_addr);
-
-    /** Fold a shard tally into the stats (single-threaded commit). */
+    /** Fold a weave tally into the stats (single-threaded commit). */
     void
     commitTally(const CacheTally &tally)
     {
@@ -135,7 +124,6 @@ class Cache
         misses += tally.misses;
         evictions += tally.evictions;
         writebacks += tally.writebacks;
-        invalidations += tally.invalidations;
     }
 
     /** @{ @name LRU clock (weave pre-stamping; see weaveAccessFill) */

@@ -49,13 +49,6 @@ Dram::decode(Addr paddr, std::uint64_t &row_out) const
            bank;
 }
 
-unsigned
-Dram::bankIndexOf(Addr paddr) const
-{
-    std::uint64_t row = 0;
-    return decode(paddr, row);
-}
-
 Cycles
 Dram::weaveAccess(Addr paddr, Cycles now, bool is_write, DramTally &tally)
 {

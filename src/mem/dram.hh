@@ -39,8 +39,8 @@ struct DramParams
 };
 
 /**
- * Externally accumulated DRAM statistics for weave shards (merged into
- * the stats::Scalar counters by commitTally in fixed shard order).
+ * Externally accumulated DRAM statistics of one weave replay (folded
+ * into the stats::Scalar counters by commitTally once per chunk).
  */
 struct DramTally
 {
@@ -72,17 +72,11 @@ class Dram
      */
     Cycles access(Addr paddr, Cycles now, bool is_write);
 
-    /**
-     * access() with the counters in @p tally instead of the stats.
-     * A bank's row-buffer and ready_at evolution depends only on the
-     * sequence of requests to that bank, so weave shards that partition
-     * the canonical stream by bank index replay concurrently and
-     * land the exact state a serial drain would — see DESIGN.md §15.
-     */
+    /** access() with the counters in @p tally instead of the stats. */
     Cycles weaveAccess(Addr paddr, Cycles now, bool is_write,
                        DramTally &tally);
 
-    /** Fold a shard tally into the stats (single-threaded commit). */
+    /** Fold a weave tally into the stats (single-threaded commit). */
     void
     commitTally(const DramTally &tally)
     {
@@ -92,9 +86,6 @@ class Dram
         row_misses += tally.row_misses;
         row_conflicts += tally.row_conflicts;
     }
-
-    /** Flat bank index of an address (weave shard selection). */
-    unsigned bankIndexOf(Addr paddr) const;
 
     /** Total banks across channels and ranks. */
     unsigned numBanks() const;

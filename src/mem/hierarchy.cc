@@ -77,7 +77,7 @@ CacheHierarchy::access(unsigned core, Addr paddr, AccessType type,
             result.served_by = MemLevel::L1;
             if (is_write && coherence_active_) {
                 if (log)
-                    log->appendProbe(now + result.latency, paddr);
+                    log->appendWrite(paddr);
                 else
                     probeInvalidate(core, paddr);
             }
@@ -93,11 +93,10 @@ CacheHierarchy::access(unsigned core, Addr paddr, AccessType type,
         // Deferred: charge the deterministic L3 access time now (the
         // DRAM excess, if any, is billed by the weave) and record the
         // access. served_by is provisional; the weave owns the L3/DRAM
-        // stats. The write probe is folded into the weave replay.
+        // stats.
         result.latency += l3_->accessCycles();
         result.served_by = MemLevel::L3;
         log->appendAccess(now + result.latency, paddr, type, start_at_l2);
-        return result;
     } else {
         result.latency += l3_->accessCycles();
         if (l3_->accessAndFill(paddr, is_write, dirty)) {
@@ -111,7 +110,7 @@ CacheHierarchy::access(unsigned core, Addr paddr, AccessType type,
 
     if (is_write && coherence_active_) {
         if (log)
-            log->appendProbe(now + result.latency, paddr);
+            log->appendWrite(paddr);
         else
             probeInvalidate(core, paddr);
     }
@@ -122,12 +121,9 @@ void
 CacheHierarchy::weaveSerial(const core::WeaveStream &ws,
                             std::uint64_t lru_base, WeaveScratch &sc)
 {
-    // Fused single-thread drain: the L3 probe+fill and the DRAM billing
-    // of a miss happen in one pass over the canonical access stream
-    // (the way the bound side fused access+insert in PR 2), then the
-    // probe stream drains against the peer caches. Splitting accesses
-    // from probes is state-identical to the historical interleaved
-    // replay because they touch disjoint levels.
+    // Fused drain: the L3 probe+fill and the DRAM billing of a miss
+    // happen in one pass over the canonical access stream (the way the
+    // bound side fuses access+insert).
     const std::size_t n = ws.accesses();
     for (std::size_t i = 0; i < n; ++i) {
         const Addr paddr = ws.paddr[i];
@@ -150,138 +146,37 @@ CacheHierarchy::weaveSerial(const core::WeaveStream &ws,
             }
         }
     }
+}
+
+void
+CacheHierarchy::drainProbes(unsigned peer)
+{
     if (!coherence_active_)
         return;
-    const std::size_t np = ws.probes();
-    for (std::size_t i = 0; i < np; ++i)
-        probeShard(ws.probe_paddr[i], ws.probe_core[i], sc);
-}
-
-void
-CacheHierarchy::probeShard(Addr paddr, unsigned writer, WeaveScratch &sc)
-{
+    Cache &l1i = *l1i_[peer];
+    Cache &l1d = *l1d_[peer];
+    Cache &l2 = *l2_[peer];
     for (unsigned c = 0; c < num_cores_; ++c) {
-        if (c == writer)
+        if (c == peer || !epoch_logs_[c])
             continue;
-        if (l1i_[c]->invalidateQuiet(paddr))
-            ++sc.probe_inval[c * 3u + 0];
-        if (l1d_[c]->invalidateQuiet(paddr))
-            ++sc.probe_inval[c * 3u + 1];
-        if (l2_[c]->invalidateQuiet(paddr))
-            ++sc.probe_inval[c * 3u + 2];
-    }
-}
-
-void
-CacheHierarchy::weaveSharedPass(core::WeaveStream &ws, unsigned shard,
-                                unsigned nshards, std::uint64_t lru_base,
-                                WeaveScratch &sc)
-{
-    // Shard selection by low line bits: nshards divides the L3 set
-    // count, so accesses to one L3 set always share a shard and the
-    // per-set replay order is the canonical order. The hit lane is
-    // per-access bytes, so concurrent shards write disjoint memory.
-    const std::uint64_t mask = nshards - 1;
-    const std::size_t n = ws.accesses();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr paddr = ws.paddr[i];
-        if ((lineOf(paddr) & mask) != shard)
-            continue;
-        const bool is_write = ws.flags[i] & core::EpochLog::flagWrite;
-        ws.hit[i] = l3_->weaveAccessFill(paddr, is_write,
-                                         lru_base + 1 + i, sc.l3)
-                        ? 1
-                        : 0;
-    }
-}
-
-void
-CacheHierarchy::weaveDramPass(const core::WeaveStream &ws, unsigned shard,
-                              unsigned nshards, WeaveScratch &sc)
-{
-    // Shard selection by DRAM bank: a bank's row buffer and ready_at
-    // evolve from that bank's request subsequence alone, which stays
-    // canonical under any bank partition (unlike line-bit shards: the
-    // bank index ignores line bits [1, 7), so only a bank partition
-    // keeps same-bank requests together at every shard count).
-    const std::size_t n = ws.accesses();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (ws.hit[i])
-            continue;
-        const Addr paddr = ws.paddr[i];
-        if (dram_->bankIndexOf(paddr) % nshards != shard)
-            continue;
-        const std::uint8_t flags = ws.flags[i];
-        const Cycles extra = dram_->weaveAccess(
-            paddr, ws.ts[i], flags & core::EpochLog::flagWrite, sc.dram);
-        const unsigned core = ws.core[i];
-        const std::uint16_t slot = ws.slot[i];
-        if (flags & core::EpochLog::flagWalker) {
-            sc.walk_extra[core] += extra;
-            if (slot < sc.slot_walk_extra.size())
-                sc.slot_walk_extra[slot] += extra;
-        } else {
-            sc.data_extra[core] += extra;
-            if (slot < sc.slot_data_extra.size())
-                sc.slot_data_extra[slot] += extra;
+        for (const Addr paddr : epoch_logs_[c]->writes()) {
+            l1i.invalidate(paddr);
+            l1d.invalidate(paddr);
+            l2.invalidate(paddr);
         }
     }
 }
 
 void
-CacheHierarchy::weaveProbePass(const core::WeaveStream &ws, unsigned shard,
-                               unsigned nshards, WeaveScratch &sc)
-{
-    if (!coherence_active_)
-        return;
-    // Probes of one line always share a shard, so presence checks see
-    // the same prior invalidates as the serial drain; probes of
-    // different lines commute (no LRU bump, no victim choice).
-    const std::uint64_t mask = nshards - 1;
-    const std::size_t n = ws.probes();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr paddr = ws.probe_paddr[i];
-        if ((lineOf(paddr) & mask) != shard)
-            continue;
-        probeShard(paddr, ws.probe_core[i], sc);
-    }
-}
-
-void
-CacheHierarchy::weaveCommit(const WeaveScratch *scratch, unsigned nshards,
+CacheHierarchy::weaveCommit(const WeaveScratch &sc,
                             std::uint64_t num_accesses)
 {
-    for (unsigned s = 0; s < nshards; ++s) {
-        const WeaveScratch &sc = scratch[s];
-        l3_->commitTally(sc.l3);
-        dram_->commitTally(sc.dram);
-        for (unsigned c = 0; c < num_cores_; ++c) {
-            l1i_[c]->invalidations += sc.probe_inval[c * 3u + 0];
-            l1d_[c]->invalidations += sc.probe_inval[c * 3u + 1];
-            l2_[c]->invalidations += sc.probe_inval[c * 3u + 2];
-        }
-    }
-    // Every access bumped the clock exactly once in the serial replay;
-    // the pre-stamped shards reproduce those values, so one batched
-    // advance lands the identical (checkpointed) clock.
+    l3_->commitTally(sc.l3);
+    dram_->commitTally(sc.dram);
+    // Every access bumped the clock exactly once in the historical
+    // replay; the pre-stamped scan reproduces those values, so one
+    // batched advance lands the identical (checkpointed) clock.
     l3_->advanceLruClock(num_accesses);
-}
-
-unsigned
-CacheHierarchy::maxWeaveShards() const
-{
-    std::uint64_t sets = l3_->params().numSets();
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        sets = std::min(sets, l1i_[c]->params().numSets());
-        sets = std::min(sets, l1d_[c]->params().numSets());
-        sets = std::min(sets, l2_[c]->params().numSets());
-    }
-    // Largest power of two <= the smallest set count (set counts are
-    // asserted powers of two, so this is that count itself).
-    std::uint64_t shards = 1;
-    while (shards * 2 <= sets)
-        shards *= 2;
-    return static_cast<unsigned>(shards);
 }
 
 void

@@ -84,8 +84,9 @@ class CacheHierarchy
      * Attach a core's bound-phase event log (System wires these in).
      * While the log is active, access() stops at the private levels: an
      * L2 miss charges the deterministic L3 access time, appends an event
-     * and returns; coherence probes of write hits are logged likewise.
-     * A null or inactive log restores the historical immediate path.
+     * and returns; every write that owes peers a coherence probe lands
+     * in the log's write lane. A null or inactive log restores the
+     * historical immediate path.
      */
     void
     setEpochLog(unsigned core, core::EpochLog *log)
@@ -94,10 +95,10 @@ class CacheHierarchy
     }
 
     /**
-     * Per-shard scratch state for the weave replay (DESIGN.md §15):
-     * stat tallies for the shared levels plus the per-core latency
-     * bills the System applies after the commit. Pooled by the System
-     * and reset() per chunk.
+     * Scratch state of the weave replay (DESIGN.md §15): stat tallies
+     * for the shared levels plus the per-core latency bills the System
+     * applies after the commit. Pooled by the System and reset() per
+     * chunk.
      */
     struct WeaveScratch
     {
@@ -105,12 +106,11 @@ class CacheHierarchy
         DramTally dram;
         std::vector<Cycles> data_extra;          //!< Per core.
         std::vector<Cycles> walk_extra;          //!< Per core.
-        std::vector<std::uint64_t> probe_inval;  //!< Per core × 3 (I/D/2).
         /**
          * Per-tenant DRAM-excess bills, parallel to data_extra /
          * walk_extra but keyed by the attribution slot the event
          * carries (core/epoch.hh). Sized by reset()'s num_slots (0
-         * when attribution is off — the replay loops skip the lanes).
+         * when attribution is off — the replay loop skips the lanes).
          */
         std::vector<Cycles> slot_data_extra;
         std::vector<Cycles> slot_walk_extra;
@@ -122,7 +122,6 @@ class CacheHierarchy
             dram = DramTally{};
             data_extra.assign(num_cores, 0);
             walk_extra.assign(num_cores, 0);
-            probe_inval.assign(num_cores * 3u, 0);
             slot_data_extra.assign(num_slots, 0);
             slot_walk_extra.assign(num_slots, 0);
         }
@@ -132,47 +131,30 @@ class CacheHierarchy
      * @{
      * @name Weave replay (DESIGN.md §15)
      *
-     * The weave drains the canonical stream the merge produced. All
-     * entry points share one pre-stamping contract: @p lru_base is the
-     * L3's lruClock() at weave start, access i's LRU stamp is
-     * lru_base + 1 + i, and after the passes the System calls
-     * weaveCommit() which advances the clock by the access count and
-     * folds the shard tallies into the stats in fixed shard order —
-     * so tags, LRU bytes and stat totals are identical at every shard
-     * count, including 1.
+     * weaveSerial() drains the canonical access stream the merge
+     * produced in one fused scan: L3 probe+fill, and the DRAM billing
+     * of a miss. Access i's LRU stamp is @p lru_base + 1 + i, where
+     * @p lru_base is the L3's lruClock() at weave start; weaveCommit()
+     * then folds the tallies into the stats and advances the clock by
+     * the access count.
      *
-     * weaveSerial() is the fused single-thread path (L3 probe+fill and
-     * the DRAM billing of a miss in one scan, then the probe drain).
-     * The sharded passes split the same work: weaveSharedPass()
-     * replays accesses whose L3 set belongs to the shard (filling
-     * ws.hit), weaveDramPass() replays misses whose DRAM bank belongs
-     * to the shard (reading ws.hit — callers must order it after every
-     * shared pass), and weaveProbePass() invalidates peer L1/L2 lines
-     * whose sets belong to the shard. Soundness: the three passes touch
-     * disjoint simulated state, shards of one pass touch disjoint sets
-     * or banks, and per-set/per-bank request order is canonical in
-     * every split — DESIGN.md §15 gives the full argument.
+     * drainProbes() invalidates one peer's L1i, L1d and L2 against the
+     * write lanes of every other core's attached epoch log. It touches
+     * only that peer's private caches, so the System runs one call per
+     * peer on the pool, concurrently with each other and with
+     * weaveSerial() (which touches only L3, DRAM and the scratch). The
+     * outcome is the serial canonical probe drain's: invalidation only
+     * moves a line present -> absent, nothing in the weave refills a
+     * private level, and an invalidate bumps no LRU state, so whether a
+     * peer line dies — and the one count it adds — does not depend on
+     * the order its probes arrive in.
      */
     void weaveSerial(const core::WeaveStream &ws, std::uint64_t lru_base,
                      WeaveScratch &sc);
-    void weaveSharedPass(core::WeaveStream &ws, unsigned shard,
-                         unsigned nshards, std::uint64_t lru_base,
-                         WeaveScratch &sc);
-    void weaveDramPass(const core::WeaveStream &ws, unsigned shard,
-                       unsigned nshards, WeaveScratch &sc);
-    void weaveProbePass(const core::WeaveStream &ws, unsigned shard,
-                        unsigned nshards, WeaveScratch &sc);
+    void drainProbes(unsigned peer);
 
-    /** Fold shard scratches into the stats and advance the L3 clock. */
-    void weaveCommit(const WeaveScratch *scratch, unsigned nshards,
-                     std::uint64_t num_accesses);
-
-    /**
-     * Largest power-of-two shard count the geometries support: shards
-     * select lines by low line bits, so the count must divide every
-     * probed cache's set count (and the L3's). 64 with Table I caches.
-     */
-    unsigned maxWeaveShards() const;
+    /** Fold the scratch tallies into the stats; advance the L3 clock. */
+    void weaveCommit(const WeaveScratch &sc, std::uint64_t num_accesses);
     /** @} */
 
     /** Drop every line in every cache. */
@@ -218,8 +200,6 @@ class CacheHierarchy
     std::vector<core::EpochLog *> epoch_logs_; //!< Per core; may be null.
 
     void probeInvalidate(unsigned writer_core, Addr paddr);
-    /** One probe against all peers, counting into shard scratch. */
-    void probeShard(Addr paddr, unsigned writer, WeaveScratch &sc);
 };
 
 } // namespace bf::mem

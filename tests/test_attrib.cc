@@ -6,8 +6,7 @@
  *    over tenants equals the machine-global counter bit for bit, on
  *    both sides of a resetStats;
  *  - the determinism contract: exported stats (attrib subtree included)
- *    and the tenants JSON are byte-identical over the full
- *    BF_WORKERS x BF_WEAVE_WORKERS matrix {1,2,4}^2;
+ *    and the tenants JSON are byte-identical at BF_WORKERS {1,2,4};
  *  - checkpoint round trip: a restored twin reproduces the attribution
  *    subtree exactly and stays reconciled when run further;
  *  - BF_ATTRIB=0: no subtree, no registry, simulation unperturbed;
@@ -56,13 +55,11 @@ mongodbProfile()
 
 /** The bench shape, shrunk: 4 cores x 2 containers, sampling on. */
 World
-makeWorld(unsigned workers, unsigned weave_workers = 1, bool attrib = true,
-          std::uint64_t seed = 37)
+makeWorld(unsigned workers, bool attrib = true, std::uint64_t seed = 37)
 {
     core::SystemParams params = core::SystemParams::babelfish();
     params.num_cores = 4;
     params.workers = workers;
-    params.weave_workers = weave_workers;
     params.sync_chunk = 20000;
     params.attrib = attrib;
     params.kernel.mem_frames = 1 << 22;
@@ -174,7 +171,7 @@ expectReconciled(core::System &sys)
 // after a resetStats (the bench warm-up boundary).
 TEST(Attrib, PerTenantSumsEqualGlobals)
 {
-    World w = makeWorld(2, 2);
+    World w = makeWorld(2);
     w.sys->run(msToCycles(0.5));
     ASSERT_NE(w.sys->attrib(), nullptr);
     // One tenant per process: the container runtime + 8 containers.
@@ -193,27 +190,23 @@ TEST(Attrib, PerTenantSumsEqualGlobals)
 // ---------------------------------------------------------------------
 
 // Exported stats (attrib subtree included) and the tenants JSON are
-// byte-identical at every BF_WORKERS x BF_WEAVE_WORKERS combination.
+// byte-identical at every BF_WORKERS.
 TEST(Attrib, WorkerMatrixByteIdentical)
 {
     std::string ref_stats, ref_tenants;
     for (const unsigned workers : {1u, 2u, 4u}) {
-        for (const unsigned weave : {1u, 2u, 4u}) {
-            World w = makeWorld(workers, weave);
-            w.sys->run(msToCycles(0.25));
-            w.sys->resetStats();
-            w.sys->run(msToCycles(0.75));
-            const std::string stats = stats::toJsonString(w.sys->stats());
-            const std::string tenants = w.sys->attrib()->tenantsJson();
-            if (ref_stats.empty()) {
-                ref_stats = stats;
-                ref_tenants = tenants;
-            } else {
-                EXPECT_EQ(stats, ref_stats)
-                    << "workers " << workers << " weave " << weave;
-                EXPECT_EQ(tenants, ref_tenants)
-                    << "workers " << workers << " weave " << weave;
-            }
+        World w = makeWorld(workers);
+        w.sys->run(msToCycles(0.25));
+        w.sys->resetStats();
+        w.sys->run(msToCycles(0.75));
+        const std::string stats = stats::toJsonString(w.sys->stats());
+        const std::string tenants = w.sys->attrib()->tenantsJson();
+        if (ref_stats.empty()) {
+            ref_stats = stats;
+            ref_tenants = tenants;
+        } else {
+            EXPECT_EQ(stats, ref_stats) << "workers " << workers;
+            EXPECT_EQ(tenants, ref_tenants) << "workers " << workers;
         }
     }
     EXPECT_NE(ref_tenants.find("\"slot\":0"), std::string::npos);
@@ -255,7 +248,7 @@ TEST(Attrib, CheckpointAttribFlagMismatchRejected)
     a.sys->run(msToCycles(0.25));
     ASSERT_TRUE(a.sys->saveCheckpoint(path));
 
-    World off = makeWorld(1, 1, /*attrib=*/false);
+    World off = makeWorld(1, /*attrib=*/false);
     EXPECT_FALSE(off.sys->restoreCheckpoint(path));
 }
 
@@ -268,13 +261,13 @@ TEST(Attrib, CheckpointAttribFlagMismatchRejected)
 // (attribution is pure observability).
 TEST(Attrib, DisabledLeavesNoSubtreeAndNoPerturbation)
 {
-    World off = makeWorld(2, 2, /*attrib=*/false);
+    World off = makeWorld(2, /*attrib=*/false);
     EXPECT_EQ(off.sys->attrib(), nullptr);
     off.sys->run(msToCycles(0.75));
     const std::string off_stats = stats::toJsonString(off.sys->stats());
     EXPECT_EQ(off_stats.find("\"attrib\""), std::string::npos);
 
-    World on = makeWorld(2, 2, /*attrib=*/true);
+    World on = makeWorld(2, /*attrib=*/true);
     on.sys->run(msToCycles(0.75));
     std::string on_stats = stats::toJsonString(on.sys->stats());
     // Splice the attrib subtree out of the attributed export: the

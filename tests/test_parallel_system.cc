@@ -75,6 +75,64 @@ runMix(unsigned workers, std::uint64_t seed = 29)
     return r;
 }
 
+constexpr Addr kSweepVa = 0x7f00'0000'0000ull;
+
+/**
+ * A container that faults on every third reference: it sweeps fresh
+ * pages of a shared file mapping (interleaved with a sibling core's
+ * sweep, so some faults race a peer's install), and writes and reads a
+ * small hot set every core shares, so probes cross cores too.
+ */
+class SweepThread : public Thread
+{
+  public:
+    SweepThread(vm::Process *proc, unsigned core)
+        : proc_(proc), core_(core), name_("sweep" + std::to_string(core))
+    {}
+
+    vm::Process *process() override { return proc_; }
+    const std::string &name() const override { return name_; }
+
+    bool
+    next(MemRef &ref) override
+    {
+        const std::uint64_t i = issued_++;
+        const Addr hot = kSweepVa + ((i * 7 + core_) % 64) * 64;
+        switch (i % 3) {
+          case 0:
+            ref.va = kSweepVa + ((i / 3) * 2 + 1 + (core_ & 1)) *
+                                    pageBytes(PageSize::Size4K);
+            ref.type = (i / 3) % 2 ? AccessType::Write : AccessType::Read;
+            break;
+          case 1:
+            ref.va = hot;
+            ref.type = AccessType::Write;
+            break;
+          default:
+            ref.va = hot;
+            ref.type = AccessType::Read;
+            break;
+        }
+        ref.instrs = 20;
+        return true;
+    }
+
+  private:
+    vm::Process *proc_;
+    unsigned core_;
+    std::string name_;
+    std::uint64_t issued_ = 0;
+};
+
+/** Faults taken by one core's MMU, of every kind. */
+std::uint64_t
+coreFaults(System &sys, unsigned core)
+{
+    const Mmu &mmu = sys.core(core).mmu();
+    return mmu.minor_faults.value() + mmu.major_faults.value() +
+           mmu.cow_faults.value() + mmu.shared_installs.value();
+}
+
 } // namespace
 
 // The headline property: one algorithm, any worker count, one stats
@@ -158,4 +216,47 @@ TEST(ParallelSystem, DeferredFaultPathExercised)
     const MixResult w4 = runMix(4);
     EXPECT_GT(w4.faults, 0u);
     EXPECT_GT(w4.instructions, 100'000u);
+}
+
+// Multi-fault rounds: every core faults in the bound phase of the first
+// chunk, so the first service round holds all of them, and each faults
+// again while resumed — the pooled resume runs several cores per round,
+// round after round. The stats tree is still byte-identical at every
+// worker count.
+TEST(ParallelSystem, MultiFaultRoundsByteIdentical)
+{
+    const auto run = [](unsigned workers) {
+        SystemParams params = SystemParams::babelfish();
+        params.num_cores = 4;
+        params.workers = workers;
+        params.sync_chunk = 20000;
+        params.kernel.mem_frames = 1 << 22;
+        System sys(params);
+
+        const Ccid ccid = sys.kernel().createGroup("g", 1);
+        auto *file = sys.kernel().createFile("f", 64 << 20);
+        file->preload(sys.kernel().frames());
+        std::vector<std::unique_ptr<SweepThread>> threads;
+        for (unsigned c = 0; c < params.num_cores; ++c) {
+            vm::Process *proc = sys.kernel().createProcess(
+                ccid, "p" + std::to_string(c));
+            sys.kernel().mmapObject(*proc, file, kSweepVa, 64 << 20, 0,
+                                    true, false, true);
+            threads.push_back(std::make_unique<SweepThread>(proc, c));
+            sys.addThread(c, threads.back().get());
+        }
+
+        // One chunk: a core's first fault of a chunk is always parked
+        // by the bound phase, so two faults on every core mean a round
+        // of all four cores and re-faults during the resumes.
+        sys.run(params.sync_chunk);
+        for (unsigned c = 0; c < params.num_cores; ++c)
+            EXPECT_GE(coreFaults(sys, c), 2u) << "core " << c;
+
+        sys.run(msToCycles(0.2));
+        return stats::toJsonString(sys.stats());
+    };
+    const std::string w1 = run(1);
+    EXPECT_EQ(w1, run(2));
+    EXPECT_EQ(w1, run(4));
 }

@@ -1,35 +1,34 @@
 /**
  * @file
  * Adversarial determinism tests for the weave machinery (DESIGN.md §15):
- * the ladder merge, and byte-identity of the sharded weave replay
- * against the fused serial path under worst-case shard skew.
+ * the ladder merge, the write lane, and byte-identity of the concurrent
+ * per-peer probe drain against the serial canonical drain.
  *
  *  - merge fidelity: the k-way ladder reproduces the reference
  *    (ts, core, seq) comparison sort exactly, including on a log filled
  *    exactly to its pooled capacity;
- *  - all-hot-one-set: every access of a chunk lands in one L3 set, so
- *    one shard owns all the work and the others spin empty — tags, LRU
- *    stamps, dirty bits and stat tallies still match the serial drain
- *    byte-for-byte (checkpoint payload comparison);
- *  - zero-shared-event round: an empty stream through both paths leaves
- *    the hierarchy untouched;
- *  - the system-level matrix: the full stats tree is byte-identical
- *    over BF_WORKERS x BF_WEAVE_WORKERS in {1,2,4}^2 on a seeded
- *    faulting multi-container mix.
+ *  - write lane: every write the bound path issues (L1 hit, L2 hit or
+ *    deferred miss) lands in the issuing core's write lane, and only
+ *    while probes are modeled;
+ *  - per-peer drain: several peers hold lines that others write (some
+ *    written by more than one core, some held by one peer only, some
+ *    held by nobody); draining each peer on its own pool worker while
+ *    the L3/DRAM replay runs leaves every tag, LRU stamp, dirty bit and
+ *    invalidation counter equal to the serial canonical drain's;
+ *  - zero-event round: empty streams and lanes leave the hierarchy
+ *    untouched.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
-#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/snapshot.hh"
-#include "common/stats_export.hh"
 #include "core/epoch.hh"
-#include "core/system.hh"
 #include "mem/hierarchy.hh"
-#include "workloads/apps.hh"
 
 using namespace bf;
 
@@ -42,24 +41,37 @@ constexpr unsigned kCores = 4;
  *  lines -> 8192 sets): addresses one stride apart share a set. */
 constexpr Addr kL3SetStride = 64ull * 8192;
 
+/** @{ @name Line pools of the probe-drain test */
+constexpr Addr kSharedData = 0x100000;  //!< Read by every core.
+constexpr Addr kSharedCode = 0x200000;  //!< Fetched by every core.
+constexpr Addr kPrivateData = 0x400000; //!< + core * 0x10000: one core.
+constexpr Addr kNowhere = 0x800000;     //!< Held by no core.
+constexpr unsigned kPoolLines = 128;
+/** @} */
+
 std::unique_ptr<mem::CacheHierarchy>
-makeHierarchy(stats::StatGroup *root)
+makeHierarchy(stats::StatGroup *root, unsigned cores = kCores)
 {
     return std::make_unique<mem::CacheHierarchy>(mem::HierarchyParams{},
-                                                 kCores, root);
+                                                 cores, root);
 }
 
-/** Identical direct-path warmup: seed the private levels and the L3 so
- *  weave probes find lines to invalidate and fills find victims. */
+/** Identical direct-path warmup: every core holds the shared data and
+ *  code pools in its L1s and L2, plus a private pool of its own, and
+ *  the L3 holds lines for the replay to hit and evict. */
 void
 warm(mem::CacheHierarchy &h)
 {
     Cycles now = 0;
     for (unsigned c = 0; c < kCores; ++c) {
-        for (unsigned k = 0; k < 64; ++k) {
-            h.access(c, 0x4000 + k * kL3SetStride, AccessType::Read,
+        for (unsigned k = 0; k < kPoolLines; ++k) {
+            h.access(c, kSharedData + k * 64, AccessType::Read, now += 20);
+            h.access(c, kSharedCode + k * 64, AccessType::Ifetch,
                      now += 20);
-            h.access(c, 0x9000 + k * 64, AccessType::Write, now += 20);
+            h.access(c, kPrivateData + c * 0x10000 + k * 64,
+                     AccessType::Read, now += 20);
+            h.access(c, 0x4000 + (k % 64) * kL3SetStride,
+                     AccessType::Read, now += 20);
         }
     }
 }
@@ -73,46 +85,15 @@ stateBytes(const mem::CacheHierarchy &h)
     return ar.payload();
 }
 
-/** The System::weave sharded orchestration, serialized for tests:
- *  shared+probe passes, barrier, DRAM passes, commit. */
-void
-runSharded(mem::CacheHierarchy &h, core::WeaveStream &ws,
-           unsigned nshards,
-           std::vector<mem::CacheHierarchy::WeaveScratch> &sc)
+/** Every private cache's invalidation counter, core-major (I, D, L2). */
+std::vector<std::uint64_t>
+invalidations(mem::CacheHierarchy &h)
 {
-    const std::uint64_t num_accesses = ws.accesses();
-    const std::uint64_t lru_base = h.l3().lruClock();
-    ws.hit.assign(num_accesses, 0);
-    for (unsigned s = 0; s < nshards; ++s) {
-        sc[s].reset(kCores);
-        h.weaveSharedPass(ws, s, nshards, lru_base, sc[s]);
-        h.weaveProbePass(ws, s, nshards, sc[s]);
-    }
-    for (unsigned s = 0; s < nshards; ++s)
-        h.weaveDramPass(ws, s, nshards, sc[s]);
-    h.weaveCommit(sc.data(), nshards, num_accesses);
-}
-
-void
-runSerial(mem::CacheHierarchy &h, const core::WeaveStream &ws,
-          std::vector<mem::CacheHierarchy::WeaveScratch> &sc)
-{
-    sc[0].reset(kCores);
-    h.weaveSerial(ws, h.l3().lruClock(), sc[0]);
-    h.weaveCommit(sc.data(), 1, ws.accesses());
-}
-
-/** Per-core billing summed over shards (the order System applies it). */
-std::vector<Cycles>
-billing(const std::vector<mem::CacheHierarchy::WeaveScratch> &sc,
-        unsigned nshards)
-{
-    std::vector<Cycles> out(kCores * 2, 0);
-    for (unsigned c = 0; c < kCores; ++c) {
-        for (unsigned s = 0; s < nshards; ++s) {
-            out[c * 2] += sc[s].data_extra[c];
-            out[c * 2 + 1] += sc[s].walk_extra[c];
-        }
+    std::vector<std::uint64_t> out;
+    for (unsigned c = 0; c < h.numCores(); ++c) {
+        out.push_back(h.l1i(c).invalidations.value());
+        out.push_back(h.l1d(c).invalidations.value());
+        out.push_back(h.l2(c).invalidations.value());
     }
     return out;
 }
@@ -120,7 +101,7 @@ billing(const std::vector<mem::CacheHierarchy::WeaveScratch> &sc,
 /** Reference merge: the comparison sort the ladder replaced. */
 void
 referenceMerge(const std::vector<std::unique_ptr<core::EpochLog>> &logs,
-               core::WeaveStream &out, bool write_probes)
+               core::WeaveStream &out)
 {
     struct Key
     {
@@ -144,17 +125,11 @@ referenceMerge(const std::vector<std::unique_ptr<core::EpochLog>> &logs,
     out.clear();
     for (const Key &k : keys) {
         const core::EpochLog &log = *logs[k.core];
-        const std::uint8_t flags = log.flags(k.seq);
-        if (write_probes && (flags & core::EpochLog::flagWrite)) {
-            out.probe_paddr.push_back(log.paddr(k.seq));
-            out.probe_core.push_back(static_cast<std::uint8_t>(k.core));
-        }
-        if (!(flags & core::EpochLog::flagProbe)) {
-            out.ts.push_back(k.ts);
-            out.paddr.push_back(log.paddr(k.seq));
-            out.core.push_back(static_cast<std::uint8_t>(k.core));
-            out.flags.push_back(flags);
-        }
+        out.ts.push_back(k.ts);
+        out.paddr.push_back(log.paddr(k.seq));
+        out.core.push_back(static_cast<std::uint8_t>(k.core));
+        out.flags.push_back(log.flags(k.seq));
+        out.slot.push_back(log.slot(k.seq));
     }
 }
 
@@ -165,40 +140,131 @@ expectStreamsEqual(const core::WeaveStream &a, const core::WeaveStream &b)
     EXPECT_EQ(a.paddr, b.paddr);
     EXPECT_EQ(a.core, b.core);
     EXPECT_EQ(a.flags, b.flags);
-    EXPECT_EQ(a.probe_paddr, b.probe_paddr);
-    EXPECT_EQ(a.probe_core, b.probe_core);
+    EXPECT_EQ(a.slot, b.slot);
 }
 
-/** Seeded per-core logs with interleaved timestamps, writes and walker
- *  events; every paddr lands in the same L3 set when @p one_set. */
+/** One write of a hand-built chunk, keyed like the historical probe. */
+struct Write
+{
+    Cycles ts;
+    unsigned core;
+    std::size_t seq;
+    Addr paddr;
+};
+
+/**
+ * Seeded per-core logs with interleaved timestamps, writes, walker
+ * events and tenant slots, shaped like the bound path's: a write hit
+ * appends to the write lane only, a write miss to both the access lane
+ * and the write lane. Each write is also recorded in @p writes (when
+ * given) with the timestamp the historical probe event carried.
+ * When @p probe_pools is set, writes target the warm() line pools.
+ */
 std::vector<std::unique_ptr<core::EpochLog>>
-makeLogs(std::size_t events_per_core, bool one_set)
+makeLogs(std::size_t events_per_core, bool probe_pools = false,
+         std::vector<Write> *writes = nullptr)
 {
     std::vector<std::unique_ptr<core::EpochLog>> logs;
     std::uint64_t rng = 0x9E3779B97F4A7C15ull;
     for (unsigned c = 0; c < kCores; ++c) {
         auto log = std::make_unique<core::EpochLog>();
         Cycles ts = 100 + 7 * c;
+        std::size_t seq = 0;
         for (std::size_t i = 0; i < events_per_core; ++i) {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
             ts += rng % 50; // Zero strides: cross-core ts ties happen.
-            const Addr paddr =
-                one_set ? 0x4000 + (rng % 96) * kL3SetStride
-                        : (rng >> 8) % (1ull << 30) & ~Addr{63};
-            if ((rng & 15) == 0) {
-                log->appendProbe(ts, paddr);
-            } else {
+            log->setSlot(static_cast<int>(rng % 5) - 1);
+            Addr paddr = (rng >> 8) % (1ull << 30) & ~Addr{63};
+            if (probe_pools) {
+                const Addr line = ((rng >> 12) % kPoolLines) * 64;
+                static constexpr Addr pools[] = {
+                    kSharedData, kSharedCode, kPrivateData, kNowhere};
+                paddr = pools[(rng >> 20) & 3] + line;
+                if (paddr >= kPrivateData && paddr < kNowhere)
+                    paddr += ((rng >> 24) % kCores) * 0x10000;
+            }
+            const bool write = (rng & 3) == 0;
+            const bool hit = (rng & 48) != 0;
+            if (!write || !hit) {
                 log->appendAccess(ts, paddr,
-                                  (rng & 3) == 0 ? AccessType::Write
-                                                 : AccessType::Read,
-                                  (rng & 7) == 0);
+                                  write ? AccessType::Write
+                                        : AccessType::Read,
+                                  (rng & 7) == 1);
+            }
+            if (write) {
+                log->appendWrite(paddr);
+                if (writes)
+                    writes->push_back({ts, c, seq++, paddr});
             }
         }
         logs.push_back(std::move(log));
     }
     return logs;
+}
+
+void
+attach(mem::CacheHierarchy &h,
+       const std::vector<std::unique_ptr<core::EpochLog>> &logs)
+{
+    for (unsigned c = 0; c < logs.size(); ++c)
+        h.setEpochLog(c, logs[c].get());
+}
+
+/**
+ * The historical weave: replay the canonical access stream, then drain
+ * every write's probe in canonical (ts, core, seq) order against all
+ * peers, one probe at a time.
+ */
+void
+serialWeave(mem::CacheHierarchy &h,
+            const std::vector<std::unique_ptr<core::EpochLog>> &logs,
+            std::vector<Write> writes)
+{
+    core::WeaveStream ws;
+    core::mergeEpochLogs(logs, ws);
+    mem::CacheHierarchy::WeaveScratch sc;
+    sc.reset(kCores);
+    h.weaveSerial(ws, h.l3().lruClock(), sc);
+    h.weaveCommit(sc, ws.accesses());
+    std::sort(writes.begin(), writes.end(),
+              [](const Write &a, const Write &b) {
+                  return std::tie(a.ts, a.core, a.seq) <
+                         std::tie(b.ts, b.core, b.seq);
+              });
+    for (const Write &w : writes) {
+        for (unsigned p = 0; p < kCores; ++p) {
+            if (p == w.core)
+                continue;
+            h.l1i(p).invalidate(w.paddr);
+            h.l1d(p).invalidate(w.paddr);
+            h.l2(p).invalidate(w.paddr);
+        }
+    }
+}
+
+/** The System::weave round: replay on item 0, one peer drain per item
+ *  after it, on a real pool so the drains race the replay. */
+void
+pooledWeave(mem::CacheHierarchy &h,
+            const std::vector<std::unique_ptr<core::EpochLog>> &logs,
+            core::BoundPool &pool)
+{
+    core::WeaveStream ws;
+    mem::CacheHierarchy::WeaveScratch sc;
+    sc.reset(kCores);
+    const std::uint64_t lru_base = h.l3().lruClock();
+    attach(h, logs);
+    pool.run(1 + kCores, [&](unsigned i) {
+        if (i > 0) {
+            h.drainProbes(i - 1);
+            return;
+        }
+        core::mergeEpochLogs(logs, ws);
+        h.weaveSerial(ws, lru_base, sc);
+    });
+    h.weaveCommit(sc, ws.accesses());
 }
 
 } // namespace
@@ -208,26 +274,33 @@ makeLogs(std::size_t events_per_core, bool one_set)
 // ---------------------------------------------------------------------
 
 // The ladder merge is an exact replacement for the comparison sort it
-// retired: same access lanes, same probe lanes, on logs with cross-core
-// timestamp ties, explicit probes, writes and walker events.
+// retired, on logs with cross-core timestamp ties, writes, walker
+// events and tenant slots. Write-lane entries never enter the stream.
 TEST(WeaveMerge, LadderMatchesReferenceSort)
 {
-    for (const bool write_probes : {true, false}) {
-        const auto logs = makeLogs(2000, false);
-        core::WeaveStream ladder, reference;
-        core::mergeEpochLogs(logs, ladder, write_probes);
-        referenceMerge(logs, reference, write_probes);
-        expectStreamsEqual(ladder, reference);
+    const auto logs = makeLogs(2000);
+    core::WeaveStream ladder, reference;
+    core::mergeEpochLogs(logs, ladder);
+    referenceMerge(logs, reference);
+    expectStreamsEqual(ladder, reference);
+
+    std::size_t logged = 0, written = 0;
+    for (const auto &log : logs) {
+        logged += log->size();
+        written += log->writes().size();
     }
+    EXPECT_EQ(ladder.accesses(), logged);
+    EXPECT_GT(written, 0u);
 }
 
 // A pooled log filled to exactly its reserved capacity (the boundary
 // where one more event would reallocate) merges like any other.
 TEST(WeaveMerge, ExactlyFullPooledLog)
 {
-    auto logs = makeLogs(512, false);
+    auto logs = makeLogs(512);
     // Refill log 0 to exactly its pooled capacity.
     logs[0]->clearEvents();
+    EXPECT_TRUE(logs[0]->writes().empty());
     const std::size_t cap = logs[0]->capacity();
     ASSERT_GT(cap, 0u);
     for (std::size_t i = 0; i < cap; ++i)
@@ -238,8 +311,8 @@ TEST(WeaveMerge, ExactlyFullPooledLog)
     ASSERT_EQ(logs[0]->size(), logs[0]->capacity());
 
     core::WeaveStream ladder, reference;
-    core::mergeEpochLogs(logs, ladder, true);
-    referenceMerge(logs, reference, true);
+    core::mergeEpochLogs(logs, ladder);
+    referenceMerge(logs, reference);
     expectStreamsEqual(ladder, reference);
 }
 
@@ -251,134 +324,132 @@ TEST(WeaveMerge, SingleLogFastPath)
     for (std::size_t i = 0; i < 100; ++i)
         logs[0]->appendAccess(10 + i, i * 64, AccessType::Read, false);
     core::WeaveStream ladder, reference;
-    core::mergeEpochLogs(logs, ladder, false);
-    referenceMerge(logs, reference, false);
+    core::mergeEpochLogs(logs, ladder);
+    referenceMerge(logs, reference);
     expectStreamsEqual(ladder, reference);
     EXPECT_EQ(ladder.accesses(), 100u);
 }
 
-// ---------------------------------------------------------------------
-// Sharded replay vs serial, adversarial skew
-// ---------------------------------------------------------------------
-
-// Worst-case shard skew: every access of the chunk maps to one L3 set,
-// so at 4 shards a single shard replays everything while the other
-// three find no work. The post-weave hierarchy state (every tag, LRU
-// stamp, dirty bit, DRAM bank clock) and the per-core billing must
-// still equal the fused serial drain's, byte for byte.
-TEST(WeaveShards, AllHotOneSetByteIdentical)
+// The bound path logs every write into the issuing core's write lane —
+// L1 write hits, L2 write hits and deferred write misses alike, page
+// walker writes included — and nothing else; the access lane holds
+// only the L2 misses. With one core no probes are modeled, so the lane
+// stays empty.
+TEST(WeaveMerge, WriteLaneHoldsEveryWrite)
 {
-    const auto logs = makeLogs(3000, true);
-    core::WeaveStream ws;
-    core::mergeEpochLogs(logs, ws, true);
-    ASSERT_GT(ws.accesses(), 0u);
-    ASSERT_GT(ws.probes(), 0u);
+    for (const unsigned cores : {kCores, 1u}) {
+        stats::StatGroup root("mem_w");
+        auto h = makeHierarchy(&root, cores);
+        std::vector<std::unique_ptr<core::EpochLog>> logs;
+        for (unsigned c = 0; c < cores; ++c) {
+            logs.push_back(std::make_unique<core::EpochLog>());
+            logs[c]->activate();
+        }
+        attach(*h, logs);
 
-    stats::StatGroup root_a("mem_a"), root_b("mem_b");
-    auto serial = makeHierarchy(&root_a);
-    auto sharded = makeHierarchy(&root_b);
-    warm(*serial);
-    warm(*sharded);
-
-    std::vector<mem::CacheHierarchy::WeaveScratch> sc_serial(1);
-    std::vector<mem::CacheHierarchy::WeaveScratch> sc_sharded(4);
-    runSerial(*serial, ws, sc_serial);
-    runSharded(*sharded, ws, 4, sc_sharded);
-
-    EXPECT_EQ(stateBytes(*serial), stateBytes(*sharded));
-    EXPECT_EQ(billing(sc_serial, 1), billing(sc_sharded, 4));
-    EXPECT_EQ(serial->l3().lruClock(), sharded->l3().lruClock());
-}
-
-// The same property at every supported shard count on an unskewed
-// stream (uniformly scattered sets and banks).
-TEST(WeaveShards, ShardCountSweepByteIdentical)
-{
-    const auto logs = makeLogs(3000, false);
-    core::WeaveStream ws;
-    core::mergeEpochLogs(logs, ws, true);
-
-    stats::StatGroup root_a("mem_a");
-    auto serial = makeHierarchy(&root_a);
-    warm(*serial);
-    std::vector<mem::CacheHierarchy::WeaveScratch> sc_serial(1);
-    runSerial(*serial, ws, sc_serial);
-    const auto want = stateBytes(*serial);
-    const auto want_bill = billing(sc_serial, 1);
-
-    for (const unsigned shards : {2u, 4u, 8u}) {
-        stats::StatGroup root("mem_s");
-        auto h = makeHierarchy(&root);
-        ASSERT_LE(shards, h->maxWeaveShards());
-        warm(*h);
-        std::vector<mem::CacheHierarchy::WeaveScratch> sc(shards);
-        runSharded(*h, ws, shards, sc);
-        EXPECT_EQ(want, stateBytes(*h)) << shards << " shards";
-        EXPECT_EQ(want_bill, billing(sc, shards)) << shards << " shards";
+        std::vector<std::vector<Addr>> want(cores);
+        std::vector<std::size_t> misses(cores, 0);
+        std::uint64_t rng = 0x2545F4914F6CDD1Dull;
+        Cycles now = 0;
+        for (unsigned i = 0; i < 20000; ++i) {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            const unsigned c = static_cast<unsigned>(rng % cores);
+            // A small footprint gives L1 and L2 hits, a large one misses.
+            const Addr span = (rng & 64) ? 16 * 1024 : 4 * 1024 * 1024;
+            const Addr paddr = ((rng >> 8) % span) & ~Addr{63};
+            const unsigned kind = (rng >> 40) % 4;
+            const AccessType type = kind == 0   ? AccessType::Write
+                                    : kind == 1 ? AccessType::Ifetch
+                                                : AccessType::Read;
+            const bool walker = ((rng >> 44) & 7) == 0;
+            const std::size_t logged = logs[c]->size();
+            const auto r = h->access(c, paddr, type, now += 5, walker);
+            if (logs[c]->size() != logged)
+                ++misses[c];
+            EXPECT_EQ(logs[c]->size() != logged,
+                      r.served_by == mem::MemLevel::L3);
+            if (type == AccessType::Write && cores > 1)
+                want[c].push_back(paddr);
+        }
+        for (unsigned c = 0; c < cores; ++c) {
+            EXPECT_EQ(logs[c]->writes(), want[c]) << "core " << c;
+            EXPECT_EQ(logs[c]->size(), misses[c]) << "core " << c;
+            if (cores > 1) {
+                EXPECT_GT(logs[c]->writes().size(), 0u);
+                EXPECT_GT(misses[c], 0u);
+                EXPECT_LT(misses[c], 20000u / cores);
+            }
+        }
     }
 }
 
-// A round with no shared-level events at all: both paths must leave the
-// hierarchy byte-identical to its pre-weave state (and the LRU clock
-// unmoved).
-TEST(WeaveShards, ZeroEventRoundIsNoOp)
+// ---------------------------------------------------------------------
+// Concurrent per-peer probe drain vs serial canonical drain
+// ---------------------------------------------------------------------
+
+// Every peer holds the shared pools and one private pool, and the
+// chunk's writes hit lines held by all peers, by one peer only, and by
+// nobody, with lines written by several cores. Draining each peer on
+// its own pool worker while the L3/DRAM replay runs must land the
+// exact state and invalidation counts of the serial drain, which
+// probes all peers one write at a time in canonical order.
+TEST(WeaveProbes, PerPeerDrainMatchesSerialDrain)
 {
-    core::WeaveStream empty;
+    std::vector<Write> writes;
+    const auto logs = makeLogs(3000, true, &writes);
+    ASSERT_GT(writes.size(), 0u);
+
+    stats::StatGroup root_a("mem_a"), root_b("mem_b");
+    auto serial = makeHierarchy(&root_a);
+    auto pooled = makeHierarchy(&root_b);
+    warm(*serial);
+    warm(*pooled);
+    ASSERT_EQ(stateBytes(*serial), stateBytes(*pooled));
+    const auto inval_before = invalidations(*serial);
+
+    serialWeave(*serial, logs, writes);
+    core::BoundPool pool(kCores - 1);
+    pooledWeave(*pooled, logs, pool);
+
+    EXPECT_EQ(stateBytes(*serial), stateBytes(*pooled));
+    EXPECT_EQ(invalidations(*serial), invalidations(*pooled));
+    EXPECT_EQ(serial->l3().lruClock(), pooled->l3().lruClock());
+    EXPECT_EQ(serial->l3().misses.value(), pooled->l3().misses.value());
+    EXPECT_EQ(serial->dram().reads.value(), pooled->dram().reads.value());
+
+    // Non-vacuous: every peer lost lines at every private level.
+    const auto inval_after = invalidations(*pooled);
+    for (std::size_t i = 0; i < inval_after.size(); ++i)
+        EXPECT_GT(inval_after[i], inval_before[i]) << "counter " << i;
+
+    // Idempotent: a second drain of the same lanes finds nothing left.
+    for (unsigned p = 0; p < kCores; ++p)
+        pooled->drainProbes(p);
+    EXPECT_EQ(invalidations(*serial), invalidations(*pooled));
+}
+
+// A round with no shared-level events at all: empty streams and lanes
+// leave the hierarchy byte-identical to its pre-weave state (and the
+// LRU clock unmoved), inline and on the pool.
+TEST(WeaveProbes, ZeroEventRoundIsNoOp)
+{
+    std::vector<std::unique_ptr<core::EpochLog>> empty;
+    for (unsigned c = 0; c < kCores; ++c)
+        empty.push_back(std::make_unique<core::EpochLog>());
     stats::StatGroup root("mem_z");
     auto h = makeHierarchy(&root);
     warm(*h);
     const auto before = stateBytes(*h);
+    const auto inval_before = invalidations(*h);
     const auto clock_before = h->l3().lruClock();
 
-    std::vector<mem::CacheHierarchy::WeaveScratch> sc(4);
-    runSerial(*h, empty, sc);
-    EXPECT_EQ(before, stateBytes(*h));
-    runSharded(*h, empty, 4, sc);
-    EXPECT_EQ(before, stateBytes(*h));
-    EXPECT_EQ(clock_before, h->l3().lruClock());
-}
-
-// ---------------------------------------------------------------------
-// System-level worker matrix
-// ---------------------------------------------------------------------
-
-// The full-system property the CI golden matrix also enforces: the
-// complete architectural stats tree is byte-identical at every
-// (bound workers, weave workers) combination in {1,2,4}^2, on a seeded
-// faulting mix.
-TEST(WeaveShards, WorkerMatrixByteIdentical)
-{
-    const auto run = [](unsigned workers, unsigned weave_workers) {
-        core::SystemParams params = core::SystemParams::babelfish();
-        params.num_cores = 4;
-        params.workers = workers;
-        params.weave_workers = weave_workers;
-        params.sync_chunk = 20000;
-        params.kernel.mem_frames = 1 << 22;
-        params.core.quantum = msToCycles(0.25);
-        core::System sys(params);
-
-        const unsigned n = params.num_cores * 2;
-        auto app = workloads::buildApp(sys.kernel(),
-                                       workloads::AppProfile::mongodb(),
-                                       n, 29);
-        auto threads = workloads::makeAppThreads(app, 29);
-        for (unsigned i = 0; i < n; ++i)
-            sys.addThread(i % params.num_cores, threads[i].get());
-
-        sys.run(msToCycles(0.5));
-        sys.resetStats();
-        sys.run(msToCycles(1));
-        return stats::toJsonString(sys.stats());
-    };
-
-    const std::string want = run(1, 1);
-    for (const unsigned w : {1u, 2u, 4u}) {
-        for (const unsigned ww : {1u, 2u, 4u}) {
-            if (w == 1 && ww == 1)
-                continue;
-            EXPECT_EQ(want, run(w, ww))
-                << "workers=" << w << " weave_workers=" << ww;
-        }
+    for (const unsigned workers : {1u, kCores}) {
+        core::BoundPool pool(workers - 1);
+        pooledWeave(*h, empty, pool);
+        EXPECT_EQ(before, stateBytes(*h));
+        EXPECT_EQ(inval_before, invalidations(*h));
+        EXPECT_EQ(clock_before, h->l3().lruClock());
     }
 }

@@ -16,9 +16,8 @@ Ignored fields, by design:
                          are identical across BF_WORKERS by
                          construction — that is the determinism this
                          check enforces)
-  - config.weave_workers (weave-phase threads inside each System,
-                         BF_WEAVE_WORKERS; byte-identical at any value
-                         like workers — DESIGN.md §15)
+  - config.weave_workers (a removed knob that older reports, the
+                         committed golden among them, still carry)
   - config.batch        (core prefetch batching, BF_BATCH; a host-side
                          pull-ahead of the per-thread reference streams
                          with stats identical at any value)
@@ -42,10 +41,10 @@ With --bench the bench is run under the pinned environment
 into a temp directory; the caller's environment is passed through
 underneath, so checkpoint knobs (BF_CKPT / BF_RESTORE) layer onto the
 pinned run — CI uses that for the save/restore round-trip gate. The
-two determinism axes BF_WORKERS and BF_WEAVE_WORKERS may be overridden
-by the caller (they default to the pinned 1): byte-identity of the
-stats at every worker combination is exactly the property this gate
-proves, so CI re-runs it across the {1,2,4} x {1,2,4} matrix. --update
+determinism axis BF_WORKERS may be overridden by the caller (it
+defaults to the pinned 1): byte-identity of the stats at every worker
+count is exactly the property this gate proves, so CI re-runs it at
+BF_WORKERS 2 and 4. --update
 rewrites the golden file from the produced output instead of diffing.
 On drift the first mismatching stat paths are printed as a unified
 golden(-) -> produced(+) diff.
@@ -263,11 +262,10 @@ REFERENCE_BACKEND = "babelfish"
 def run_bench(bench, out_dir, backend=None):
     env = dict(os.environ)
     pinned = dict(PINNED_ENV)
-    # The determinism axes may be varied by the caller; everything else
+    # The determinism axis may be varied by the caller; everything else
     # stays pinned.
-    for knob in ("BF_WORKERS", "BF_WEAVE_WORKERS"):
-        if knob in os.environ:
-            pinned.pop(knob, None)
+    if "BF_WORKERS" in os.environ:
+        pinned.pop("BF_WORKERS")
     env.update(pinned)
     if backend:
         env["BF_BACKEND"] = backend
