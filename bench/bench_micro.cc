@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "bench/common.hh"
 #include "common/object_pool.hh"
@@ -204,8 +203,8 @@ BENCHMARK(BM_TlbScanSoAPressured);
 /**
  * MMU translate fixture for the L0 inline-cache microbenches: one warm
  * 4K-mapped region, faults pre-taken so the loop measures only the
- * TLB-hit path. @p no_l0 constructs the Mmu with BF_NO_L0 set, i.e.
- * the slow-path L1 probe sequence the L0 short-circuits.
+ * TLB-hit path. @p no_l0 constructs the Mmu with MmuParams::l0_cache
+ * off, i.e. the slow-path L1 probe sequence the L0 short-circuits.
  */
 struct MmuFixture
 {
@@ -222,14 +221,11 @@ struct MmuFixture
           }()),
           mem(mem::HierarchyParams{}, 1)
     {
-        if (no_l0)
-            ::setenv("BF_NO_L0", "1", 1);
         auto p = core::SystemParams::babelfish();
         auto m = p.mmu;
         m.aslr = p.kernel.aslr;
+        m.l0_cache = !no_l0;
         mmu = std::make_unique<core::Mmu>(0, m, mem, kernel);
-        if (no_l0)
-            ::unsetenv("BF_NO_L0");
 
         const Ccid g = kernel.createGroup("g", 1);
         proc = kernel.createProcess(g, "p");

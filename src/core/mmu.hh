@@ -1,16 +1,20 @@
 /**
  * @file
- * The per-core MMU facade: owns the "mmu" stat group, the access-level
- * counters every backend books into, and the pluggable translation
- * backend (translate::Backend, DESIGN.md §16) that implements the
- * actual lookup→fill→walk→fault machinery. MmuParams::backend selects
- * the design; the rest of the simulator talks to this class exactly as
- * it did before the interface existed.
+ * The per-core MMU: owns the "mmu" stat group, the access-level counters
+ * every backend books into, the pluggable translation backend
+ * (translate::Backend, DESIGN.md §16) that holds the TLB structures, and
+ * everything around one backend pass — the live page walker and the
+ * cache-line traffic behind it (the live WalkSource), the processBit
+ * memo, and the page-fault retry loop with its single defer-or-service
+ * site. MmuParams::backend selects the design; the rest of the
+ * simulator talks to this class exactly as it did before the interface
+ * existed.
  */
 
 #ifndef BF_CORE_MMU_HH
 #define BF_CORE_MMU_HH
 
+#include <array>
 #include <memory>
 
 #include "common/stats.hh"
@@ -38,9 +42,10 @@ using Translation = translate::Translation;
  * Inherits TranslateStats so the access-level counters keep their
  * historical homes (`mmu.l1_hits`, `&Mmu::l2_data_hits` member
  * pointers in the sampler) while the selected backend books into them
- * by reference.
+ * by reference. Privately a WalkSource: backend misses walk through the
+ * live PageWalker and CacheHierarchy.
  */
-class Mmu : public translate::TranslateStats
+class Mmu : public translate::TranslateStats, private translate::WalkSource
 {
   public:
     /**
@@ -54,15 +59,26 @@ class Mmu : public translate::TranslateStats
         stats::StatGroup *parent = nullptr);
 
     /**
-     * Translate a canonical VA for a process, handling faults.
+     * Translate a canonical VA for a process, handling faults: while
+     * the epoch log is active a fault is deferred into it and the
+     * result is Translation::blocked; otherwise it is serviced and the
+     * backend pass retried.
      * @param now the core's current cycle.
      */
-    Translation
-    translate(vm::Process &proc, Addr canonical_va, AccessType type,
-              Cycles now)
-    {
-        return backend_->translate(proc, canonical_va, type, now);
-    }
+    Translation translate(vm::Process &proc, Addr canonical_va,
+                          AccessType type, Cycles now);
+
+    /**
+     * Service a page fault through the kernel and book its stats: the
+     * one fault-handling site, for both the serial retry loop and the
+     * deferred faults System services in (ts, core) order. Traces the
+     * service at @p ts and, when a declared CoW fault finds the page
+     * already resolved (a raced fill), shoots down this core's stale
+     * copy. The counters land in the core's open attribution window,
+     * which still belongs to the faulting process.
+     */
+    vm::FaultOutcome serviceFault(const vm::DeferredFault &fault,
+                                  Cycles ts);
 
     /** Apply a kernel shootdown to every structure of this core. */
     void
@@ -76,14 +92,20 @@ class Mmu : public translate::TranslateStats
      * the log is active, translate() defers page faults into it and
      * returns Translation::blocked instead of calling the kernel.
      */
-    void setEpochLog(EpochLog *log) { backend_->setEpochLog(log); }
+    void setEpochLog(EpochLog *log) { epoch_log_ = log; }
 
     /**
      * Attach the run's event tracer (System wires it; null detaches).
-     * Also forwards to the page walker. Tracing never changes stats or
-     * timing, only what gets recorded.
+     * Also forwards to the backend and the page walker. Tracing never
+     * changes stats or timing, only what gets recorded.
      */
-    void setTracer(trace::Tracer *tracer) { backend_->setTracer(tracer); }
+    void
+    setTracer(trace::Tracer *tracer)
+    {
+        tracer_ = tracer;
+        backend_->setTracer(tracer);
+        walker_.setTracer(tracer);
+    }
 
     /**
      * Attach the per-container attribution registry and this core's
@@ -97,17 +119,6 @@ class Mmu : public translate::TranslateStats
         backend_->setAttrib(registry, sink);
     }
 
-    /**
-     * Book the stats of a serviced deferred fault, mirroring what the
-     * serial retry loop would have counted at the fault site. The
-     * counters land in the blocked core's open attribution window,
-     * which still belongs to the faulting process (@p proc, unused
-     * here, documents that ownership).
-     */
-    void noteDeferredFault(const vm::Process &proc,
-                           const vm::FaultOutcome &outcome,
-                           bool declared_cow);
-
     /** Drop all cached translation state (tests / phase changes). */
     void flushAll() { backend_->flushAll(); }
 
@@ -119,7 +130,7 @@ class Mmu : public translate::TranslateStats
     tlb::Tlb &l1i() { return backend_->l1i(); }
     tlb::Tlb &l2(PageSize size) { return backend_->l2(size); }
     tlb::Pwc &pwc() { return backend_->pwc(); }
-    tlb::PageWalker &walker() { return backend_->walker(); }
+    tlb::PageWalker &walker() { return walker_; }
     /** @} */
 
     void resetStats();
@@ -133,13 +144,69 @@ class Mmu : public translate::TranslateStats
      * backend-specific state.
      */
     void save(snap::ArchiveWriter &ar) const { backend_->save(ar); }
-    void restore(snap::ArchiveReader &ar) { backend_->restore(ar); }
+    void restore(snap::ArchiveReader &ar);
     /** @} */
 
   private:
+    /** @{ @name The live WalkSource */
+    int processBit(const translate::Requester &req, Addr va) override;
+    tlb::WalkResult walk(const translate::Requester &req, Addr va,
+                         AccessType type, Cycles now) override;
+    Cycles readMetaLine(std::uint64_t line, Cycles now) override;
+    void touchMetaLine(std::uint64_t line) override;
+    /** @} */
+
+    /** Synthetic paddr of a metadata line, above simulated DRAM. */
+    Addr
+    metaAddr(std::uint64_t line) const
+    {
+        return meta_base_ + line * 64;
+    }
+
+    unsigned core_id_;
     MmuParams params_;
+    mem::CacheHierarchy &hierarchy_;
+    vm::Kernel &kernel_;
     stats::StatGroup stat_group_;
     std::unique_ptr<translate::Backend> backend_;
+    /** Registers its "walker" group after the backend's structures. */
+    tlb::PageWalker walker_;
+    Addr meta_base_;
+    /** @{ @name Per-translate state of the live WalkSource */
+    vm::Process *walking_ = nullptr;
+    static constexpr int kBitUnasked = -2;
+    int process_bit_ = kBitUnasked;
+    /** @} */
+    EpochLog *epoch_log_ = nullptr;
+    trace::Tracer *tracer_ = nullptr;
+
+    /**
+     * Direct-mapped cache of Kernel::processBit answers keyed by
+     * {process, 1 GB region}. A thread's request loop strides across
+     * several regions (code, stack, dataset, buffers), so a single
+     * entry thrashes — a handful indexed by region ⊕ pid captures the
+     * whole working set and turns the per-translate region lookups
+     * into one compare. Correctness: the kernel bumps the group's
+     * mask_generation counter on every mutation that can change a
+     * processBit() answer; each entry stores the counter's address and
+     * the value observed at fill, so a bump — or a different process
+     * or region, including one from another CCID group — misses and
+     * re-queries. Pids are never reused, so a dead process' entry can
+     * never match a live one.
+     */
+    struct PbCache
+    {
+        const std::uint64_t *gen_ptr = nullptr;
+        std::uint64_t gen = 0;
+        Pid pid = 0;
+        Addr region = ~0ull;
+        int bit = -1;
+    };
+    static constexpr std::size_t kPbCacheSize = 16; //!< Power of two.
+    std::array<PbCache, kPbCacheSize> pb_cache_{};
+
+    /** Kernel::processBit through pb_cache_. */
+    int cachedProcessBit(const vm::Process &proc, Addr canonical_va);
 };
 
 } // namespace bf::core

@@ -55,6 +55,15 @@ struct MmuParams
     translate::BackendKind backend = translate::BackendKind::BabelFish;
 
     /**
+     * Host-side execution knob: the L0 inline translation cache in front
+     * of the L1 TLBs (DESIGN.md §14). Stats are byte-identical either
+     * way, so like CoreParams::batch it is excluded from config hashes
+     * and checkpoint manifests. Off in replay (paramsFromTrace), the L0
+     * equivalence test and the bench_micro L0-disabled case.
+     */
+    bool l0_cache = true;
+
+    /**
      * L1 TLB entry sharing: only sound under ASLR-SW (same layouts). The
      * paper's default evaluation keeps it off (ASLR-HW).
      */

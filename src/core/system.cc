@@ -166,39 +166,8 @@ System::runChunk(Cycles barrier)
             const vm::DeferredFault fault = log.fault();
             log.clearFault();
 
-            if (tracer_)
-                tracer_->setKernelContext(pf.core, pf.ts);
-            const auto outcome = kernel_->serviceFault(fault);
-            bf_assert(outcome.kind != vm::FaultKind::Protection,
-                      "protection fault at va=", fault.canonical_va,
-                      " pid=", fault.proc->pid());
-            if (tracer_) {
-                tracer_->record(
-                    pf.core, trace::EventType::FaultService, pf.ts,
-                    fault.proc->ccid(), fault.proc->pid(),
-                    fault.canonical_va,
-                    trace::packFault(
-                        outcome.cycles, fault.proc->pcid(),
-                        static_cast<unsigned>(fault.stale_size),
-                        fault.declared_cow),
-                    static_cast<std::uint8_t>(outcome.kind));
-                tracer_->clearKernelContext();
-            }
-
-            Mmu &mmu = cores_[pf.core]->mmu();
-            if (fault.declared_cow &&
-                outcome.kind == vm::FaultKind::None) {
-                // Raced fill: a sibling resolved the page between this
-                // core's TLB fill and the fault — only this core's TLB
-                // copy is stale (the serial path shoots it down too).
-                mmu.applyInvalidate(
-                    {vm::TlbInvalidate::Kind::Page, fault.proc->ccid(),
-                     fault.proc->pcid(),
-                     fault.canonical_va >> pageShift(fault.stale_size),
-                     1, fault.stale_size});
-            }
-            mmu.noteDeferredFault(*fault.proc, outcome,
-                                  fault.declared_cow);
+            const vm::FaultOutcome outcome =
+                cores_[pf.core]->mmu().serviceFault(fault, pf.ts);
             cores_[pf.core]->resolveFault(outcome.cycles);
         }
 

@@ -6,9 +6,7 @@
 
 #include "common/stats.hh"
 #include "common/stats_export.hh"
-#include "tlb/page_walker.hh"
-#include "translate/structures.hh"
-#include "vm/kernel.hh"
+#include "translate/backend.hh"
 #include "vm/paging.hh"
 #include "vm/tlb_hooks.hh"
 
@@ -69,12 +67,17 @@ paramsFromTrace(const trace::TraceConfig &config)
     p.pwc.levels = config.pwc_levels;
     p.pwc.access_cycles = config.pwc_access_cycles;
     p.babelfish = config.babelfish;
-    p.l1_sharing = config.l1_sharing;
+    // The recorded l1_sharing flag is MmuParams::l1Sharing() of the
+    // recording, which the two fields below reproduce.
+    p.aslr = config.aslr_hw ? vm::AslrMode::Hw : vm::AslrMode::Sw;
     p.force_long_l2 = config.force_long_l2;
-    p.aslr_hw = config.aslr_hw;
     p.aslr_transform_cycles = config.aslr_transform_cycles;
     p.opc_width = config.opc_width ? config.opc_width : 32;
     p.backend = static_cast<translate::BackendKind>(config.backend);
+    // Stats are identical either way, and on replayed streams (mostly
+    // L1 misses, no core work between lookups) the L0 memo costs more
+    // than it saves: ~6% of a sweep point's time on the mongodb trace.
+    p.l0_cache = false;
     return p;
 }
 
@@ -129,6 +132,49 @@ requiredEventMask()
     return mask;
 }
 
+/**
+ * Reject a trace replay cannot reproduce, before any work: a
+ * limit-clipped recording, one missing a required event kind, or one
+ * made by a backend whose L2 misses do not always walk — a Victima
+ * backing-store refill logs TlbMiss → TlbFill with no walk between.
+ */
+void
+checkReplayable(const trace::TraceHeader &header)
+{
+    if (header.dropped_count > 0)
+        throw ReplayError(
+            "trace is limit-clipped (" +
+            std::to_string(header.dropped_count) +
+            " records dropped by BF_TRACE_LIMIT); replay needs a "
+            "complete trace — re-record with a higher limit");
+    const std::uint32_t required = requiredEventMask();
+    if ((header.event_mask & required) != required) {
+        std::string missing;
+        for (unsigned t = 0; t < trace::numEventTypes; ++t) {
+            if ((required & (1u << t)) &&
+                !(header.event_mask & (1u << t))) {
+                if (!missing.empty())
+                    missing += ", ";
+                missing += trace::eventTypeName(
+                    static_cast<trace::EventType>(t));
+            }
+        }
+        throw ReplayError("trace event mask is missing replay-required "
+                          "kinds: " + missing +
+                          " — re-record with the default "
+                          "BF_TRACE_EVENTS");
+    }
+    const auto backend =
+        static_cast<translate::BackendKind>(header.config.backend);
+    if (backend == translate::BackendKind::Victima)
+        throw ReplayError(
+            std::string("trace was recorded with the ") +
+            translate::backendName(backend) +
+            " backend, whose backing-store refills skip the page walk "
+            "replay re-executes — record with BF_BACKEND=babelfish or "
+            "coalesced (either trace can be replayed as victima)");
+}
+
 /** One recorded walk: the events between a TlbMiss and its outcome. */
 struct WalkInfo
 {
@@ -139,14 +185,6 @@ struct WalkInfo
     unsigned num_steps = 0;
     const trace::Record *end = nullptr;       //!< WalkEnd.
     const trace::Record *fill = nullptr;      //!< TlbFill iff status Ok.
-};
-
-/** Outcome of re-executing (or synthesizing) one walk. */
-struct WalkOutcome
-{
-    Cycles cycles = 0;
-    bool ok = false;
-    tlb::TlbEntry fill;
 };
 
 /** Leaf attributes learned from a TlbFill event (synthetic walks). */
@@ -250,90 +288,6 @@ class FlatMap
 };
 
 } // namespace
-
-/** The per-core functional machine: 7 TLBs + PWC + mirrored counters. */
-struct CoreModel
-{
-    CoreModel(unsigned id, const ReplayParams &p, stats::StatGroup *root)
-        : group("core" + std::to_string(id), root), mmu("mmu", &group)
-    {
-        l1i = std::make_unique<tlb::Tlb>(p.l1i_4k, &mmu);
-        l1d[sizeIndex(PageSize::Size4K)] =
-            std::make_unique<tlb::Tlb>(p.l1d_4k, &mmu);
-        l1d[sizeIndex(PageSize::Size2M)] =
-            std::make_unique<tlb::Tlb>(p.l1d_2m, &mmu);
-        l1d[sizeIndex(PageSize::Size1G)] =
-            std::make_unique<tlb::Tlb>(p.l1d_1g, &mmu);
-        l2[sizeIndex(PageSize::Size4K)] =
-            std::make_unique<tlb::Tlb>(p.l2_4k, &mmu);
-        l2[sizeIndex(PageSize::Size2M)] =
-            std::make_unique<tlb::Tlb>(p.l2_2m, &mmu);
-        l2[sizeIndex(PageSize::Size1G)] =
-            std::make_unique<tlb::Tlb>(p.l2_1g, &mmu);
-        pwc = std::make_unique<tlb::Pwc>(p.pwc, &mmu);
-
-        // Backend-model structures (unused and unregistered for the
-        // reference backend, so its stats shape is unchanged).
-        if (p.backend == translate::BackendKind::Victima) {
-            store = std::make_unique<translate::VictimStore>(
-                p.victima_store_entries);
-            mmu.addStat("victima_spills", &victima_spills);
-            mmu.addStat("victima_hits", &victima_hits);
-        } else if (p.backend == translate::BackendKind::Coalesced) {
-            ranges = std::make_unique<translate::RangeTlb>(
-                p.range_tlb_entries);
-            detector = std::make_unique<translate::RunDetector>();
-            mmu.addStat("range_hits", &range_hits);
-            mmu.addStat("range_installs", &range_installs);
-        }
-
-        mmu.addStat("accesses", &accesses);
-        mmu.addStat("l1_hits", &l1_hits);
-        mmu.addStat("l1_misses", &l1_misses);
-        mmu.addStat("l2_data_hits", &l2_data_hits);
-        mmu.addStat("l2_data_misses", &l2_data_misses);
-        mmu.addStat("l2_instr_hits", &l2_instr_hits);
-        mmu.addStat("l2_instr_misses", &l2_instr_misses);
-        mmu.addStat("l2_data_shared_hits", &l2_data_shared_hits);
-        mmu.addStat("l2_instr_shared_hits", &l2_instr_shared_hits);
-        mmu.addStat("l2_long_accesses", &l2_long_accesses);
-        mmu.addStat("walks", &walks);
-        mmu.addStat("mem_steps", &mem_steps);
-        mmu.addStat("synth_walks", &synth_walks);
-        mmu.addStat("miss_latency", &miss_latency);
-    }
-
-    stats::StatGroup group;
-    stats::StatGroup mmu;
-    std::unique_ptr<tlb::Tlb> l1i;
-    std::unique_ptr<tlb::Tlb> l1d[numPageSizes];
-    std::unique_ptr<tlb::Tlb> l2[numPageSizes];
-    std::unique_ptr<tlb::Pwc> pwc;
-    std::unique_ptr<translate::VictimStore> store;     //!< Victima only.
-    std::unique_ptr<translate::RangeTlb> ranges;       //!< Coalesced only.
-    std::unique_ptr<translate::RunDetector> detector;  //!< Coalesced only.
-
-    stats::Scalar accesses;
-    stats::Scalar l1_hits;
-    stats::Scalar l1_misses;
-    stats::Scalar l2_data_hits;
-    stats::Scalar l2_data_misses;
-    stats::Scalar l2_instr_hits;
-    stats::Scalar l2_instr_misses;
-    stats::Scalar l2_data_shared_hits;
-    stats::Scalar l2_instr_shared_hits;
-    stats::Scalar l2_long_accesses;
-    stats::Scalar walks;
-    stats::Scalar mem_steps;
-    stats::Scalar synth_walks; //!< Walks synthesized (sweeps only).
-    stats::Scalar victima_spills; //!< L2 evictions parked in the store.
-    stats::Scalar victima_hits;   //!< Walks avoided by a store hit.
-    stats::Scalar range_hits;     //!< Base-L2 misses covered by a range.
-    stats::Scalar range_installs; //!< Range (re-)installs from runs.
-    stats::Distribution miss_latency;
-
-    Counters rec; //!< Tallied from the trace events themselves.
-};
 
 /**
  * The analyzed form of a trace: everything processBlock derives that
@@ -704,32 +658,330 @@ struct ReplaySchedule::Impl
 
 struct ReplayEngine::Impl
 {
+    /**
+     * One replayed core: the live backend translate::createBackend builds
+     * from the replayed MmuParams, driven one attempt() per access unit, and
+     * the WalkSource its misses walk through — the recorded walk
+     * re-executed against the backend's PWC, or a walk synthesized from the
+     * schedule's knowledge where the recording hit (sweeps only).
+     */
+    struct CoreModel final : translate::WalkSource
+    {
+        using Unit = ReplaySchedule::Impl::Unit;
+
+        CoreModel(unsigned id, const ReplayParams &params,
+                  stats::StatGroup *root)
+            : p(params), group("core" + std::to_string(id), root),
+              mmu("mmu", &group),
+              backend(translate::createBackend(id, p, ts, mmu))
+        {
+            mmu.addStat("accesses", &accesses);
+            mmu.addStat("l1_hits", &ts.l1_hits);
+            mmu.addStat("l1_misses", &ts.l1_misses);
+            mmu.addStat("l2_data_hits", &ts.l2_data_hits);
+            mmu.addStat("l2_data_misses", &ts.l2_data_misses);
+            mmu.addStat("l2_instr_hits", &ts.l2_instr_hits);
+            mmu.addStat("l2_instr_misses", &ts.l2_instr_misses);
+            mmu.addStat("l2_data_shared_hits", &ts.l2_data_shared_hits);
+            mmu.addStat("l2_instr_shared_hits", &ts.l2_instr_shared_hits);
+            mmu.addStat("l2_long_accesses", &ts.l2_long_accesses);
+            mmu.addStat("walks", &walks);
+            mmu.addStat("mem_steps", &mem_steps);
+            mmu.addStat("synth_walks", &synth_walks);
+            mmu.addStat("miss_latency", &ts.miss_latency);
+        }
+
+        /** Replay one access unit: one backend pass, no fault service. */
+        void
+        run(const Unit &u, const WalkInfo *walk_info)
+        {
+            ++accesses;
+            unit = &u;
+            recorded = walk_info;
+            translate::Requester req;
+            req.pcid = u.pcid;
+            req.ccid = u.ccid;
+            req.pid = u.pid;
+            const AccessType type = (u.flags & trace::flagInstr)
+                                        ? AccessType::Ifetch
+                                    : (u.flags & trace::flagWrite)
+                                        ? AccessType::Write
+                                        : AccessType::Read;
+            // A fault ends the unit: the recording's fault service and
+            // retry are the spans and units that follow in the schedule.
+            translate::Translation out;
+            backend->attempt(req, u.vpage << basePageShift, type, 0, *this,
+                             out);
+        }
+
+        void
+        resetStats()
+        {
+            accesses.reset();
+            walks.reset();
+            mem_steps.reset();
+            synth_walks.reset();
+            ts.resetCounters();
+            backend->resetStats();
+            rec = Counters{};
+        }
+
+        // ---- The replay WalkSource ---------------------------------------
+
+        int
+        processBit(const translate::Requester &req, Addr va) override
+        {
+            (void)req;
+            (void)va;
+            // The recorded bit; one beyond a narrower O-PC is
+            // unassignable.
+            return unit->process_bit < static_cast<int>(p.opc_width)
+                       ? unit->process_bit
+                       : -1;
+        }
+
+        tlb::WalkResult
+        walk(const translate::Requester &req, Addr va, AccessType type,
+             Cycles now) override
+        {
+            (void)now;
+            ++walks;
+            return recorded ? replayRecordedWalk(*recorded)
+                            : synthesizeWalk(req, va, type);
+        }
+
+        Cycles
+        readMetaLine(std::uint64_t line, Cycles now) override
+        {
+            (void)line;
+            (void)now;
+            return p.mem_level_cycles[1]; // The private L2 data array.
+        }
+
+        void
+        touchMetaLine(std::uint64_t line) override
+        {
+            (void)line; // No cache model: occupancy is not replayed.
+        }
+
+        /**
+         * Deterministic synthetic table base for tables the recording never
+         * walked: high bit set so it can never alias a real physical
+         * address, page-aligned like a real table.
+         */
+        static Addr
+        syntheticBase(std::uint32_t pid, std::uint64_t key)
+        {
+            std::uint64_t h = 1469598103934665603ull;
+            auto mix = [&h](std::uint64_t v) {
+                for (int i = 0; i < 8; ++i) {
+                    h ^= (v >> (8 * i)) & 0xff;
+                    h *= 1099511628211ull;
+                }
+            };
+            mix(pid);
+            mix(key);
+            return (h & ~std::uint64_t{0xfff}) | (std::uint64_t{1} << 63);
+        }
+
+        Addr
+        memoPaddr(std::uint32_t pid, std::uint16_t ccid, Addr va, int level)
+        {
+            const std::uint64_t key =
+                ReplaySchedule::Impl::levelBaseKey(va, level);
+            if (const Addr *base = knowledge->memo_pid.find(key, pid))
+                return *base + 8ull * vm::tableIndex(va, level);
+            if (const Addr *base = knowledge->memo_ccid.find(key, ccid))
+                return *base + 8ull * vm::tableIndex(va, level);
+            return syntheticBase(pid, key) + 8ull * vm::tableIndex(va, level);
+        }
+
+        /**
+         * Model a narrower O-PC bitmask: an entry whose recorded PC bitmask
+         * needs a bit the narrower field cannot hold becomes a private
+         * (owned) entry — the kernel's per-process fallback, approximated
+         * at fill time. A no-op at the recorded 32-bit width.
+         */
+        void
+        adjustOpcWidth(tlb::TlbEntry &e) const
+        {
+            if (p.opc_width >= 32)
+                return;
+            const std::uint32_t maskw = (1u << p.opc_width) - 1;
+            if (e.orpc && (e.pc_bitmask & ~maskw)) {
+                e.owned = true;
+                e.orpc = false;
+                e.pc_bitmask = 0;
+            } else {
+                e.pc_bitmask &= maskw;
+            }
+        }
+
+        /**
+         * A walk's TLB fill template. Traces record no physical frames:
+         * the VPN stands in for the PFN, which only the coalesced backend's
+         * contiguity detector reads (VA adjacency as the PFN-adjacency
+         * proxy, DESIGN.md §16).
+         */
+        tlb::TlbEntry
+        fillEntry(PageSize size, Addr va, bool cow, bool owned, bool orpc,
+                  std::uint32_t pc_bitmask) const
+        {
+            tlb::TlbEntry e;
+            e.valid = true;
+            e.size = size;
+            e.vpn = va >> pageShift(size);
+            e.ppn = e.vpn;
+            e.writable = true;
+            e.cow = cow;
+            e.owned = owned;
+            e.orpc = orpc;
+            e.pc_bitmask = pc_bitmask;
+            adjustOpcWidth(e);
+            return e;
+        }
+
+        tlb::WalkResult
+        replayRecordedWalk(const WalkInfo &w)
+        {
+            tlb::Pwc &pwc = backend->pwc();
+            bool concordant = true;
+            Cycles cycles = 0;
+            for (unsigned si = 0; si < w.num_steps; ++si) {
+                const trace::Record *s = w.steps[si];
+                const auto level =
+                    static_cast<int>(trace::walkStepLevel(s->arg));
+                const Addr paddr = trace::walkStepPaddr(s->arg);
+                const bool rec_pwc_hit =
+                    s->type ==
+                    static_cast<std::uint8_t>(trace::EventType::PwcHit);
+                if (level >= vm::LevelPmd) {
+                    const bool hit = pwc.lookup(level, paddr);
+                    if (hit) {
+                        cycles += pwc.accessCycles();
+                    } else {
+                        // A step the recording served from its PWC has no
+                        // recorded memory level; assume L2 (tables are hot).
+                        const unsigned ml =
+                            rec_pwc_hit ? 1u
+                                        : std::min<unsigned>(s->flags, 3u);
+                        cycles += p.mem_level_cycles[ml];
+                        ++mem_steps;
+                        pwc.fill(level, paddr);
+                    }
+                    concordant &= hit == rec_pwc_hit;
+                } else {
+                    cycles += p.mem_level_cycles[std::min<unsigned>(s->flags,
+                                                                    3u)];
+                    ++mem_steps;
+                }
+            }
+            tlb::WalkResult out;
+            // When the replayed PWC behaved exactly like the recording the
+            // recorded cycle count is exact (it includes effects replay
+            // cannot see, like the parallel O-PC mask fetch's excess).
+            out.cycles = concordant ? w.end->arg : cycles;
+            if (static_cast<tlb::WalkStatus>(w.end->flags) ==
+                tlb::WalkStatus::Ok) {
+                const trace::Record &f = *w.fill;
+                out.status = tlb::WalkStatus::Ok;
+                out.fill = fillEntry(
+                    static_cast<PageSize>(trace::fillSize(f.arg)),
+                    f.vpage << basePageShift, trace::fillCow(f.arg),
+                    trace::fillOwned(f.arg), trace::fillOrpc(f.arg),
+                    trace::fillBitmask(f.arg));
+            }
+            return out;
+        }
+
+        tlb::WalkResult
+        synthesizeWalk(const translate::Requester &req, Addr va,
+                       AccessType type)
+        {
+            ++synth_walks;
+            // Find the leaf attributes the recording's hit entry carried,
+            // probing the same size order as the TLB lookups.
+            const LeafAttr *attr = nullptr;
+            PageSize size = PageSize::Size4K;
+            for (PageSize s : {PageSize::Size4K, PageSize::Size2M,
+                               PageSize::Size1G}) {
+                const Vpn vpn = va >> pageShift(s);
+                if (const LeafAttr *a = knowledge->attr_owned[sizeIndex(s)]
+                                            .find(vpn, req.pcid)) {
+                    attr = a;
+                    size = s;
+                    break;
+                }
+                if (const LeafAttr *a = knowledge->attr_shared[sizeIndex(s)]
+                                            .find(vpn, req.ccid)) {
+                    attr = a;
+                    size = s;
+                    break;
+                }
+            }
+            if (!attr)
+                throw ReplayError(
+                    "recording hit a translation that was never filled in "
+                    "this trace (va page " + std::to_string(unit->vpage) +
+                    "); replay requires cold-start traces — re-record "
+                    "without BF_RESTORE");
+
+            tlb::Pwc &pwc = backend->pwc();
+            tlb::WalkResult out;
+            const int leaf = leafLevel(size);
+            for (int level = vm::LevelPgd; level >= leaf; --level) {
+                const Addr paddr = memoPaddr(req.pid, req.ccid, va, level);
+                if (level >= vm::LevelPmd) {
+                    if (pwc.lookup(level, paddr)) {
+                        out.cycles += pwc.accessCycles();
+                    } else {
+                        out.cycles += p.mem_level_cycles[1];
+                        ++mem_steps;
+                        pwc.fill(level, paddr);
+                    }
+                } else {
+                    out.cycles += p.mem_level_cycles[1];
+                    ++mem_steps;
+                }
+            }
+            // A write that the recording resolved as a CoW fault (or whose
+            // leaf is CoW) walks but does not fill; the fault service and
+            // retry stream are fixed by the trace.
+            if (type == AccessType::Write &&
+                (attr->cow || (unit->flags & trace::flagCowFault)))
+                return out;
+            out.status = tlb::WalkStatus::Ok;
+            out.fill = fillEntry(size, va, attr->cow, attr->owned, attr->orpc,
+                                 attr->pc_bitmask);
+            return out;
+        }
+
+        const ReplayParams &p;
+        stats::StatGroup group;
+        stats::StatGroup mmu;
+        translate::TranslateStats ts;
+        std::unique_ptr<translate::Backend> backend;
+
+        stats::Scalar accesses;
+        stats::Scalar walks;
+        stats::Scalar mem_steps;
+        stats::Scalar synth_walks; //!< Walks synthesized (sweeps only).
+
+        Counters rec; //!< Tallied from the trace events themselves.
+
+        /**
+         * The schedule being replayed: synthesis consults its learned
+         * attribute/memo tables. Set by run(), read-only here.
+         */
+        const ReplaySchedule::Impl *knowledge = nullptr;
+        const Unit *unit = nullptr;         //!< The unit being replayed.
+        const WalkInfo *recorded = nullptr; //!< Its recorded walk, if any.
+    };
+
     Impl(const ReplayParams &params, const trace::TraceHeader &hdr)
         : p(params), header(hdr), root("replay")
     {
-        if (header.dropped_count > 0)
-            throw ReplayError(
-                "trace is limit-clipped (" +
-                std::to_string(header.dropped_count) +
-                " records dropped by BF_TRACE_LIMIT); replay needs a "
-                "complete trace — re-record with a higher limit");
-        const std::uint32_t required = requiredEventMask();
-        if ((header.event_mask & required) != required) {
-            std::string missing;
-            for (unsigned t = 0; t < trace::numEventTypes; ++t) {
-                if ((required & (1u << t)) &&
-                    !(header.event_mask & (1u << t))) {
-                    if (!missing.empty())
-                        missing += ", ";
-                    missing += trace::eventTypeName(
-                        static_cast<trace::EventType>(t));
-                }
-            }
-            throw ReplayError("trace event mask is missing replay-"
-                              "required kinds: " + missing +
-                              " — re-record with the default "
-                              "BF_TRACE_EVENTS");
-        }
+        checkReplayable(header);
         if (p.pwc.entries_per_level == 0 || p.pwc.levels == 0 ||
             p.pwc.assoc == 0)
             throw ReplayError("replay needs a non-degenerate PWC "
@@ -742,463 +994,6 @@ struct ReplayEngine::Impl
     trace::TraceHeader header;
     stats::StatGroup root;
     std::vector<std::unique_ptr<CoreModel>> cores;
-
-    /**
-     * The schedule currently being replayed: synthesis consults its
-     * learned attribute/memo tables. Set by run(), read-only here.
-     */
-    const ReplaySchedule::Impl *knowledge = nullptr;
-
-    /**
-     * Deterministic synthetic table base for tables the recording never
-     * walked: high bit set so it can never alias a real physical
-     * address, page-aligned like a real table.
-     */
-    static Addr
-    syntheticBase(std::uint32_t pid, std::uint64_t key)
-    {
-        std::uint64_t h = 1469598103934665603ull;
-        auto mix = [&h](std::uint64_t v) {
-            for (int i = 0; i < 8; ++i) {
-                h ^= (v >> (8 * i)) & 0xff;
-                h *= 1099511628211ull;
-            }
-        };
-        mix(pid);
-        mix(key);
-        return (h & ~std::uint64_t{0xfff}) | (std::uint64_t{1} << 63);
-    }
-
-    Addr
-    memoPaddr(std::uint32_t pid, std::uint16_t ccid, Addr va, int level)
-    {
-        const std::uint64_t key =
-            ReplaySchedule::Impl::levelBaseKey(va, level);
-        if (const Addr *base = knowledge->memo_pid.find(key, pid))
-            return *base + 8ull * vm::tableIndex(va, level);
-        if (const Addr *base = knowledge->memo_ccid.find(key, ccid))
-            return *base + 8ull * vm::tableIndex(va, level);
-        return syntheticBase(pid, key) + 8ull * vm::tableIndex(va, level);
-    }
-
-    /**
-     * Model a narrower O-PC bitmask: an entry whose recorded PC bitmask
-     * needs a bit the narrower field cannot hold becomes a private
-     * (owned) entry — the kernel's per-process fallback, approximated
-     * at fill time. A no-op at the recorded 32-bit width.
-     */
-    void
-    adjustOpcWidth(tlb::TlbEntry &e) const
-    {
-        if (p.opc_width >= 32)
-            return;
-        const std::uint32_t maskw = (1u << p.opc_width) - 1;
-        if (e.orpc && (e.pc_bitmask & ~maskw)) {
-            e.owned = true;
-            e.orpc = false;
-            e.pc_bitmask = 0;
-        } else {
-            e.pc_bitmask &= maskw;
-        }
-    }
-
-    tlb::TlbEntry
-    entryFromFill(const trace::Record *f) const
-    {
-        tlb::TlbEntry e;
-        e.valid = true;
-        e.size = static_cast<PageSize>(trace::fillSize(f->arg));
-        e.vpn = (f->vpage << basePageShift) >> pageShift(e.size);
-        e.ppn = 0; //!< No behavioral role in lookups or invalidations.
-        e.writable = true;
-        e.cow = trace::fillCow(f->arg);
-        e.owned = trace::fillOwned(f->arg);
-        e.orpc = trace::fillOrpc(f->arg);
-        e.pc_bitmask = trace::fillBitmask(f->arg);
-        adjustOpcWidth(e);
-        return e;
-    }
-
-    // ---- Mirrors of the Mmu lookup/fill paths (core/mmu.cc) ----------
-
-    tlb::TlbLookup
-    lookupL1(CoreModel &cm, Addr va, bool instr, Pcid pcid, Ccid ccid,
-             int process_bit)
-    {
-        const bool share = p.l1_sharing;
-        auto probeOne = [&](tlb::Tlb &t, PageSize size) {
-            const Vpn vpn = va >> pageShift(size);
-            return share ? t.lookupBabelFish(vpn, ccid, pcid, process_bit)
-                         : t.lookupConventional(vpn, pcid);
-        };
-        if (instr)
-            return probeOne(*cm.l1i, PageSize::Size4K);
-        for (PageSize size : {PageSize::Size4K, PageSize::Size2M,
-                              PageSize::Size1G}) {
-            tlb::TlbLookup lookup = probeOne(*cm.l1d[sizeIndex(size)],
-                                             size);
-            if (lookup.hit())
-                return lookup;
-        }
-        return {};
-    }
-
-    tlb::TlbLookup
-    lookupL2(CoreModel &cm, Addr va, Pcid pcid, Ccid ccid,
-             int process_bit)
-    {
-        tlb::TlbLookup result;
-        for (PageSize size : {PageSize::Size4K, PageSize::Size2M,
-                              PageSize::Size1G}) {
-            tlb::Tlb &t = *cm.l2[sizeIndex(size)];
-            const Vpn vpn = va >> pageShift(size);
-            tlb::TlbLookup lookup =
-                p.babelfish
-                    ? t.lookupBabelFish(vpn, ccid, pcid, process_bit)
-                    : t.lookupConventional(vpn, pcid);
-            result.bitmask_checked |= lookup.bitmask_checked;
-            if (lookup.hit()) {
-                lookup.bitmask_checked = result.bitmask_checked;
-                return lookup;
-            }
-        }
-        return result;
-    }
-
-    void
-    fillL1(CoreModel &cm, const tlb::TlbEntry &entry, Pcid pcid,
-           Ccid ccid, bool instr)
-    {
-        tlb::TlbEntry copy = entry;
-        copy.pcid = pcid;
-        copy.ccid = ccid;
-        if (instr) {
-            if (copy.size == PageSize::Size4K)
-                cm.l1i->fill(copy, p.l1_sharing);
-            return;
-        }
-        cm.l1d[sizeIndex(copy.size)]->fill(copy, p.l1_sharing);
-    }
-
-    void
-    fillL2(CoreModel &cm, const tlb::TlbEntry &entry, Pcid pcid,
-           Ccid ccid)
-    {
-        tlb::TlbEntry copy = entry;
-        copy.ccid = ccid;
-        copy.pcid = pcid;
-        copy.fill_pcid = pcid;
-        if (cm.store) { // Victima: park the displaced entry.
-            tlb::TlbEntry evicted;
-            if (cm.l2[sizeIndex(copy.size)]->fill(copy, p.babelfish,
-                                                  &evicted)) {
-                cm.store->insert(evicted);
-                ++cm.victima_spills;
-            }
-            return;
-        }
-        cm.l2[sizeIndex(copy.size)]->fill(copy, p.babelfish);
-        if (cm.detector && copy.size == PageSize::Size4K && !copy.cow &&
-            !copy.orpc && copy.pc_bitmask == 0) {
-            // PFN-contiguity proxy: traces record no physical frames,
-            // so VA adjacency stands in for VA+PA adjacency — an
-            // optimistic bound on coalescing (DESIGN.md §16).
-            translate::RunDetector::Run run;
-            if (cm.detector->note(pcid, copy.vpn, copy.vpn, run)) {
-                cm.ranges->insert(run.base_vpn, run.base_ppn, run.len,
-                                  pcid, ccid);
-                ++cm.range_installs;
-            }
-        }
-    }
-
-    void
-    applyInvalidate(CoreModel &cm, const vm::TlbInvalidate &inv)
-    {
-        using Kind = vm::TlbInvalidate::Kind;
-        auto forEachTlb = [&](auto &&fn) {
-            fn(*cm.l1i);
-            for (auto &t : cm.l1d)
-                fn(*t);
-            for (auto &t : cm.l2)
-                fn(*t);
-        };
-        switch (inv.kind) {
-          case Kind::Page:
-            forEachTlb([&](tlb::Tlb &t) {
-                if (t.params().page_size == inv.size)
-                    t.invalidatePage(inv.pcid, inv.vpn);
-            });
-            break;
-          case Kind::SharedRange:
-            forEachTlb([&](tlb::Tlb &t) {
-                if (t.params().page_size == inv.size) {
-                    t.invalidateSharedRange(inv.ccid, inv.vpn,
-                                            inv.num_pages);
-                } else if (inv.size == PageSize::Size4K) {
-                    const int shift = pageShift(t.params().page_size) -
-                                      pageShift(PageSize::Size4K);
-                    const Vpn first = inv.vpn >> shift;
-                    const Vpn last =
-                        (inv.vpn + inv.num_pages - 1) >> shift;
-                    t.invalidateSharedRange(inv.ccid, first,
-                                            last - first + 1);
-                }
-            });
-            break;
-          case Kind::Pcid:
-            forEachTlb([&](tlb::Tlb &t) { t.invalidatePcid(inv.pcid); });
-            cm.pwc->invalidateAll();
-            break;
-        }
-        // Backend-model structures cache translations too — shootdowns
-        // must reach them (same rules as the full-sim backends).
-        if (cm.store)
-            cm.store->invalidate(inv);
-        if (cm.ranges) {
-            cm.ranges->invalidate(inv);
-            cm.detector->clear();
-        }
-    }
-
-    // ---- Walk re-execution -------------------------------------------
-
-    WalkOutcome
-    replayRecordedWalk(CoreModel &cm, const WalkInfo &w)
-    {
-        WalkOutcome out;
-        bool concordant = true;
-        Cycles cycles = 0;
-        for (unsigned si = 0; si < w.num_steps; ++si) {
-            const trace::Record *s = w.steps[si];
-            const auto level =
-                static_cast<int>(trace::walkStepLevel(s->arg));
-            const Addr paddr = trace::walkStepPaddr(s->arg);
-            const bool rec_pwc_hit =
-                s->type ==
-                static_cast<std::uint8_t>(trace::EventType::PwcHit);
-            if (level >= vm::LevelPmd) {
-                const bool hit = cm.pwc->lookup(level, paddr);
-                if (hit) {
-                    cycles += cm.pwc->accessCycles();
-                } else {
-                    // A step the recording served from its PWC has no
-                    // recorded memory level; assume L2 (tables are hot).
-                    const unsigned ml =
-                        rec_pwc_hit ? 1u
-                                    : std::min<unsigned>(s->flags, 3u);
-                    cycles += p.mem_level_cycles[ml];
-                    ++cm.mem_steps;
-                    cm.pwc->fill(level, paddr);
-                }
-                concordant &= hit == rec_pwc_hit;
-            } else {
-                cycles += p.mem_level_cycles[std::min<unsigned>(s->flags,
-                                                                3u)];
-                ++cm.mem_steps;
-            }
-        }
-        const auto status = static_cast<tlb::WalkStatus>(w.end->flags);
-        out.ok = status == tlb::WalkStatus::Ok;
-        // When the replayed PWC behaved exactly like the recording the
-        // recorded cycle count is exact (it includes effects replay
-        // cannot see, like the parallel O-PC mask fetch's excess).
-        out.cycles = concordant ? w.end->arg : cycles;
-        if (out.ok)
-            out.fill = entryFromFill(w.fill);
-        return out;
-    }
-
-    WalkOutcome
-    synthesizeWalk(CoreModel &cm, const ReplaySchedule::Impl::Unit &att,
-                   Addr va, Pcid pcid, Ccid ccid, bool is_write)
-    {
-        ++cm.synth_walks;
-        // Find the leaf attributes the recording's hit entry carried,
-        // probing the same size order as the TLB lookups.
-        const LeafAttr *attr = nullptr;
-        PageSize size = PageSize::Size4K;
-        for (PageSize s : {PageSize::Size4K, PageSize::Size2M,
-                           PageSize::Size1G}) {
-            const Vpn vpn = va >> pageShift(s);
-            if (const LeafAttr *a =
-                    knowledge->attr_owned[sizeIndex(s)].find(vpn, pcid)) {
-                attr = a;
-                size = s;
-                break;
-            }
-            if (const LeafAttr *a =
-                    knowledge->attr_shared[sizeIndex(s)].find(vpn, ccid)) {
-                attr = a;
-                size = s;
-                break;
-            }
-        }
-        if (!attr)
-            throw ReplayError(
-                "recording hit a translation that was never filled in "
-                "this trace (va page " + std::to_string(att.vpage) +
-                "); replay requires cold-start traces — re-record "
-                "without BF_RESTORE");
-
-        WalkOutcome out;
-        const int leaf = leafLevel(size);
-        for (int level = vm::LevelPgd; level >= leaf; --level) {
-            const Addr paddr = memoPaddr(att.pid, ccid, va, level);
-            if (level >= vm::LevelPmd) {
-                if (cm.pwc->lookup(level, paddr)) {
-                    out.cycles += cm.pwc->accessCycles();
-                } else {
-                    out.cycles += p.mem_level_cycles[1];
-                    ++cm.mem_steps;
-                    cm.pwc->fill(level, paddr);
-                }
-            } else {
-                out.cycles += p.mem_level_cycles[1];
-                ++cm.mem_steps;
-            }
-        }
-        // A write that the recording resolved as a CoW fault (or whose
-        // leaf is CoW) walks but does not fill; the fault service and
-        // retry stream are fixed by the trace.
-        if (is_write &&
-            (attr->cow || (att.flags & trace::flagCowFault))) {
-            out.ok = false;
-            return out;
-        }
-        out.ok = true;
-        out.fill.valid = true;
-        out.fill.size = size;
-        out.fill.vpn = va >> pageShift(size);
-        out.fill.ppn = 0;
-        out.fill.writable = true;
-        out.fill.cow = attr->cow;
-        out.fill.owned = attr->owned;
-        out.fill.orpc = attr->orpc;
-        out.fill.pc_bitmask = attr->pc_bitmask;
-        adjustOpcWidth(out.fill);
-        return out;
-    }
-
-    // ---- One translate attempt, mirrored ------------------------------
-
-    void
-    applyAttempt(CoreModel &cm, const ReplaySchedule::Impl::Unit &att,
-                 const WalkInfo *walk)
-    {
-        const std::uint8_t f = att.flags;
-        const bool instr = f & trace::flagInstr;
-        const bool is_write = f & trace::flagWrite;
-        const Pcid pcid = att.pcid;
-        int process_bit = att.process_bit;
-        if (process_bit >= static_cast<int>(p.opc_width))
-            process_bit = -1; // Bit unassignable at a narrower O-PC.
-        const Ccid ccid = att.ccid;
-        const Addr va = att.vpage << basePageShift;
-        ++cm.accesses;
-
-        tlb::TlbLookup l1 = lookupL1(cm, va, instr, pcid, ccid,
-                                     process_bit);
-        Cycles cycles = 1;
-        if (l1.hit()) {
-            if (is_write && l1.entry->cow)
-                return; // CoW fault declared: no hit counted, no refill.
-            ++cm.l1_hits;
-            return;
-        }
-        ++cm.l1_misses;
-        if (p.babelfish && p.aslr_hw)
-            cycles += p.aslr_transform_cycles;
-
-        tlb::TlbLookup l2 = lookupL2(cm, va, pcid, ccid, process_bit);
-        const bool long_access =
-            l2.bitmask_checked || (p.force_long_l2 && p.babelfish);
-        cycles += p.l2_4k.access_cycles +
-                  (long_access ? p.l2_4k.bitmask_extra_cycles : 0);
-        if (long_access)
-            ++cm.l2_long_accesses;
-        if (l2.hit()) {
-            if (instr) {
-                ++cm.l2_instr_hits;
-                if (l2.shared_hit)
-                    ++cm.l2_instr_shared_hits;
-            } else {
-                ++cm.l2_data_hits;
-                if (l2.shared_hit)
-                    ++cm.l2_data_shared_hits;
-            }
-            if (is_write && l2.entry->cow)
-                return; // CoW fault: no L1 refill.
-            fillL1(cm, *l2.entry, pcid, ccid, instr);
-            return;
-        }
-        // Coalesced: a covering range counts as an L2 hit (the range
-        // structure is probed alongside the L2 at no extra cycles).
-        if (cm.ranges) {
-            if (const translate::RangeEntry *r =
-                    cm.ranges->lookup(att.vpage, pcid)) {
-                ++cm.range_hits;
-                if (instr)
-                    ++cm.l2_instr_hits;
-                else
-                    ++cm.l2_data_hits;
-                tlb::TlbEntry e;
-                e.valid = true;
-                e.vpn = att.vpage;
-                e.ppn = r->base_ppn + (att.vpage - r->base_vpn);
-                e.size = PageSize::Size4K;
-                e.pcid = pcid;
-                e.ccid = ccid;
-                e.writable = true;
-                e.owned = true;
-                e.fill_pcid = pcid;
-                fillL1(cm, e, pcid, ccid, instr);
-                return;
-            }
-        }
-        if (instr)
-            ++cm.l2_instr_misses;
-        else
-            ++cm.l2_data_misses;
-
-        // Victima: probe the backing store before walking. A hit bills
-        // the L2 data-array latency and skips the walk entirely.
-        if (cm.store) {
-            for (PageSize size : {PageSize::Size4K, PageSize::Size2M,
-                                  PageSize::Size1G}) {
-                std::size_t slot = 0;
-                const tlb::TlbEntry *e = cm.store->probe(
-                    va >> pageShift(size), size, pcid, ccid, p.babelfish,
-                    process_bit, &slot);
-                if (!e)
-                    continue;
-                if (is_write && e->cow)
-                    break; // must fault: fall through to the walk
-                cycles += p.mem_level_cycles[1];
-                cm.miss_latency.sample(cycles);
-                tlb::TlbEntry recovered = *e;
-                recovered.lru = 0;
-                cm.store->erase(slot);
-                ++cm.victima_hits;
-                fillL2(cm, recovered, pcid, ccid);
-                fillL1(cm, recovered, pcid, ccid, instr);
-                return;
-            }
-        }
-
-        ++cm.walks;
-        WalkOutcome w = walk ? replayRecordedWalk(cm, *walk)
-                             : synthesizeWalk(cm, att, va, pcid, ccid,
-                                              is_write);
-        cycles += w.cycles;
-        if (w.ok) {
-            cm.miss_latency.sample(cycles);
-            fillL2(cm, w.fill, pcid, ccid);
-            // fillL1 from the walk template keeps the template's
-            // fill_pcid (0), exactly like Mmu::fillL1(walk.fill).
-            fillL1(cm, w.fill, pcid, ccid, instr);
-        }
-    }
 
     // ---- Kernel spans -------------------------------------------------
 
@@ -1222,13 +1017,13 @@ struct ReplayEngine::Impl
                 inv.vpn = r->vpage >>
                           (pageShift(inv.size) - basePageShift);
                 for (auto &cm : cores)
-                    applyInvalidate(*cm, inv);
+                    cm->backend->applyInvalidate(inv);
                 break;
               }
               case trace::EventType::FaultService:
                 // A raced CoW fault resolved without kernel work: only
                 // the faulting core's stale entry is dropped
-                // (Mmu::translate's FaultKind::None path).
+                // (Mmu::serviceFault's FaultKind::None path).
                 if (trace::faultDeclaredCow(r->arg) &&
                     static_cast<vm::FaultKind>(r->flags) ==
                         vm::FaultKind::None) {
@@ -1242,7 +1037,7 @@ struct ReplayEngine::Impl
                     inv.num_pages = 1;
                     inv.vpn = r->vpage >>
                               (pageShift(size) - basePageShift);
-                    applyInvalidate(*cores[core], inv);
+                    cores[core]->backend->applyInvalidate(inv);
                 }
                 break;
               default:
@@ -1251,7 +1046,7 @@ struct ReplayEngine::Impl
         }
     }
 
-    // ---- Exec segments: parse access units ----------------------------
+    // ---- Exec segments ------------------------------------------------
 
     void
     processExec(unsigned core, const ReplaySchedule::Impl::Block &sb,
@@ -1262,39 +1057,10 @@ struct ReplayEngine::Impl
         const auto &units = sb.units[core];
         const auto &walks = sb.walks[core];
         for (std::size_t i = range.begin; i < range.end; ++i)
-            applyAttempt(
-                cm, units[i],
-                units[i].walk == ReplaySchedule::Impl::Unit::no_walk
-                    ? nullptr
-                    : &walks[units[i].walk]);
-    }
-
-    void
-    resetAllStats()
-    {
-        for (auto &cm : cores) {
-            cm->accesses.reset();
-            cm->l1_hits.reset();
-            cm->l1_misses.reset();
-            cm->l2_data_hits.reset();
-            cm->l2_data_misses.reset();
-            cm->l2_instr_hits.reset();
-            cm->l2_instr_misses.reset();
-            cm->l2_data_shared_hits.reset();
-            cm->l2_instr_shared_hits.reset();
-            cm->l2_long_accesses.reset();
-            cm->walks.reset();
-            cm->mem_steps.reset();
-            cm->synth_walks.reset();
-            cm->miss_latency.reset();
-            cm->l1i->resetStats();
-            for (auto &t : cm->l1d)
-                t->resetStats();
-            for (auto &t : cm->l2)
-                t->resetStats();
-            cm->pwc->resetStats();
-            cm->rec = Counters{};
-        }
+            cm.run(units[i],
+                   units[i].walk == CoreModel::Unit::no_walk
+                       ? nullptr
+                       : &walks[units[i].walk]);
     }
 
     // ---- Per-block driver ---------------------------------------------
@@ -1310,21 +1076,22 @@ struct ReplayEngine::Impl
         // System::resetStats happens between chunks; its marker leads
         // the next block, so the reset applies before any of its events.
         for (unsigned i = 0; i < sb.resets; ++i)
-            resetAllStats();
+            for (auto &cm : cores)
+                cm->resetStats();
 
         const unsigned n = static_cast<unsigned>(cores.size());
 
         // The recorded-side tallies were accumulated per block when the
         // schedule was built (they are config-independent); only the
         // miss-latency sum folds in configured per-access costs here.
+        const bool aslr_transform =
+            p.babelfish && p.aslr == vm::AslrMode::Hw;
         for (unsigned c = 0; c < n; ++c) {
             const auto &t = sb.tallies[c];
             Counters d = t.rec;
             d.miss_latency_sum =
                 t.rec.miss_latency_count *
-                    (1 +
-                     (p.babelfish && p.aslr_hw ? p.aslr_transform_cycles
-                                               : 0) +
+                    (1 + (aslr_transform ? p.aslr_transform_cycles : 0) +
                      p.l2_4k.access_cycles) +
                 t.ml_long * p.l2_4k.bitmask_extra_cycles + t.ml_end_sum;
             cores[c]->rec += d;
@@ -1345,22 +1112,24 @@ struct ReplayEngine::Impl
     Counters
     replayedOf(const CoreModel &cm) const
     {
+        const translate::TranslateStats &ts = cm.ts;
+        const tlb::Pwc &pwc = cm.backend->pwc();
         Counters c;
         c.accesses = cm.accesses.value();
-        c.l1_hits = cm.l1_hits.value();
-        c.l1_misses = cm.l1_misses.value();
-        c.l2_data_hits = cm.l2_data_hits.value();
-        c.l2_data_misses = cm.l2_data_misses.value();
-        c.l2_instr_hits = cm.l2_instr_hits.value();
-        c.l2_instr_misses = cm.l2_instr_misses.value();
-        c.l2_data_shared_hits = cm.l2_data_shared_hits.value();
-        c.l2_instr_shared_hits = cm.l2_instr_shared_hits.value();
-        c.l2_long_accesses = cm.l2_long_accesses.value();
+        c.l1_hits = ts.l1_hits.value();
+        c.l1_misses = ts.l1_misses.value();
+        c.l2_data_hits = ts.l2_data_hits.value();
+        c.l2_data_misses = ts.l2_data_misses.value();
+        c.l2_instr_hits = ts.l2_instr_hits.value();
+        c.l2_instr_misses = ts.l2_instr_misses.value();
+        c.l2_data_shared_hits = ts.l2_data_shared_hits.value();
+        c.l2_instr_shared_hits = ts.l2_instr_shared_hits.value();
+        c.l2_long_accesses = ts.l2_long_accesses.value();
         c.walks = cm.walks.value();
-        c.pwc_hits = cm.pwc->hits.value();
-        c.pwc_misses = cm.pwc->misses.value();
-        c.miss_latency_count = cm.miss_latency.count();
-        c.miss_latency_sum = cm.miss_latency.sum();
+        c.pwc_hits = pwc.hits.value();
+        c.pwc_misses = pwc.misses.value();
+        c.miss_latency_count = ts.miss_latency.count();
+        c.miss_latency_sum = ts.miss_latency.sum();
         return c;
     }
 };
@@ -1384,7 +1153,8 @@ ReplayEngine::run(trace::TraceReader &reader)
     }
     const ReplaySchedule schedule(impl_->header, std::move(blocks));
     run(schedule);
-    impl_->knowledge = nullptr; // The local schedule dies here.
+    for (auto &cm : impl_->cores)
+        cm->knowledge = nullptr; // The local schedule dies here.
 }
 
 void
@@ -1393,7 +1163,8 @@ ReplayEngine::run(const ReplaySchedule &schedule)
     if (schedule.numCores() != numCores())
         throw ReplayError("schedule was built for a different core "
                           "count than this engine's trace header");
-    impl_->knowledge = schedule.impl_.get();
+    for (auto &cm : impl_->cores)
+        cm->knowledge = schedule.impl_.get();
     for (const auto &sb : schedule.impl_->blocks)
         impl_->executeBlock(sb);
 }
@@ -1411,6 +1182,7 @@ ReplaySchedule::ReplaySchedule(
     std::vector<std::vector<trace::Record>> &&blocks)
     : impl_(std::make_unique<Impl>())
 {
+    checkReplayable(header);
     impl_->num_cores = header.num_cores;
     impl_->babelfish = header.config.babelfish;
     // Take ownership first: analyze() stores pointers to individual

@@ -3,9 +3,11 @@
  * Trace-driven replay of the translation pipeline (DESIGN.md §13).
  *
  * A ReplayEngine consumes a format-v2 trace (common/trace) and re-executes
- * the recorded translation-lookup sequence against freshly constructed
- * functional models of the TLB hierarchy, the page-walk cache and the
- * O-PC tagging — no cores, caches or DRAM are simulated. At the recording
+ * the recorded translation-lookup sequence through freshly constructed
+ * live translation backends (translate::createBackend, one per core),
+ * whose misses walk through a replay WalkSource — the recorded walk, or
+ * one synthesized from the trace — instead of the kernel's page tables.
+ * No cores, caches or DRAM are simulated. At the recording
  * configuration (the geometry embedded in the trace header) the replayed
  * TLB and PWC hit/miss counters match the full simulation exactly; at a
  * swept configuration they answer "what would this geometry have done on
@@ -27,9 +29,7 @@
 
 #include "common/trace/trace.hh"
 #include "common/types.hh"
-#include "tlb/page_walk_cache.hh"
-#include "tlb/tlb.hh"
-#include "translate/kind.hh"
+#include "core/params.hh"
 
 namespace bf::replay
 {
@@ -42,29 +42,27 @@ class ReplayError : public std::runtime_error
 };
 
 /**
- * Configuration of the replayed machine. Defaults come from the trace
- * header via paramsFromTrace(); sweeps override individual structures
- * before constructing the engine.
+ * Configuration of the replayed machine: the MmuParams each core's live
+ * backend is built from, plus the replay-only knobs below. Defaults come
+ * from the trace header via paramsFromTrace(); sweeps override
+ * individual structures (or the backend) before constructing the
+ * engine. The mode flags (babelfish, aslr, force_long_l2) are fixed by
+ * the recording and not sweepable.
+ *
+ * Setting `backend` to a competitor asks "what would a Victima/coalesced
+ * design have done on this access stream"; the competitor's own
+ * structures and stats run unchanged, with two approximations where the
+ * trace lacks the information:
+ *  - Victima store probes bill mem_level_cycles[1] (the L2 data array),
+ *    and spills model no cache occupancy;
+ *  - traces record no physical frames, so replayed fills carry their
+ *    VPN as the PFN: coalesced-run detection sees VA adjacency as the
+ *    PFN-adjacency proxy, an optimistic bound on coalescing.
+ * Validation (replayed == recorded) only holds for the backend and
+ * geometry of the recording.
  */
-struct ReplayParams
+struct ReplayParams : core::MmuParams
 {
-    tlb::TlbParams l1i_4k;
-    tlb::TlbParams l1d_4k;
-    tlb::TlbParams l1d_2m;
-    tlb::TlbParams l1d_1g;
-    tlb::TlbParams l2_4k;
-    tlb::TlbParams l2_2m;
-    tlb::TlbParams l2_1g;
-    tlb::PwcParams pwc;
-
-    /** @{ @name Mode flags (fixed by the recording, not sweepable) */
-    bool babelfish = false;
-    bool l1_sharing = false; //!< Already combined: babelfish && knob.
-    bool force_long_l2 = false;
-    bool aslr_hw = false;
-    Cycles aslr_transform_cycles = 0;
-    /** @} */
-
     /**
      * Modeled O-PC bitmask width. Narrower than the recorded 32 bits
      * converts shared entries whose recorded PC bitmask overflows the
@@ -80,26 +78,6 @@ struct ReplayParams
      * config. Concordant walks reuse the recorded cycle counts.
      */
     Cycles mem_level_cycles[4] = {4, 16, 40, 160};
-
-    /**
-     * @{
-     * @name Translation-backend model (the zoo, DESIGN.md §16)
-     * Defaults to the trace's recording backend via paramsFromTrace();
-     * sweeps override it to ask "what would a Victima/coalesced design
-     * have done on this access stream". Functional approximations when
-     * modeling a competitor over a reference-backend trace:
-     *  - Victima store probes bill mem_level_cycles[1] (the L2 data
-     *    array), with perfect presence metadata as in full-sim.
-     *  - Coalesced-run detection uses VA adjacency as the PFN-adjacency
-     *    proxy (traces do not record physical frames), an optimistic
-     *    upper bound on coalescing opportunity.
-     * Validation (replayed == recorded) only holds for the BabelFish
-     * reference backend at the recording geometry.
-     */
-    translate::BackendKind backend = translate::BackendKind::BabelFish;
-    std::size_t victima_store_entries = 8192;
-    std::size_t range_tlb_entries = 64;
-    /** @} */
 };
 
 /** Build the recording-config ReplayParams from a trace header config. */
@@ -108,7 +86,7 @@ ReplayParams paramsFromTrace(const trace::TraceConfig &config);
 /**
  * The counters replay reconstructs, per core. "Recorded" values are
  * tallied from the trace events themselves; "replayed" values come from
- * the functional models. At the recording config the two must be equal
+ * the replayed backends. At the recording config the two must be equal
  * (that is what bf_replay --validate checks).
  */
 struct Counters
@@ -169,7 +147,8 @@ class ReplaySchedule
      * @param blocks every decoded block of the trace, in file order;
      *        copied into the schedule (the caller's vector is not
      *        referenced after construction).
-     * @throws ReplayError on records that cannot be scheduled.
+     * @throws ReplayError on an unreplayable trace (see ReplayEngine)
+     *         or records that cannot be scheduled.
      */
     ReplaySchedule(const trace::TraceHeader &header,
                    const std::vector<std::vector<trace::Record>> &blocks);
@@ -198,7 +177,9 @@ class ReplayEngine
      * @param params machine configuration to replay against.
      * @param header decoded trace header; construction throws
      *        ReplayError when the trace cannot be replayed (dropped
-     *        records, or a required event kind missing from the mask).
+     *        records, a required event kind missing from the mask, or
+     *        a Victima recording, whose backing-store refills skip the
+     *        walk replay re-executes).
      */
     ReplayEngine(const ReplayParams &params,
                  const trace::TraceHeader &header);
@@ -240,8 +221,9 @@ class ReplayEngine
 
     /**
      * The replayed stats tree rendered as JSON — the same section shape
-     * as a full simulation's per-core mmu group (tlb/pwc subgroups,
-     * hit/miss scalars, miss_latency distribution).
+     * as a full simulation's per-core mmu group (the backend's tlb/pwc
+     * and competitor subgroups, hit/miss scalars, miss_latency
+     * distribution).
      */
     std::string statsJson() const;
 

@@ -304,19 +304,6 @@ Tlb::invalidateAll()
 }
 
 void
-Tlb::reset()
-{
-    for (auto &entry : entries_)
-        entry = TlbEntry{};
-    std::fill(key_.begin(), key_.end(), 0);
-    std::fill(id_.begin(), id_.end(), 0);
-    shared_buckets_.fill(CcidBucket{});
-    valid_count_ = 0;
-    lru_clock_ = 0;
-    rng_state_ = policySeed();
-}
-
-void
 Tlb::rebuildShadow()
 {
     shared_buckets_.fill(CcidBucket{});

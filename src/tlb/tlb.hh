@@ -121,15 +121,6 @@ class Tlb
     void invalidateAll();
     /** @} */
 
-    /**
-     * Return the structure to its post-construction state: all entries
-     * invalid, LRU clock and replacement RNG reseeded. Unlike
-     * invalidateAll() this does not count invalidations — it is for
-     * standalone reuse (the replay engine), not a modeled shootdown.
-     * Statistics are left untouched; pair with resetStats() if needed.
-     */
-    void reset();
-
     /** Probe without stats/LRU side effects (tests). */
     const TlbEntry *probe(Vpn vpn, Pcid pcid) const;
 

@@ -39,22 +39,18 @@ parseBackend(const char *name, BackendKind &out)
 
 std::unique_ptr<Backend>
 createBackend(unsigned core_id, const core::MmuParams &params,
-              mem::CacheHierarchy &hierarchy, vm::Kernel &kernel,
               TranslateStats &stats, stats::StatGroup &group)
 {
     switch (params.backend) {
       case BackendKind::BabelFish:
-        return std::make_unique<PipelineBackend>(core_id, params,
-                                                 hierarchy, kernel, stats,
+        return std::make_unique<PipelineBackend>(core_id, params, stats,
                                                  group);
       case BackendKind::Victima:
-        return std::make_unique<VictimaBackend>(core_id, params,
-                                                hierarchy, kernel, stats,
+        return std::make_unique<VictimaBackend>(core_id, params, stats,
                                                 group);
       case BackendKind::Coalesced:
-        return std::make_unique<CoalescedBackend>(core_id, params,
-                                                  hierarchy, kernel,
-                                                  stats, group);
+        return std::make_unique<CoalescedBackend>(core_id, params, stats,
+                                                  group);
     }
     bf_panic("unknown translation backend id ",
              static_cast<unsigned>(params.backend));

@@ -2,30 +2,35 @@
  * @file
  * The translation-backend interface (DESIGN.md §16).
  *
- * A Backend owns everything between a core's "translate this VA" request
- * and the returned physical address: the TLB structures, the page-walk
- * machinery and whatever extra reach mechanism the design adds. The
- * surrounding world — core::Mmu (the facade), System, the kernel's
- * shootdown hook, checkpointing and the golden-stats gate — talks only
- * through this interface, so competing designs from the literature drop
- * in behind one knob (BF_BACKEND / MmuParams::backend).
+ * A Backend owns a core's translation-caching structures: the TLBs, the
+ * page-walk cache and whatever extra reach mechanism the design adds.
+ * One call, attempt(), runs one pass of the lookup pipeline for one
+ * requester — L0/L1 → ASLR → L2 (plus any competitor probe) → backfill
+ * → walk → fill — and reports a hit or the fault that stopped it. What
+ * sits around the pipeline is the caller's:
+ *
+ *  - the WalkSource answers the page walk and the cache-line traffic of
+ *    backends that park translations in the data caches. core::Mmu
+ *    plugs in the live PageWalker and CacheHierarchy; the replay engine
+ *    (DESIGN.md §13) plugs in recorded and synthesized walks, so both
+ *    run the same pipeline code;
+ *  - core::Mmu owns the retry loop: it defers a fault to the bound-phase
+ *    epoch log or services it through the kernel, then retries.
  *
  * Contract highlights:
- *  - translate() performs the full lookup→fill→walk→fault sequence and
- *    books its access-level statistics into the TranslateStats the
- *    facade registered (the stats-tree shape is part of the contract:
- *    the reference backend's tree is byte-identical to the
- *    pre-interface Mmu, which the golden gate enforces).
+ *  - attempt() books its access-level statistics into the
+ *    TranslateStats the owner registered (the stats-tree shape is part
+ *    of the contract: the reference backend's tree is byte-identical to
+ *    the pre-interface Mmu, which the golden gate enforces).
  *  - applyInvalidate() must reach *every* translation-caching structure
  *    the backend owns — including competitor-specific ones like the
  *    Victima backing store or coalesced range entries — so kernel
  *    shootdowns keep all backends architecturally coherent.
  *  - save()/restore() round-trip all backend state byte-identically.
- *  - Bound-phase discipline: while the attached EpochLog is active,
- *    faults are deferred into it (never call the kernel) and any
- *    cache-hierarchy traffic must go through CacheHierarchy::access,
- *    which defers shared-level state to the weave. This is what keeps
- *    every backend byte-identical at any BF_WORKERS.
+ *  - Bound-phase discipline: a backend never calls the kernel, and all
+ *    cache-hierarchy traffic goes through the WalkSource, whose live
+ *    implementation defers shared-level state to the weave. This is
+ *    what keeps every backend byte-identical at any BF_WORKERS.
  */
 
 #ifndef BF_TRANSLATE_BACKEND_HH
@@ -35,9 +40,8 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "core/epoch.hh"
+#include "tlb/page_walker.hh"
 #include "translate/kind.hh"
-#include "vm/kernel.hh"
 #include "vm/tlb_hooks.hh"
 
 namespace bf::attrib
@@ -51,16 +55,10 @@ namespace bf::core
 struct MmuParams;
 }
 
-namespace bf::mem
-{
-class CacheHierarchy;
-}
-
 namespace bf::tlb
 {
 class Tlb;
 class Pwc;
-class PageWalker;
 }
 
 namespace bf::trace
@@ -88,9 +86,74 @@ struct Translation
 };
 
 /**
- * The access-level counters every backend books (the facade owns and
- * registers them, so their stats-tree names and order are identical
- * across backends — and identical to the pre-interface Mmu).
+ * Who is translating: the identity the structures tag entries with and
+ * match on, plus the attribution slot eviction edges are booked to.
+ * The O-PC process bit also depends on the page's region, so it comes
+ * from WalkSource::processBit.
+ */
+struct Requester
+{
+    Pcid pcid = 0;
+    Ccid ccid = 0;
+    Pid pid = 0;
+    int slot = 0; //!< Attribution slot (common/attrib).
+};
+
+/** How one pass of the pipeline ended (Backend::attempt). */
+struct Attempt
+{
+    enum class Kind : std::uint8_t
+    {
+        Hit,       //!< Translated; Translation::paddr/size are valid.
+        CowFault,  //!< A write hit a CoW-marked TLB entry.
+        WalkFault, //!< The walk found no usable leaf.
+    };
+    Kind kind = Kind::Hit;
+    /** CowFault: page size of the stale CoW-marked entry. */
+    PageSize size = PageSize::Size4K;
+};
+
+/**
+ * What a backend's lookups reach beyond its own structures: the
+ * requester's O-PC bit, the page walk and, for backends that park
+ * translations in the data caches (Victima), lines of a per-machine
+ * metadata region above simulated DRAM. Live simulation answers from
+ * the kernel, the PageWalker and the CacheHierarchy; replay from the
+ * trace, with recorded or synthesized walks.
+ */
+class WalkSource
+{
+  public:
+    virtual ~WalkSource() = default;
+
+    /**
+     * The PC-bitmask bit @p req owns for @p va's region (paper Fig. 8),
+     * or -1. Asked once per pass past the L0 front cache, whose hits
+     * need it only for their trace record.
+     */
+    virtual int processBit(const Requester &req, Addr va) = 0;
+
+    /**
+     * Walk the page tables for @p va through the backend's PWC.
+     * @param now the core cycle the walk starts at.
+     */
+    virtual tlb::WalkResult walk(const Requester &req, Addr va,
+                                 AccessType type, Cycles now) = 0;
+
+    /** Billed read of metadata line @p line; returns its latency. */
+    virtual Cycles readMetaLine(std::uint64_t line, Cycles now) = 0;
+
+    /**
+     * Unbilled write touch of metadata line @p line: models its
+     * occupancy of the core's private L2 off the critical path.
+     */
+    virtual void touchMetaLine(std::uint64_t line) = 0;
+};
+
+/**
+ * The access-level counters every backend books (the owner — core::Mmu
+ * or a replayed core — registers them, so their stats-tree names are
+ * identical across backends and to the pre-interface Mmu).
  */
 struct TranslateStats
 {
@@ -110,6 +173,18 @@ struct TranslateStats
     stats::Scalar fault_cycles;
     /** Full translate() latency of accesses that missed both TLB levels. */
     stats::Distribution miss_latency;
+
+    void
+    resetCounters()
+    {
+        for (stats::Scalar *s :
+             {&l1_hits, &l1_misses, &l2_data_hits, &l2_data_misses,
+              &l2_instr_hits, &l2_instr_misses, &l2_data_shared_hits,
+              &l2_instr_shared_hits, &l2_long_accesses, &minor_faults,
+              &major_faults, &cow_faults, &shared_installs, &fault_cycles})
+            s->reset();
+        miss_latency.reset();
+    }
 };
 
 /** One core's translation backend. */
@@ -121,24 +196,21 @@ class Backend
     virtual BackendKind kind() const = 0;
 
     /**
-     * Translate a canonical VA for a process, handling faults.
-     * @param now the core's current cycle.
+     * One pass of the lookup pipeline for @p req at canonical @p va.
+     * Adds the pass's latency to @p out.cycles (event timestamps are
+     * @p now + out.cycles) and, on a hit, sets out.paddr and out.size.
+     * On a fault nothing is filled; the caller resolves the fault and
+     * calls again.
      */
-    virtual Translation translate(vm::Process &proc, Addr canonical_va,
-                                  AccessType type, Cycles now) = 0;
+    virtual Attempt attempt(const Requester &req, Addr va,
+                            AccessType type, Cycles now, WalkSource &src,
+                            Translation &out) = 0;
 
     /**
      * Apply a kernel shootdown. Must reach every structure that caches
      * translations, including backend-specific ones.
      */
     virtual void applyInvalidate(const vm::TlbInvalidate &inv) = 0;
-
-    /**
-     * Attach the core's bound-phase event log (null detaches). While
-     * the log is active, translate() defers page faults into it and
-     * returns Translation::blocked instead of calling the kernel.
-     */
-    virtual void setEpochLog(core::EpochLog *log) = 0;
 
     /** Attach the run's event tracer (null detaches). */
     virtual void setTracer(trace::Tracer *tracer) = 0;
@@ -179,15 +251,15 @@ class Backend
     /**
      * @{
      * @name Structure access
-     * Every backend in the zoo is built around the common TLB/PWC/
-     * walker pipeline (the competitors extend it); tests, the sampler
-     * and the benches reach the shared structures through these.
+     * Every backend in the zoo is built around the common TLB/PWC
+     * pipeline (the competitors extend it); tests, the sampler, the
+     * benches and walk sources reach the shared structures through
+     * these.
      */
     virtual tlb::Tlb &l1i() = 0;
     virtual tlb::Tlb &l1d(PageSize size) = 0;
     virtual tlb::Tlb &l2(PageSize size) = 0;
     virtual tlb::Pwc &pwc() = 0;
-    virtual tlb::PageWalker &walker() = 0;
     /** @} */
 };
 
@@ -196,17 +268,12 @@ class Backend
  *
  * @param core_id owning core.
  * @param params TLB geometry and BabelFish/ASLR/backend configuration.
- * @param hierarchy cache hierarchy for walks (and, for Victima, the
- *        spilled-entry traffic).
- * @param kernel page-table owner / fault handler.
- * @param stats the facade's registered access-level counters.
- * @param group the facade's "mmu" stat group; the backend registers
+ * @param stats the owner's registered access-level counters.
+ * @param group the owner's "mmu" stat group; the backend registers
  *        its structure subgroups under it.
  */
 std::unique_ptr<Backend> createBackend(unsigned core_id,
                                        const core::MmuParams &params,
-                                       mem::CacheHierarchy &hierarchy,
-                                       vm::Kernel &kernel,
                                        TranslateStats &stats,
                                        stats::StatGroup &group);
 

@@ -5,11 +5,9 @@ namespace bf::translate
 
 CoalescedBackend::CoalescedBackend(unsigned core_id,
                                    const core::MmuParams &params,
-                                   mem::CacheHierarchy &hierarchy,
-                                   vm::Kernel &kernel,
                                    TranslateStats &stats,
                                    stats::StatGroup &group)
-    : PipelineBackend(core_id, params, hierarchy, kernel, stats, group),
+    : PipelineBackend(core_id, params, stats, group),
       cgroup_("coalesced", &group)
 {
     cgroup_.addStat("range_hits", &range_hits_);
@@ -17,16 +15,16 @@ CoalescedBackend::CoalescedBackend(unsigned core_id,
 }
 
 tlb::TlbLookup
-CoalescedBackend::lookupL2(vm::Process &proc, Addr va, AccessType type,
-                           PageSize &size_out, int process_bit)
+CoalescedBackend::lookupL2(const Requester &req, Addr va, int process_bit,
+                           PageSize &size_out)
 {
     tlb::TlbLookup base =
-        PipelineBackend::lookupL2(proc, va, type, size_out, process_bit);
+        PipelineBackend::lookupL2(req, va, process_bit, size_out);
     if (base.hit())
         return base;
 
     const Vpn vpn = va >> pageShift(PageSize::Size4K);
-    const RangeEntry *range = ranges_.lookup(vpn, proc.pcid());
+    const RangeEntry *range = ranges_.lookup(vpn, req.pcid);
     if (!range)
         return base;
 
@@ -36,14 +34,14 @@ CoalescedBackend::lookupL2(vm::Process &proc, Addr va, AccessType type,
     scratch_.vpn = vpn;
     scratch_.ppn = range->base_ppn + (vpn - range->base_vpn);
     scratch_.size = PageSize::Size4K;
-    scratch_.pcid = proc.pcid();
+    scratch_.pcid = req.pcid;
     scratch_.ccid = range->ccid;
     scratch_.writable = true;
     scratch_.user = true;
     // Private entry: the PCID matched, so it behaves as owned with no
     // private-copy bitmask (coalescing excludes all O-PC cases).
     scratch_.owned = true;
-    scratch_.fill_pcid = proc.pcid();
+    scratch_.fill_pcid = req.pcid;
 
     tlb::TlbLookup lookup;
     lookup.entry = &scratch_;
@@ -53,17 +51,17 @@ CoalescedBackend::lookupL2(vm::Process &proc, Addr va, AccessType type,
 }
 
 void
-CoalescedBackend::fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
-                         Cycles now)
+CoalescedBackend::fillL2(const tlb::TlbEntry &entry, const Requester &req,
+                         WalkSource &src)
 {
-    PipelineBackend::fillL2(entry, proc, now);
+    PipelineBackend::fillL2(entry, req, src);
     if (entry.size != PageSize::Size4K || entry.cow || entry.orpc ||
         entry.pc_bitmask != 0)
         return;
     RunDetector::Run run;
-    if (detector_.note(proc.pcid(), entry.vpn, entry.ppn, run)) {
-        ranges_.insert(run.base_vpn, run.base_ppn, run.len, proc.pcid(),
-                       proc.ccid());
+    if (detector_.note(req.pcid, entry.vpn, entry.ppn, run)) {
+        ranges_.insert(run.base_vpn, run.base_ppn, run.len, req.pcid,
+                       req.ccid);
         ++range_installs_;
     }
 }

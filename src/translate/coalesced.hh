@@ -37,7 +37,6 @@ class CoalescedBackend : public PipelineBackend
 {
   public:
     CoalescedBackend(unsigned core_id, const core::MmuParams &params,
-                     mem::CacheHierarchy &hierarchy, vm::Kernel &kernel,
                      TranslateStats &stats, stats::StatGroup &group);
 
     BackendKind kind() const override { return BackendKind::Coalesced; }
@@ -49,11 +48,10 @@ class CoalescedBackend : public PipelineBackend
     const RangeTlb &ranges() const { return ranges_; }
 
   protected:
-    tlb::TlbLookup lookupL2(vm::Process &proc, Addr va, AccessType type,
-                            PageSize &size_out,
-                            int process_bit) override;
-    void fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
-                Cycles now) override;
+    tlb::TlbLookup lookupL2(const Requester &req, Addr va, int process_bit,
+                            PageSize &size_out) override;
+    void fillL2(const tlb::TlbEntry &entry, const Requester &req,
+                WalkSource &src) override;
     void invalidateExtra(const vm::TlbInvalidate &inv) override;
     void flushExtra() override;
     void resetExtraStats() override;
@@ -65,7 +63,7 @@ class CoalescedBackend : public PipelineBackend
     RunDetector detector_;
     /**
      * A range hit synthesizes the covered 4K entry here so the base
-     * translate() loop can treat it exactly like an L2 TLB hit (the
+     * attempt() pass can treat it exactly like an L2 TLB hit (the
      * member outlives the lookup; fillL1 copies it immediately).
      */
     tlb::TlbEntry scratch_;

@@ -4,19 +4,14 @@
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 
-#include <cstdlib>
-
 namespace bf::translate
 {
 
 PipelineBackend::PipelineBackend(unsigned core_id,
                                  const core::MmuParams &params,
-                                 mem::CacheHierarchy &hierarchy,
-                                 vm::Kernel &kernel,
                                  TranslateStats &stats,
                                  stats::StatGroup &group)
-    : core_id_(core_id), params_(params), hierarchy_(hierarchy),
-      kernel_(kernel), st_(stats), group_(group)
+    : core_id_(core_id), params_(params), st_(stats), group_(group)
 {
     l1i_4k_ = std::make_unique<tlb::Tlb>(params_.l1i_4k, &group_);
     l1d_[sizeIndex(PageSize::Size4K)] =
@@ -32,21 +27,17 @@ PipelineBackend::PipelineBackend(unsigned core_id,
     l2_[sizeIndex(PageSize::Size1G)] =
         std::make_unique<tlb::Tlb>(params_.l2_1g, &group_);
     pwc_ = std::make_unique<tlb::Pwc>(params_.pwc, &group_);
-    walker_ = std::make_unique<tlb::PageWalker>(
-        core_id_, hierarchy_, kernel_, *pwc_, params_.babelfish,
-        &group_);
 
     // The L0 front cache replays conventional-lookup side effects; with
     // CCID-shared L1 structures the candidate scan of Fig. 8 is left on
     // the slow path (see the header comment on L0Entry).
-    l0_enabled_ = !params_.l1Sharing() && !std::getenv("BF_NO_L0");
+    l0_enabled_ = !params_.l1Sharing() && params_.l0_cache;
 }
 
 void
 PipelineBackend::setTracer(trace::Tracer *tracer)
 {
     tracer_ = tracer;
-    walker_->setTracer(tracer);
 }
 
 namespace
@@ -72,20 +63,41 @@ hitFlags(AccessType type, const tlb::TlbLookup &lookup)
     return flags;
 }
 
+/** Flag byte of the TlbFill event. */
+std::uint8_t
+fillFlags(AccessType type)
+{
+    std::uint8_t flags = 0;
+    if (isIfetch(type))
+        flags |= trace::flagInstr;
+    if (type == AccessType::Write)
+        flags |= trace::flagWrite;
+    return flags;
+}
+
+/** Physical address of @p va through a hit or filled entry. */
+void
+resolve(Translation &out, const tlb::TlbEntry &entry, Addr va)
+{
+    out.size = entry.size;
+    out.paddr = (entry.ppn << pageShift(entry.size)) |
+                (va & (pageBytes(entry.size) - 1));
+}
+
 } // namespace
 
 tlb::TlbLookup
-PipelineBackend::lookupL1(vm::Process &proc, Addr va, AccessType type,
-                          PageSize &size_out, int process_bit)
+PipelineBackend::lookupL1(const Requester &req, Addr va, AccessType type,
+                          int process_bit, PageSize &size_out)
 {
     const bool share = params_.l1Sharing();
 
     auto probeOne = [&](tlb::Tlb &tlb, PageSize size) {
         const Vpn vpn = va >> pageShift(size);
         tlb::TlbLookup lookup =
-            share ? tlb.lookupBabelFish(vpn, proc.ccid(), proc.pcid(),
+            share ? tlb.lookupBabelFish(vpn, req.ccid, req.pcid,
                                         process_bit)
-                  : tlb.lookupConventional(vpn, proc.pcid());
+                  : tlb.lookupConventional(vpn, req.pcid);
         if (lookup.hit())
             size_out = size;
         return lookup;
@@ -105,10 +117,9 @@ PipelineBackend::lookupL1(vm::Process &proc, Addr va, AccessType type,
 }
 
 tlb::TlbLookup
-PipelineBackend::lookupL2(vm::Process &proc, Addr va, AccessType type,
-                          PageSize &size_out, int process_bit)
+PipelineBackend::lookupL2(const Requester &req, Addr va, int process_bit,
+                          PageSize &size_out)
 {
-    (void)type;
     tlb::TlbLookup result;
     for (PageSize size : {PageSize::Size4K, PageSize::Size2M,
                           PageSize::Size1G}) {
@@ -116,9 +127,9 @@ PipelineBackend::lookupL2(vm::Process &proc, Addr va, AccessType type,
         const Vpn vpn = va >> pageShift(size);
         tlb::TlbLookup lookup =
             params_.babelfish
-                ? tlb.lookupBabelFish(vpn, proc.ccid(), proc.pcid(),
+                ? tlb.lookupBabelFish(vpn, req.ccid, req.pcid,
                                       process_bit)
-                : tlb.lookupConventional(vpn, proc.pcid());
+                : tlb.lookupConventional(vpn, req.pcid);
         result.bitmask_checked |= lookup.bitmask_checked;
         if (lookup.hit()) {
             size_out = size;
@@ -130,17 +141,17 @@ PipelineBackend::lookupL2(vm::Process &proc, Addr va, AccessType type,
 }
 
 void
-PipelineBackend::noteL1Evicted(const vm::Process &proc,
+PipelineBackend::noteL1Evicted(const Requester &req,
                                const tlb::TlbEntry &evicted)
 {
     // L1 copies are per-process: the PCID tag is the victim's owner.
     if (sink_)
-        sink_->noteL1Eviction(proc.attribSlot(),
+        sink_->noteL1Eviction(req.slot,
                               areg_->slotOfPcid(evicted.pcid));
 }
 
 void
-PipelineBackend::noteL2Evicted(const vm::Process &proc,
+PipelineBackend::noteL2Evicted(const Requester &req,
                                const tlb::TlbEntry &evicted)
 {
     // Owned entries are tagged with the owner; shared (O-clear) entries
@@ -148,24 +159,24 @@ PipelineBackend::noteL2Evicted(const vm::Process &proc,
     // fill.
     if (sink_)
         sink_->noteL2Eviction(
-            proc.attribSlot(),
+            req.slot,
             areg_->slotOfPcid(evicted.owned ? evicted.pcid
                                             : evicted.fill_pcid));
 }
 
 void
-PipelineBackend::fillL1(const tlb::TlbEntry &entry, vm::Process &proc,
+PipelineBackend::fillL1(const tlb::TlbEntry &entry, const Requester &req,
                         AccessType type)
 {
     tlb::TlbEntry copy = entry;
-    copy.pcid = proc.pcid();
-    copy.ccid = proc.ccid();
+    copy.pcid = req.pcid;
+    copy.ccid = req.ccid;
     tlb::TlbEntry evicted;
     if (isIfetch(type)) {
         if (copy.size == PageSize::Size4K &&
             l1i_4k_->fill(copy, params_.l1Sharing(),
                           sink_ ? &evicted : nullptr))
-            noteL1Evicted(proc, evicted);
+            noteL1Evicted(req, evicted);
         return;
     }
     // A data fill can turn a "structure probed before the owner still
@@ -173,35 +184,36 @@ PipelineBackend::fillL1(const tlb::TlbEntry &entry, vm::Process &proc,
     ++l0_gen_;
     if (l1d_[sizeIndex(copy.size)]->fill(copy, params_.l1Sharing(),
                                          sink_ ? &evicted : nullptr))
-        noteL1Evicted(proc, evicted);
+        noteL1Evicted(req, evicted);
 }
 
 void
-PipelineBackend::fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
-                        Cycles now)
+PipelineBackend::fillL2(const tlb::TlbEntry &entry, const Requester &req,
+                        WalkSource &src)
 {
-    (void)now;
+    (void)src;
     tlb::TlbEntry copy = entry;
-    copy.ccid = proc.ccid();
+    copy.ccid = req.ccid;
     // Shared entries keep the PCID of the filler so Shared Hits can be
     // recognized; owned entries are tagged with the owner.
-    copy.pcid = proc.pcid();
-    copy.fill_pcid = proc.pcid();
+    copy.pcid = req.pcid;
+    copy.fill_pcid = req.pcid;
     tlb::TlbEntry evicted;
     if (l2_[sizeIndex(copy.size)]->fill(copy, params_.babelfish,
                                         sink_ ? &evicted : nullptr))
-        noteL2Evicted(proc, evicted);
+        noteL2Evicted(req, evicted);
 }
 
 bool
-PipelineBackend::backfill(vm::Process &proc, Addr va, AccessType type,
-                          int process_bit, Cycles now, Cycles &cycles,
-                          tlb::TlbEntry &out)
+PipelineBackend::backfill(const Requester &req, Addr va, AccessType type,
+                          int process_bit, WalkSource &src, Cycles now,
+                          Cycles &cycles, tlb::TlbEntry &out)
 {
-    (void)proc;
+    (void)req;
     (void)va;
     (void)type;
     (void)process_bit;
+    (void)src;
     (void)now;
     (void)cycles;
     (void)out;
@@ -261,52 +273,22 @@ PipelineBackend::installL0(Addr va, Pcid pcid, AccessType type,
     slot.gen_sensitive = kind > 1;
 }
 
-int
-PipelineBackend::cachedProcessBit(const vm::Process &proc,
-                                  Addr canonical_va)
+Attempt
+PipelineBackend::attempt(const Requester &req, Addr va, AccessType type,
+                         Cycles now, WalkSource &src, Translation &out)
 {
-    // processBit() depends on the VA only through the region bases at
-    // the three possible leaf levels, and the finest (1 GB) base
-    // determines the coarser two — so {pid, 1 GB region} keys the
-    // answer exactly.
-    const Addr region = vm::tableBase(canonical_va, vm::LevelPte + 1);
-    // 1 GB regions make the low 30 bits of `region` zero; fold the
-    // next bits with the pid for the slot index.
-    const std::size_t slot =
-        ((region >> 30) ^ proc.pid()) & (kPbCacheSize - 1);
-    PbCache &pb = pb_cache_[slot];
-    if (pb.gen_ptr && pb.pid == proc.pid() && pb.region == region &&
-        *pb.gen_ptr == pb.gen)
-        return pb.bit;
-
-    const std::uint64_t *gen_ptr = kernel_.maskGenerationPtr(proc.ccid());
-    pb.gen_ptr = gen_ptr;
-    pb.gen = gen_ptr ? *gen_ptr : 0;
-    pb.pid = proc.pid();
-    pb.region = region;
-    pb.bit = kernel_.processBit(proc, canonical_va);
-    return pb.bit;
-}
-
-Translation
-PipelineBackend::translate(vm::Process &proc, Addr canonical_va,
-                           AccessType type, Cycles now)
-{
-    Translation result;
     const bool is_write = type == AccessType::Write;
 
     // ---- L0 fast path: a direct-mapped memo of the last slow-path L1
     // hit for this {page, PCID, kind}. A hit re-validates the live TLB
     // entry and replays the bypassed probe sequence's exact side
     // effects, so stats and traces are byte-identical either way.
-    // Faulting accesses always fall through to the slow path, as do
-    // the retries after a fault (the loop below never consults L0).
+    // Faulting accesses always fall through to the slow path.
     if (l0_enabled_) {
         const bool ifetch = isIfetch(type);
-        L0Entry &slot =
-            l0_[l0Index(canonical_va >> 12, proc.pcid(), ifetch)];
-        if (slot.vpn4k == (canonical_va >> 12) &&
-            slot.pcid == proc.pcid() && slot.is_ifetch == ifetch &&
+        L0Entry &slot = l0_[l0Index(va >> 12, req.pcid, ifetch)];
+        if (slot.vpn4k == (va >> 12) && slot.pcid == req.pcid &&
+            slot.is_ifetch == ifetch &&
             (!slot.gen_sensitive || slot.gen == l0_gen_)) {
             tlb::TlbEntry *e = slot.entry;
             // Live re-validation: fills never duplicate a {VPN, PCID}
@@ -315,334 +297,154 @@ PipelineBackend::translate(vm::Process &proc, Addr canonical_va,
             // entry is exactly what lookupL1 would return — with its
             // current ppn/cow/O-PC payload, re-read below.
             if (e->valid && e->pcid == slot.pcid &&
-                e->vpn == (canonical_va >> slot.shift) &&
-                !(is_write && e->cow)) {
+                e->vpn == (va >> slot.shift) && !(is_write && e->cow)) {
                 for (unsigned k = 1; k < slot.owner_kind; ++k)
                     l1d_[k - 1]->recordL0Miss();
                 const bool shared = e->fill_pcid != slot.pcid;
                 slot.owner->recordL0Hit(e, shared);
                 ++st_.l1_hits;
-                result.cycles += 1;
+                out.cycles += 1;
                 if (tracer_) {
                     tlb::TlbLookup lk;
                     lk.entry = e;
                     lk.shared_hit = shared;
-                    const int pbit =
-                        params_.babelfish
-                            ? cachedProcessBit(proc, canonical_va)
-                            : -1;
-                    tracer_->record(core_id_, trace::EventType::TlbL1Hit,
-                                    now + result.cycles, proc.ccid(),
-                                    proc.pid(), canonical_va,
-                                    trace::packAttempt(proc.pcid(), pbit),
-                                    hitFlags(type, lk));
-                }
-                result.size = e->size;
-                result.paddr = (e->ppn << pageShift(e->size)) |
-                               (canonical_va &
-                                (pageBytes(e->size) - 1));
-                return result;
-            }
-        }
-    }
-
-    // The PC-bitmask bit this process owns for the page's region (-1 for
-    // the common case of no private copies). Computed once per translate,
-    // as before — the cache only changes who does the computing.
-    const int process_bit =
-        params_.babelfish ? cachedProcessBit(proc, canonical_va) : -1;
-
-    for (int attempt = 0; attempt < 8; ++attempt) {
-        PageSize size = PageSize::Size4K;
-
-        // ---- L1 TLB: 1 cycle.
-        tlb::TlbLookup l1 = lookupL1(proc, canonical_va, type, size,
-                                     process_bit);
-        result.cycles += 1;
-        if (l1.hit()) {
-            const tlb::TlbEntry &entry = *l1.entry;
-            if (is_write && entry.cow) {
-                // Write to a CoW page: declared as a CoW page fault
-                // (Fig. 8, step 6). No hit is counted and no L1 state
-                // beyond the probe changes; the flagCowFault event lets
-                // replay tell this apart from a counted hit.
-                const PageSize esize = entry.size;
-                if (tracer_) {
                     tracer_->record(
                         core_id_, trace::EventType::TlbL1Hit,
-                        now + result.cycles, proc.ccid(), proc.pid(),
-                        canonical_va,
-                        trace::packAttempt(proc.pcid(), process_bit),
-                        static_cast<std::uint8_t>(hitFlags(type, l1) |
-                                                  trace::flagCowFault));
+                        now + out.cycles, req.ccid, req.pid, va,
+                        trace::packAttempt(req.pcid,
+                                           src.processBit(req, va)),
+                        hitFlags(type, lk));
                 }
-                if (epoch_log_ && epoch_log_->active()) {
-                    epoch_log_->deferFault(
-                        {&proc, canonical_va, type, true, esize},
-                        now + result.cycles);
-                    result.blocked = true;
-                    return result;
-                }
-                if (tracer_)
-                    tracer_->setKernelContext(core_id_,
-                                              now + result.cycles);
-                const auto outcome =
-                    kernel_.handleFault(proc, canonical_va, type);
-                bf_assert(outcome.kind != vm::FaultKind::Protection,
-                          "protection fault at ", canonical_va);
-                if (tracer_) {
-                    tracer_->record(
-                        core_id_, trace::EventType::FaultService,
-                        now + result.cycles, proc.ccid(), proc.pid(),
-                        canonical_va,
-                        trace::packFault(outcome.cycles, proc.pcid(),
-                                         static_cast<unsigned>(esize),
-                                         true),
-                        static_cast<std::uint8_t>(outcome.kind));
-                    tracer_->clearKernelContext();
-                }
-                if (outcome.kind == vm::FaultKind::None) {
-                    // Already resolved; only this core's copy is stale.
-                    applyInvalidate({vm::TlbInvalidate::Kind::Page,
-                                     proc.ccid(), proc.pcid(),
-                                     canonical_va >> pageShift(esize), 1,
-                                     esize});
-                }
-                result.cycles += outcome.cycles;
-                st_.fault_cycles += outcome.cycles;
-                result.faulted = true;
-                ++st_.cow_faults;
-                continue; // retry; the stale entries were shot down
+                resolve(out, *e, va);
+                return {};
             }
-            ++st_.l1_hits;
-            installL0(canonical_va, proc.pcid(), type, size, l1.entry);
-            if (tracer_)
-                tracer_->record(core_id_, trace::EventType::TlbL1Hit,
-                                now + result.cycles, proc.ccid(),
-                                proc.pid(), canonical_va,
-                                trace::packAttempt(proc.pcid(),
-                                                   process_bit),
-                                hitFlags(type, l1));
-            result.size = entry.size;
-            result.paddr = (entry.ppn << pageShift(entry.size)) |
-                           (canonical_va & (pageBytes(entry.size) - 1));
-            return result;
-        }
-        ++st_.l1_misses;
-
-        // ---- ASLR-HW transform between L1 and L2 (paper §IV-D).
-        if (params_.babelfish && params_.aslr == vm::AslrMode::Hw)
-            result.cycles += params_.aslr_transform_cycles;
-
-        // ---- L2 TLB: 10 cycles, 12 when the PC bitmask is consulted.
-        tlb::TlbLookup l2 = lookupL2(proc, canonical_va, type, size,
-                                     process_bit);
-        const bool long_access =
-            l2.bitmask_checked ||
-            (params_.force_long_l2 && params_.babelfish);
-        const Cycles l2_time =
-            params_.l2_4k.access_cycles +
-            (long_access ? params_.l2_4k.bitmask_extra_cycles : 0);
-        result.cycles += l2_time;
-        if (long_access)
-            ++st_.l2_long_accesses;
-
-        if (l2.hit()) {
-            const tlb::TlbEntry &entry = *l2.entry;
-            if (isIfetch(type)) {
-                ++st_.l2_instr_hits;
-                if (l2.shared_hit)
-                    ++st_.l2_instr_shared_hits;
-            } else {
-                ++st_.l2_data_hits;
-                if (l2.shared_hit)
-                    ++st_.l2_data_shared_hits;
-            }
-            if (tracer_) {
-                std::uint8_t flags = hitFlags(type, l2);
-                if (long_access)
-                    flags |= trace::flagLongL2;
-                if (is_write && entry.cow)
-                    flags |= trace::flagCowFault;
-                tracer_->record(core_id_, trace::EventType::TlbL2Hit,
-                                now + result.cycles, proc.ccid(),
-                                proc.pid(), canonical_va,
-                                trace::packAttempt(proc.pcid(),
-                                                   process_bit),
-                                flags);
-            }
-            if (is_write && entry.cow) {
-                const PageSize esize = entry.size;
-                if (epoch_log_ && epoch_log_->active()) {
-                    epoch_log_->deferFault(
-                        {&proc, canonical_va, type, true, esize},
-                        now + result.cycles);
-                    result.blocked = true;
-                    return result;
-                }
-                if (tracer_)
-                    tracer_->setKernelContext(core_id_,
-                                              now + result.cycles);
-                const auto outcome =
-                    kernel_.handleFault(proc, canonical_va, type);
-                bf_assert(outcome.kind != vm::FaultKind::Protection,
-                          "protection fault at ", canonical_va);
-                if (tracer_) {
-                    tracer_->record(
-                        core_id_, trace::EventType::FaultService,
-                        now + result.cycles, proc.ccid(), proc.pid(),
-                        canonical_va,
-                        trace::packFault(outcome.cycles, proc.pcid(),
-                                         static_cast<unsigned>(esize),
-                                         true),
-                        static_cast<std::uint8_t>(outcome.kind));
-                    tracer_->clearKernelContext();
-                }
-                if (outcome.kind == vm::FaultKind::None) {
-                    applyInvalidate({vm::TlbInvalidate::Kind::Page,
-                                     proc.ccid(), proc.pcid(),
-                                     canonical_va >> pageShift(esize), 1,
-                                     esize});
-                }
-                result.cycles += outcome.cycles;
-                st_.fault_cycles += outcome.cycles;
-                result.faulted = true;
-                ++st_.cow_faults;
-                continue;
-            }
-            fillL1(*l2.entry, proc, type);
-            result.size = entry.size;
-            result.paddr = (entry.ppn << pageShift(entry.size)) |
-                           (canonical_va & (pageBytes(entry.size) - 1));
-            return result;
-        }
-        if (isIfetch(type))
-            ++st_.l2_instr_misses;
-        else
-            ++st_.l2_data_misses;
-        if (tracer_) {
-            std::uint8_t flags = hitFlags(type, tlb::TlbLookup{});
-            if (long_access)
-                flags |= trace::flagLongL2;
-            tracer_->record(core_id_, trace::EventType::TlbMiss,
-                            now + result.cycles, proc.ccid(), proc.pid(),
-                            canonical_va,
-                            trace::packAttempt(proc.pcid(), process_bit),
-                            flags);
-        }
-
-        // ---- Backend backfill probe (e.g. Victima's backing store):
-        // a last chance to recover the translation without walking.
-        {
-            tlb::TlbEntry recovered;
-            Cycles probe_cycles = 0;
-            if (backfill(proc, canonical_va, type, process_bit,
-                         now + result.cycles, probe_cycles, recovered)) {
-                result.cycles += probe_cycles;
-                st_.miss_latency.sample(result.cycles);
-                if (tracer_) {
-                    std::uint8_t flags = 0;
-                    if (isIfetch(type))
-                        flags |= trace::flagInstr;
-                    if (is_write)
-                        flags |= trace::flagWrite;
-                    tracer_->record(
-                        core_id_, trace::EventType::TlbFill,
-                        now + result.cycles, proc.ccid(), proc.pid(),
-                        canonical_va,
-                        trace::packFill(
-                            proc.pcid(),
-                            static_cast<unsigned>(recovered.size),
-                            recovered.owned, recovered.orpc,
-                            recovered.cow, recovered.pc_bitmask),
-                        flags);
-                }
-                fillL2(recovered, proc, now + result.cycles);
-                fillL1(recovered, proc, type);
-                result.size = recovered.size;
-                result.paddr =
-                    (recovered.ppn << pageShift(recovered.size)) |
-                    (canonical_va & (pageBytes(recovered.size) - 1));
-                return result;
-            }
-        }
-
-        // ---- Page walk.
-        tlb::WalkResult walk =
-            walker_->walk(proc, canonical_va, type, now + result.cycles);
-        result.cycles += walk.cycles;
-
-        if (walk.status == tlb::WalkStatus::Ok) {
-            st_.miss_latency.sample(result.cycles);
-            if (tracer_) {
-                // Recorded before the fills so replay sees the walked
-                // entry's attributes exactly as they go into the TLBs.
-                std::uint8_t flags = 0;
-                if (isIfetch(type))
-                    flags |= trace::flagInstr;
-                if (is_write)
-                    flags |= trace::flagWrite;
-                tracer_->record(
-                    core_id_, trace::EventType::TlbFill,
-                    now + result.cycles, proc.ccid(), proc.pid(),
-                    canonical_va,
-                    trace::packFill(
-                        proc.pcid(),
-                        static_cast<unsigned>(walk.fill.size),
-                        walk.fill.owned, walk.fill.orpc, walk.fill.cow,
-                        walk.fill.pc_bitmask),
-                    flags);
-            }
-            fillL2(walk.fill, proc, now + result.cycles);
-            fillL1(walk.fill, proc, type);
-            result.size = walk.fill.size;
-            result.paddr =
-                (walk.fill.ppn << pageShift(walk.fill.size)) |
-                (canonical_va & (pageBytes(walk.fill.size) - 1));
-            return result;
-        }
-
-        bf_assert(walk.status != tlb::WalkStatus::Protection,
-                  "protection fault on walk: va=", canonical_va,
-                  " pid=", proc.pid());
-
-        // Page fault (not-present or CoW): invoke the OS and retry.
-        if (epoch_log_ && epoch_log_->active()) {
-            epoch_log_->deferFault(
-                {&proc, canonical_va, type, false, PageSize::Size4K},
-                now + result.cycles);
-            result.blocked = true;
-            return result;
-        }
-        if (tracer_)
-            tracer_->setKernelContext(core_id_, now + result.cycles);
-        const auto outcome = kernel_.handleFault(proc, canonical_va, type);
-        bf_assert(outcome.kind != vm::FaultKind::Protection,
-                  "kernel protection fault at va=", canonical_va,
-                  " pid=", proc.pid());
-        if (tracer_) {
-            tracer_->record(
-                core_id_, trace::EventType::FaultService,
-                now + result.cycles, proc.ccid(), proc.pid(),
-                canonical_va,
-                trace::packFault(
-                    outcome.cycles, proc.pcid(),
-                    static_cast<unsigned>(PageSize::Size4K), false),
-                static_cast<std::uint8_t>(outcome.kind));
-            tracer_->clearKernelContext();
-        }
-        result.cycles += outcome.cycles;
-        st_.fault_cycles += outcome.cycles;
-        result.faulted = true;
-        switch (outcome.kind) {
-          case vm::FaultKind::Minor: ++st_.minor_faults; break;
-          case vm::FaultKind::Major: ++st_.major_faults; break;
-          case vm::FaultKind::Cow: ++st_.cow_faults; break;
-          case vm::FaultKind::SharedInstall: ++st_.shared_installs; break;
-          default: break;
         }
     }
-    bf_panic("translation did not converge at va=", canonical_va);
+
+    const int process_bit = src.processBit(req, va);
+    const std::uint64_t packed = trace::packAttempt(req.pcid, process_bit);
+    PageSize size = PageSize::Size4K;
+
+    // ---- L1 TLB: 1 cycle.
+    tlb::TlbLookup l1 = lookupL1(req, va, type, process_bit, size);
+    out.cycles += 1;
+    if (l1.hit()) {
+        const tlb::TlbEntry &entry = *l1.entry;
+        if (is_write && entry.cow) {
+            // Write to a CoW page: declared as a CoW page fault (Fig. 8,
+            // step 6). No hit is counted and no L1 state beyond the
+            // probe changes; the flagCowFault event lets replay tell
+            // this apart from a counted hit.
+            if (tracer_)
+                tracer_->record(
+                    core_id_, trace::EventType::TlbL1Hit,
+                    now + out.cycles, req.ccid, req.pid, va, packed,
+                    static_cast<std::uint8_t>(hitFlags(type, l1) |
+                                              trace::flagCowFault));
+            return {Attempt::Kind::CowFault, entry.size};
+        }
+        ++st_.l1_hits;
+        installL0(va, req.pcid, type, size, l1.entry);
+        if (tracer_)
+            tracer_->record(core_id_, trace::EventType::TlbL1Hit,
+                            now + out.cycles, req.ccid, req.pid, va,
+                            packed, hitFlags(type, l1));
+        resolve(out, entry, va);
+        return {};
+    }
+    ++st_.l1_misses;
+
+    // ---- ASLR-HW transform between L1 and L2 (paper §IV-D).
+    if (params_.babelfish && params_.aslr == vm::AslrMode::Hw)
+        out.cycles += params_.aslr_transform_cycles;
+
+    // ---- L2 TLB: 10 cycles, 12 when the PC bitmask is consulted.
+    tlb::TlbLookup l2 = lookupL2(req, va, process_bit, size);
+    const bool long_access =
+        l2.bitmask_checked || (params_.force_long_l2 && params_.babelfish);
+    out.cycles += params_.l2_4k.access_cycles +
+                  (long_access ? params_.l2_4k.bitmask_extra_cycles : 0);
+    if (long_access)
+        ++st_.l2_long_accesses;
+
+    if (l2.hit()) {
+        const tlb::TlbEntry &entry = *l2.entry;
+        if (isIfetch(type)) {
+            ++st_.l2_instr_hits;
+            if (l2.shared_hit)
+                ++st_.l2_instr_shared_hits;
+        } else {
+            ++st_.l2_data_hits;
+            if (l2.shared_hit)
+                ++st_.l2_data_shared_hits;
+        }
+        const bool cow_fault = is_write && entry.cow;
+        if (tracer_) {
+            std::uint8_t flags = hitFlags(type, l2);
+            if (long_access)
+                flags |= trace::flagLongL2;
+            if (cow_fault)
+                flags |= trace::flagCowFault;
+            tracer_->record(core_id_, trace::EventType::TlbL2Hit,
+                            now + out.cycles, req.ccid, req.pid, va,
+                            packed, flags);
+        }
+        if (cow_fault)
+            return {Attempt::Kind::CowFault, entry.size};
+        fillL1(entry, req, type);
+        resolve(out, entry, va);
+        return {};
+    }
+    if (isIfetch(type))
+        ++st_.l2_instr_misses;
+    else
+        ++st_.l2_data_misses;
+    if (tracer_) {
+        std::uint8_t flags = hitFlags(type, tlb::TlbLookup{});
+        if (long_access)
+            flags |= trace::flagLongL2;
+        tracer_->record(core_id_, trace::EventType::TlbMiss,
+                        now + out.cycles, req.ccid, req.pid, va, packed,
+                        flags);
+    }
+
+    // ---- Backend backfill probe (e.g. Victima's backing store): a
+    // last chance to recover the translation without walking; else the
+    // page walk.
+    tlb::TlbEntry fill;
+    Cycles probe_cycles = 0;
+    if (backfill(req, va, type, process_bit, src, now + out.cycles,
+                 probe_cycles, fill)) {
+        out.cycles += probe_cycles;
+    } else {
+        const tlb::WalkResult walk =
+            src.walk(req, va, type, now + out.cycles);
+        out.cycles += walk.cycles;
+        if (walk.status != tlb::WalkStatus::Ok) {
+            bf_assert(walk.status != tlb::WalkStatus::Protection,
+                      "protection fault on walk: va=", va,
+                      " pid=", req.pid);
+            return {Attempt::Kind::WalkFault, PageSize::Size4K};
+        }
+        fill = walk.fill;
+    }
+
+    st_.miss_latency.sample(out.cycles);
+    if (tracer_) {
+        // Recorded before the fills so replay sees the entry's
+        // attributes exactly as they go into the TLBs.
+        tracer_->record(
+            core_id_, trace::EventType::TlbFill, now + out.cycles,
+            req.ccid, req.pid, va,
+            trace::packFill(req.pcid, static_cast<unsigned>(fill.size),
+                            fill.owned, fill.orpc, fill.cow,
+                            fill.pc_bitmask),
+            fillFlags(type));
+    }
+    fillL2(fill, req, src);
+    fillL1(fill, req, type);
+    resolve(out, fill, va);
+    return {};
 }
 
 void
@@ -720,7 +522,6 @@ PipelineBackend::resetStats()
     for (auto &tlb : l2_)
         tlb->resetStats();
     pwc_->resetStats();
-    walker_->resetStats();
     resetExtraStats();
 }
 
@@ -746,10 +547,8 @@ PipelineBackend::restore(snap::ArchiveReader &ar)
         tlb->restore(ar);
     pwc_->restore(ar);
     restoreExtra(ar);
-    // Drop the processBit memo and the L0 front cache: both re-warm on
-    // first use and replay/answer with no stat side effects, so
-    // resuming cold here is invisible to stats.
-    pb_cache_.fill(PbCache{});
+    // Drop the L0 front cache: it re-warms on first use and replays
+    // with no stat side effects, so resuming cold is invisible to stats.
     ++l0_gen_;
     l0_.fill(L0Entry{});
 }

@@ -1,9 +1,10 @@
 /**
  * @file
- * The reference translation backend: L1 I/D TLBs, the unified L2 TLB,
- * the ASLR-HW transform between them, the page-walk cache and walker,
- * and the page-fault retry loop — the pre-interface core::Mmu pipeline,
- * extracted behind translate::Backend (DESIGN.md §16).
+ * The reference translation backend: L0 front cache, L1 I/D TLBs, the
+ * unified L2 TLB, the ASLR-HW transform between them and the page-walk
+ * cache — the pre-interface core::Mmu lookup pipeline, extracted behind
+ * translate::Backend (DESIGN.md §16). The walk itself comes from the
+ * caller's WalkSource.
  *
  * The competitor backends (Victima, Coalesced) subclass this and plug
  * into the protected hook points: the L2 lookup/fill paths, a backfill
@@ -22,9 +23,7 @@
 
 #include "common/trace/trace.hh"
 #include "core/params.hh"
-#include "mem/hierarchy.hh"
 #include "tlb/page_walk_cache.hh"
-#include "tlb/page_walker.hh"
 #include "tlb/tlb.hh"
 #include "translate/backend.hh"
 
@@ -36,15 +35,14 @@ class PipelineBackend : public Backend
 {
   public:
     PipelineBackend(unsigned core_id, const core::MmuParams &params,
-                    mem::CacheHierarchy &hierarchy, vm::Kernel &kernel,
                     TranslateStats &stats, stats::StatGroup &group);
 
     BackendKind kind() const override { return BackendKind::BabelFish; }
 
-    Translation translate(vm::Process &proc, Addr canonical_va,
-                          AccessType type, Cycles now) override;
+    Attempt attempt(const Requester &req, Addr va, AccessType type,
+                    Cycles now, WalkSource &src,
+                    Translation &out) override;
     void applyInvalidate(const vm::TlbInvalidate &inv) override;
-    void setEpochLog(core::EpochLog *log) override { epoch_log_ = log; }
     void setTracer(trace::Tracer *tracer) override;
     void setAttrib(attrib::Registry *registry,
                    attrib::CoreSink *sink) override
@@ -67,7 +65,6 @@ class PipelineBackend : public Backend
         return *l2_[sizeIndex(size)];
     }
     tlb::Pwc &pwc() override { return *pwc_; }
-    tlb::PageWalker &walker() override { return *walker_; }
 
   protected:
     /**
@@ -76,27 +73,26 @@ class PipelineBackend : public Backend
      * All default to the plain pipeline behavior.
      */
     /** Probe the L2 structures (Coalesced adds its range probe). */
-    virtual tlb::TlbLookup lookupL2(vm::Process &proc, Addr va,
-                                    AccessType type, PageSize &size_out,
-                                    int process_bit);
+    virtual tlb::TlbLookup lookupL2(const Requester &req, Addr va,
+                                    int process_bit, PageSize &size_out);
 
     /**
-     * Insert a walked/backfilled translation into the L2. @p now is the
-     * core cycle at fill time, for hooks that model memory traffic.
+     * Insert a walked/backfilled translation into the L2. @p src
+     * carries any memory traffic the fill models.
      */
-    virtual void fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
-                        Cycles now);
+    virtual void fillL2(const tlb::TlbEntry &entry, const Requester &req,
+                        WalkSource &src);
 
     /**
      * Last-chance probe after an L2 TLB miss, before the page walk
      * (Victima's backing-store lookup). On a hit, write the recovered
      * translation into @p out, add the probe latency to @p cycles and
-     * return true — translate() then fills the TLBs from @p out and
+     * return true — attempt() then fills the TLBs from @p out and
      * skips the walk. The default always misses.
      */
-    virtual bool backfill(vm::Process &proc, Addr va, AccessType type,
-                          int process_bit, Cycles now, Cycles &cycles,
-                          tlb::TlbEntry &out);
+    virtual bool backfill(const Requester &req, Addr va, AccessType type,
+                          int process_bit, WalkSource &src, Cycles now,
+                          Cycles &cycles, tlb::TlbEntry &out);
 
     /** Extend a shootdown into competitor structures. */
     virtual void invalidateExtra(const vm::TlbInvalidate &inv);
@@ -113,14 +109,14 @@ class PipelineBackend : public Backend
     /**
      * @{
      * @name Eviction attribution (common/attrib)
-     * Book "filler @p proc displaced @p evicted" edges; the victim is
+     * Book "requester @p req displaced @p evicted" edges; the victim is
      * resolved through the owner tag of the displaced entry. No-ops
      * without a sink. Subclasses with their own fill paths (Victima)
      * call these with the evicted entry their fill reports.
      */
-    void noteL1Evicted(const vm::Process &proc,
+    void noteL1Evicted(const Requester &req,
                        const tlb::TlbEntry &evicted);
-    void noteL2Evicted(const vm::Process &proc,
+    void noteL2Evicted(const Requester &req,
                        const tlb::TlbEntry &evicted);
     /** @} */
 
@@ -131,8 +127,6 @@ class PipelineBackend : public Backend
 
     unsigned core_id_;
     core::MmuParams params_;
-    mem::CacheHierarchy &hierarchy_;
-    vm::Kernel &kernel_;
     TranslateStats &st_;
     stats::StatGroup &group_;
 
@@ -140,41 +134,11 @@ class PipelineBackend : public Backend
     std::array<std::unique_ptr<tlb::Tlb>, numPageSizes> l1d_;
     std::array<std::unique_ptr<tlb::Tlb>, numPageSizes> l2_;
     std::unique_ptr<tlb::Pwc> pwc_;
-    std::unique_ptr<tlb::PageWalker> walker_;
-    core::EpochLog *epoch_log_ = nullptr;
     trace::Tracer *tracer_ = nullptr;
     attrib::Registry *areg_ = nullptr; //!< Victim-slot resolution.
     attrib::CoreSink *sink_ = nullptr; //!< Per-tenant counter sink.
 
   private:
-    /**
-     * Direct-mapped cache of Kernel::processBit answers keyed by
-     * {process, 1 GB region}. A thread's request loop strides across
-     * several regions (code, stack, dataset, buffers), so a single
-     * entry thrashes — a handful indexed by region ⊕ pid captures the
-     * whole working set and turns the per-translate region lookups
-     * into one compare. Correctness: the kernel bumps the group's
-     * mask_generation counter on every mutation that can change a
-     * processBit() answer; each entry stores the counter's address and
-     * the value observed at fill, so a bump — or a different process
-     * or region, including one from another CCID group — misses and
-     * re-queries. Pids are never reused, so a dead process' entry can
-     * never match a live one.
-     */
-    struct PbCache
-    {
-        const std::uint64_t *gen_ptr = nullptr;
-        std::uint64_t gen = 0;
-        Pid pid = 0;
-        Addr region = ~0ull;
-        int bit = -1;
-    };
-    static constexpr std::size_t kPbCacheSize = 16; //!< Power of two.
-    std::array<PbCache, kPbCacheSize> pb_cache_{};
-
-    /** Kernel::processBit through pb_cache_. */
-    int cachedProcessBit(const vm::Process &proc, Addr canonical_va);
-
     /**
      * L0 inline translation cache: a small direct-mapped front cache
      * over lookupL1 that short-circuits the common repeated hit. Each
@@ -194,6 +158,7 @@ class PipelineBackend : public Backend
      * shootdown applied to this backend. Only enabled when the L1 uses
      * the conventional (non-CCID-shared) lookup; the BabelFish L1
      * lookup's candidate semantics are left on the slow path.
+     * MmuParams::l0_cache turns it off (replay, the equivalence test).
      */
     struct L0Entry
     {
@@ -225,10 +190,10 @@ class PipelineBackend : public Backend
                    const tlb::TlbEntry *entry);
 
     /** Probe the right L1 structures; returns the lookup and size. */
-    tlb::TlbLookup lookupL1(vm::Process &proc, Addr va, AccessType type,
-                            PageSize &size_out, int process_bit);
+    tlb::TlbLookup lookupL1(const Requester &req, Addr va, AccessType type,
+                            int process_bit, PageSize &size_out);
 
-    void fillL1(const tlb::TlbEntry &entry, vm::Process &proc,
+    void fillL1(const tlb::TlbEntry &entry, const Requester &req,
                 AccessType type);
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Header-only functional models shared by the competitor backends and
- * the replay engine's backend models (DESIGN.md §16):
+ * Header-only functional models of the competitor backends (DESIGN.md
+ * §16):
  *
  *  - VictimStore: a direct-mapped store of L2-TLB evictions, the
  *    functional half of a Victima-style design (arxiv 2310.04158) that
@@ -9,9 +9,8 @@
  *  - RangeTlb + RunDetector: a CoLT-style coalesced range TLB (arxiv
  *    1908.08774) and the fill-time detector that feeds it.
  *
- * Both are pure containers: no statistics, no latency — owners bill
- * cycles and count events so full-sim and replay can share the exact
- * same eviction/coalescing decisions.
+ * Both are pure containers: no statistics, no latency — the owning
+ * backend bills cycles and counts events.
  */
 
 #ifndef BF_TRANSLATE_STRUCTURES_HH

@@ -5,10 +5,9 @@ namespace bf::translate
 
 VictimaBackend::VictimaBackend(unsigned core_id,
                                const core::MmuParams &params,
-                               mem::CacheHierarchy &hierarchy,
-                               vm::Kernel &kernel, TranslateStats &stats,
+                               TranslateStats &stats,
                                stats::StatGroup &group)
-    : PipelineBackend(core_id, params, hierarchy, kernel, stats, group),
+    : PipelineBackend(core_id, params, stats, group),
       vgroup_("victima", &group)
 {
     vgroup_.addStat("spills", &spills_);
@@ -16,32 +15,27 @@ VictimaBackend::VictimaBackend(unsigned core_id,
     vgroup_.addStat("store_hits", &store_hits_);
 }
 
-Addr
-VictimaBackend::storeAddr(std::size_t slot) const
+std::uint64_t
+VictimaBackend::storeLine(std::size_t slot) const
 {
-    // One cache line per slot, placed above the top of simulated DRAM
-    // so the metadata lines never alias real data. Per-core disjoint:
-    // parked translations live in the owning core's private cache and
-    // must not be probed away by another core's spills.
-    const Addr base = kernel_.params().mem_frames << 12;
-    const Addr core_base = static_cast<Addr>(core_id_) *
-                           kStoreEntries * 64;
-    return base + core_base + static_cast<Addr>(slot) * 64;
+    // One metadata line per slot. Per-core disjoint: parked
+    // translations live in the owning core's private cache and must not
+    // be probed away by another core's spills.
+    return static_cast<std::uint64_t>(core_id_) * kStoreEntries + slot;
 }
 
 void
-VictimaBackend::fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
-                       Cycles now)
+VictimaBackend::fillL2(const tlb::TlbEntry &entry, const Requester &req,
+                       WalkSource &src)
 {
-    (void)now;
     tlb::TlbEntry copy = entry;
-    copy.ccid = proc.ccid();
-    copy.pcid = proc.pcid();
-    copy.fill_pcid = proc.pcid();
+    copy.ccid = req.ccid;
+    copy.pcid = req.pcid;
+    copy.fill_pcid = req.pcid;
     tlb::TlbEntry evicted;
     if (l2_[sizeIndex(copy.size)]->fill(copy, params_.babelfish,
                                         &evicted)) {
-        noteL2Evicted(proc, evicted);
+        noteL2Evicted(req, evicted);
         const std::size_t slot = store_.insert(evicted);
         ++spills_;
         // The spill models data-array occupancy of the parked line in
@@ -52,24 +46,21 @@ VictimaBackend::fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
         // break the per-core append-order invariant; see core/epoch.cc).
         // If L2 later evicts the line, the backfill probe's billed read
         // naturally pays the L3/DRAM trip to fetch it back.
-        bool dirty = false;
-        hierarchy_.l2(core_id_).accessAndFill(storeAddr(slot),
-                                              /*is_write=*/true, dirty);
-        (void)dirty;
+        src.touchMetaLine(storeLine(slot));
     }
 }
 
 bool
-VictimaBackend::backfill(vm::Process &proc, Addr va, AccessType type,
-                         int process_bit, Cycles now, Cycles &cycles,
-                         tlb::TlbEntry &out)
+VictimaBackend::backfill(const Requester &req, Addr va, AccessType type,
+                         int process_bit, WalkSource &src, Cycles now,
+                         Cycles &cycles, tlb::TlbEntry &out)
 {
     ++probes_;
     for (PageSize size : {PageSize::Size4K, PageSize::Size2M,
                           PageSize::Size1G}) {
         std::size_t slot = 0;
         const tlb::TlbEntry *e = store_.probe(
-            va >> pageShift(size), size, proc.pcid(), proc.ccid(),
+            va >> pageShift(size), size, req.pcid, req.ccid,
             params_.babelfish, process_bit, &slot);
         if (!e)
             continue;
@@ -77,10 +68,7 @@ VictimaBackend::backfill(vm::Process &proc, Addr va, AccessType type,
         // through to the walk so the kernel privatizes the page.
         if (type == AccessType::Write && e->cow)
             return false;
-        const mem::MemAccessResult res = hierarchy_.access(
-            core_id_, storeAddr(slot), AccessType::Read, now,
-            /*start_at_l2=*/true);
-        cycles += res.latency;
+        cycles += src.readMetaLine(storeLine(slot), now);
         out = *e;
         out.lru = 0;
         store_.erase(slot); // migrate back into the TLBs

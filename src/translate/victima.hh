@@ -7,8 +7,8 @@
  * What is modeled:
  *  - Every valid entry evicted from the L2 TLB spills into a
  *    direct-mapped VictimStore. The spill issues a write access into
- *    the cache hierarchy at the slot's synthetic physical address
- *    (above the top of simulated DRAM frames), so spilled metadata
+ *    the cache hierarchy at the slot's metadata line (WalkSource; live,
+ *    above the top of simulated DRAM frames), so spilled metadata
  *    competes for L2/L3 cache capacity like Victima's TLB-block lines;
  *    the spill latency itself is off the translation's critical path
  *    and is not billed.
@@ -42,7 +42,6 @@ class VictimaBackend : public PipelineBackend
 {
   public:
     VictimaBackend(unsigned core_id, const core::MmuParams &params,
-                   mem::CacheHierarchy &hierarchy, vm::Kernel &kernel,
                    TranslateStats &stats, stats::StatGroup &group);
 
     BackendKind kind() const override { return BackendKind::Victima; }
@@ -54,11 +53,11 @@ class VictimaBackend : public PipelineBackend
     const VictimStore &store() const { return store_; }
 
   protected:
-    void fillL2(const tlb::TlbEntry &entry, vm::Process &proc,
-                Cycles now) override;
-    bool backfill(vm::Process &proc, Addr va, AccessType type,
-                  int process_bit, Cycles now, Cycles &cycles,
-                  tlb::TlbEntry &out) override;
+    void fillL2(const tlb::TlbEntry &entry, const Requester &req,
+                WalkSource &src) override;
+    bool backfill(const Requester &req, Addr va, AccessType type,
+                  int process_bit, WalkSource &src, Cycles now,
+                  Cycles &cycles, tlb::TlbEntry &out) override;
     void invalidateExtra(const vm::TlbInvalidate &inv) override;
     void flushExtra() override;
     void resetExtraStats() override;
@@ -66,8 +65,8 @@ class VictimaBackend : public PipelineBackend
     void restoreExtra(snap::ArchiveReader &ar) override;
 
   private:
-    /** Synthetic paddr of a store slot's cache line. */
-    Addr storeAddr(std::size_t slot) const;
+    /** WalkSource metadata line of a store slot. */
+    std::uint64_t storeLine(std::size_t slot) const;
 
     VictimStore store_{ kStoreEntries };
     stats::StatGroup vgroup_;

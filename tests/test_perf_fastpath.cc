@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -297,8 +296,8 @@ TEST(L0InlineCache, StatsEquivalentWithL0Disabled)
     // The architectural-identity pin: one scripted sequence covering
     // repeat hits, cross-process sharing, a CoW privatization (which
     // changes b's mask bit mid-stream) and an explicit shared-range
-    // shootdown, run with the L0 enabled and disabled (BF_NO_L0,
-    // sampled at Mmu construction). Every counter and every returned
+    // shootdown, run with the L0 enabled and disabled
+    // (MmuParams::l0_cache). Every counter and every returned
     // latency/paddr must match exactly.
     struct Probe
     {
@@ -313,11 +312,9 @@ TEST(L0InlineCache, StatsEquivalentWithL0Disabled)
         }
     };
     const auto run = [](bool no_l0) {
-        if (no_l0)
-            ::setenv("BF_NO_L0", "1", 1);
-        MmuFixture f;
-        if (no_l0)
-            ::unsetenv("BF_NO_L0");
+        core::SystemParams params = core::SystemParams::babelfish();
+        params.mmu.l0_cache = !no_l0;
+        MmuFixture f(params);
         std::uint64_t sig = 0;
         Cycles now = 0;
         const auto touch = [&](vm::Process &p, Addr va, AccessType ty) {

@@ -49,12 +49,24 @@ struct RefModel
 // Random fault sequences preserve per-process translation correctness.
 // ---------------------------------------------------------------------
 
+/**
+ * gtest prints a parameter it cannot format as its raw bytes, and those
+ * bytes become part of the test name. The padding after babelfish is
+ * spelled out and zeroed so that the names do not pick up whatever the
+ * stack held when the parameter list was built.
+ */
 struct SweepConfig
 {
+    SweepConfig(bool babelfish, unsigned processes, std::uint64_t seed)
+        : babelfish(babelfish), processes(processes), seed(seed)
+    {}
+
     bool babelfish;
+    std::uint8_t pad[3] = {};
     unsigned processes;
     std::uint64_t seed;
 };
+static_assert(sizeof(SweepConfig) == 16, "SweepConfig has implicit padding");
 
 class FaultSweep : public ::testing::TestWithParam<SweepConfig>
 {};

@@ -12,10 +12,12 @@
  *  - sweep sanity: growing the L2 TLB associativity at a fixed set
  *    count never increases misses on a fixed trace (LRU stack
  *    inclusion);
+ *  - competitor replay: a reference trace replays through the Victima
+ *    and coalesced backends' own live structures;
  *  - rejection: traces that cannot be replayed faithfully — truncated
  *    files, limit-clipped recordings, wrong format versions, event
- *    masks missing required kinds — fail with clear errors instead of
- *    producing silently wrong counters.
+ *    masks missing required kinds, Victima recordings — fail with
+ *    clear errors instead of producing silently wrong counters.
  */
 
 #include <gtest/gtest.h>
@@ -106,9 +108,12 @@ liveCounters(System &sys)
 std::vector<replay::Counters>
 runTracedMix(unsigned workers, const std::string &trace_path,
              std::uint32_t mask = trace::allEvents,
-             std::uint64_t limit = 0)
+             std::uint64_t limit = 0,
+             translate::BackendKind backend =
+                 translate::BackendKind::BabelFish)
 {
     SystemParams params = SystemParams::babelfish();
+    params.mmu.backend = backend;
     params.num_cores = 4;
     params.workers = workers;
     params.sync_chunk = 20000;
@@ -152,6 +157,18 @@ expectEqualCounters(const replay::Counters &live,
     EXPECT_EQ(live.pwc_misses, rep.pwc_misses);
     EXPECT_EQ(live.miss_latency_count, rep.miss_latency_count);
     EXPECT_EQ(live.miss_latency_sum, rep.miss_latency_sum);
+}
+
+/** Sum of every `"name":<value>` scalar in a stats JSON dump. */
+std::uint64_t
+sumStat(const std::string &json, const std::string &name)
+{
+    const std::string key = "\"" + name + "\":";
+    std::uint64_t sum = 0;
+    for (std::size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + key.size()))
+        sum += std::stoull(json.substr(at + key.size()));
+    return sum;
 }
 
 /** Replay a trace at its recording config (with optional overrides). */
@@ -291,9 +308,81 @@ TEST(Replay, LargerL2TlbIsMonotonicallyBetter)
     }
 }
 
+// Replay builds every core's backend with translate::createBackend, so
+// a reference trace replays through a competitor's own live structures:
+// its stats subgroup appears under each core's mmu group, and Victima's
+// backing store converts walks into store hits at a starved L2.
+TEST(Replay, CompetitorBackendsUseLiveStructures)
+{
+    const std::string path = tmpPath("replay-zoo.trace");
+    runTracedMix(1, path);
+    const auto atStarvedL2 = [&](translate::BackendKind backend) {
+        return replayTrace(path, [&](replay::ReplayParams &p) {
+            p.backend = backend;
+            for (tlb::TlbParams *tp : {&p.l2_4k, &p.l2_2m, &p.l2_1g}) {
+                tp->entries = 768;
+                tp->assoc = 6;
+            }
+        });
+    };
+    const auto reference = atStarvedL2(translate::BackendKind::BabelFish);
+
+    const auto victima = atStarvedL2(translate::BackendKind::Victima);
+    const std::string vjson = victima->statsJson();
+    EXPECT_NE(vjson.find("\"victima\""), std::string::npos);
+    for (const char *name : {"spills", "probes", "store_hits"})
+        EXPECT_NE(vjson.find(std::string("\"") + name + "\""),
+                  std::string::npos)
+            << name;
+    EXPECT_GT(sumStat(vjson, "store_hits"), 0u);
+    EXPECT_LT(victima->replayedTotal().walks,
+              reference->replayedTotal().walks);
+
+    const std::string cjson =
+        atStarvedL2(translate::BackendKind::Coalesced)->statsJson();
+    EXPECT_NE(cjson.find("\"coalesced\""), std::string::npos);
+    for (const char *name : {"range_hits", "range_installs"})
+        EXPECT_NE(cjson.find(std::string("\"") + name + "\""),
+                  std::string::npos)
+            << name;
+}
+
 // ---------------------------------------------------------------------
 // Rejection of unreplayable traces
 // ---------------------------------------------------------------------
+
+// A Victima recording refills from its backing store without a walk,
+// which replay cannot re-execute: both the schedule and the engine
+// reject its header up front, naming the backend.
+TEST(Replay, RejectsVictimaRecording)
+{
+    const std::string path = tmpPath("replay-victima.trace");
+    runTracedMix(1, path, trace::allEvents, 0,
+                 translate::BackendKind::Victima);
+    trace::TraceReader reader(path);
+    const trace::TraceHeader header = reader.header();
+    const auto expectRejected = [](const std::function<void()> &build) {
+        try {
+            build();
+            FAIL() << "victima recording accepted";
+        } catch (const replay::ReplayError &err) {
+            EXPECT_NE(std::string(err.what()).find("victima"),
+                      std::string::npos)
+                << err.what();
+        }
+    };
+    expectRejected([&] {
+        replay::ReplayEngine engine(replay::paramsFromTrace(header.config),
+                                    header);
+    });
+    expectRejected([&] {
+        std::vector<std::vector<trace::Record>> blocks;
+        std::vector<trace::Record> block;
+        while (reader.nextBlock(block))
+            blocks.push_back(std::move(block));
+        replay::ReplaySchedule schedule(header, std::move(blocks));
+    });
+}
 
 // A limit-clipped trace (records dropped by BF_TRACE_LIMIT) is rejected
 // at engine construction with a message naming the cause.
