@@ -63,7 +63,6 @@ fleetBringup(core::SystemParams params, const RunConfig &cfg)
 int
 main()
 {
-    bf::detail::setVerbose(false);
     const RunConfig cfg = RunConfig::fromEnv();
     const auto profile = workloads::AppProfile::mongodb();
     BenchReport report("ablations");

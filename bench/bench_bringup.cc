@@ -19,7 +19,6 @@ using namespace bfbench;
 int
 main()
 {
-    bf::detail::setVerbose(false);
     const RunConfig cfg = RunConfig::fromEnv();
     BenchReport report("bringup");
     reportConfig(report, cfg);

@@ -16,7 +16,6 @@ using namespace bfbench;
 int
 main()
 {
-    bf::detail::setVerbose(false);
     const RunConfig cfg = RunConfig::fromEnv();
     BenchReport report("fig10b_shared_hits");
     reportConfig(report, cfg);

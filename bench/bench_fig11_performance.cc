@@ -20,7 +20,6 @@ using namespace bfbench;
 int
 main()
 {
-    bf::detail::setVerbose(false);
     const RunConfig cfg = RunConfig::fromEnv();
     BenchReport report("fig11_performance");
     reportConfig(report, cfg);

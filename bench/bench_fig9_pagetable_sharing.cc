@@ -112,7 +112,6 @@ scanFunctions(const RunConfig &cfg)
 int
 main()
 {
-    bf::detail::setVerbose(false);
     const RunConfig cfg = RunConfig::fromEnv();
     BenchReport report("fig9_pagetable_sharing");
     reportConfig(report, cfg);

@@ -35,7 +35,6 @@ largerTlbParams()
 int
 main()
 {
-    bf::detail::setVerbose(false);
     const RunConfig cfg = RunConfig::fromEnv();
     const core::SystemParams larger = largerTlbParams();
     BenchReport report("larger_tlb");

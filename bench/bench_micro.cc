@@ -26,12 +26,6 @@ using namespace bf;
 namespace
 {
 
-/** Silence inform() chatter in benchmark output. */
-const bool quiet = [] {
-    bf::detail::setVerbose(false);
-    return true;
-}();
-
 constexpr Addr kVa = 0x7f00'0000'0000ull;
 
 std::unique_ptr<tlb::Tlb>
@@ -627,13 +621,13 @@ BENCHMARK(BM_ForkWarmProcess);
 int
 main(int argc, char **argv)
 {
+    bfbench::RunConfig cfg = bfbench::RunConfig::fromEnv();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
-    bfbench::RunConfig cfg = bfbench::RunConfig::fromEnv();
     cfg.num_cores = 1;
     cfg.warm_ms = std::min(cfg.warm_ms, 1.0);
     cfg.measure_ms = std::min(cfg.measure_ms, 2.0);

@@ -22,10 +22,6 @@
  * Output: the usual schema-v3 BENCH_replay_sweep.json with one run
  * entry per sweep point (the replayed stats tree) and headline metrics
  * points / sweep_seconds / speedup_vs_fullsim_x / validated_mismatches.
- *
- * Extra environment knobs (on top of bench/common.hh's):
- *   BF_REPLAY_TRACE=<file>  replay this trace instead of self-recording.
- *   BF_REPLAY_GRID=n        cap on sweep points (default 64).
  */
 
 #include "bench/common.hh"
@@ -128,22 +124,17 @@ secondsSince(std::chrono::steady_clock::time_point start)
 int
 main()
 {
-    bf::detail::setVerbose(false);
     RunConfig cfg = RunConfig::fromEnv();
     BenchReport report("replay_sweep");
     reportConfig(report, cfg);
 
-    unsigned grid_cap = 64;
-    if (const char *grid = std::getenv("BF_REPLAY_GRID"))
-        grid_cap = static_cast<unsigned>(std::atoi(grid));
+    const unsigned grid_cap = knob("BF_REPLAY_GRID", 64u);
 
     // 1. Obtain a trace (and, when self-recording, the full-sim cost
     //    of one point for the speedup metric).
-    std::string trace_path;
+    std::string trace_path = knob<std::string>("BF_REPLAY_TRACE", "");
     double full_sim_seconds = 0;
-    if (const char *input = std::getenv("BF_REPLAY_TRACE")) {
-        trace_path = input;
-    } else {
+    if (trace_path.empty()) {
         // Self-record: one traced full-sim run of the fig11 mongodb
         // point. Replay needs the cold-start fill history, so a warm-up
         // checkpoint restore must not skip the traced warm-up.

@@ -21,7 +21,6 @@ using namespace bfbench;
 int
 main()
 {
-    bf::detail::setVerbose(false);
     RunConfig cfg = RunConfig::fromEnv();
     cfg.num_cores = std::min(cfg.num_cores, 4u);
     BenchReport report("resources");

@@ -19,26 +19,16 @@
  * probe drains inside the weave — and lands in the JSON host rows as
  * the additive "phases" object (schema v3).
  *
- * Environment knobs (on top of bench/common.hh's):
- *   BF_REPEAT=n         time each workload n times, keep the fastest
- *                       (default 1; use 3+ for recorded numbers).
- *   BF_BASELINE=path    a prior BENCH_simspeed.json whose metrics
- *                       .sim_mips is the baseline for the speedup note;
- *                       its host rows are the per-workload baselines.
- *   BF_BASELINE_MIPS=x  numeric aggregate override (wins over
- *                       BF_BASELINE; carries no per-row baselines).
- *   BF_MIPS_GUARD=f     regression gate: exit 1 if the aggregate falls
- *                       below f x baseline (e.g. 0.85 = fail on a >15%
- *                       drop). No-op without a baseline.
- *   BF_MIPS_GUARD_ROW=f per-workload floor as a fraction of that row's
- *                       baseline sim_mips (default 0.80 whenever
- *                       BF_MIPS_GUARD is active and BF_BASELINE
- *                       supplied rows; 0 disables). Catches a workload
- *                       regressing behind an aggregate that other rows'
- *                       gains keep green.
- * Without a baseline the speedup note is omitted — there is no
- * hard-coded reference value, so numbers from different machines never
- * get compared silently.
+ * Its own knobs (rows of the bench/common.hh table): BF_REPEAT keeps
+ * the fastest of n timings per workload (use 3+ for recorded numbers).
+ * BF_BASELINE names a prior BENCH_simspeed.json: its metrics.sim_mips
+ * is the baseline for the speedup note and its host rows the
+ * per-workload baselines. With a baseline, BF_MIPS_GUARD=f exits 1 when
+ * the aggregate falls below f x baseline, and BF_MIPS_GUARD_ROW
+ * (default 0.80, 0 = off) holds each row to its own baseline, so one
+ * workload cannot regress behind other rows' gains. Without a baseline
+ * the speedup note is omitted — there is no hard-coded reference value,
+ * so numbers from different machines never get compared silently.
  *
  * The mix always runs serially (BF_JOBS is ignored): wall-clock timing
  * of concurrent cells would measure scheduler contention, not the
@@ -46,9 +36,9 @@
  * System and is exactly what this bench exists to measure.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -90,12 +80,13 @@ struct Baseline
  * zeros for unreadable files so the guards degrade to no-ops.
  */
 Baseline
-baselineFromFile(const char *path, const std::vector<std::string> &labels)
+baselineFromFile(const std::string &path,
+                 const std::vector<std::string> &labels)
 {
     Baseline base;
     std::ifstream in(path);
     if (!in) {
-        std::fprintf(stderr, "BF_BASELINE: cannot read %s\n", path);
+        std::fprintf(stderr, "BF_BASELINE: cannot read %s\n", path.c_str());
         return base;
     }
     std::stringstream buf;
@@ -104,10 +95,17 @@ baselineFromFile(const char *path, const std::vector<std::string> &labels)
     const std::string key = "\"sim_mips\":";
     const auto pos = text.find(key);
     if (pos == std::string::npos) {
-        std::fprintf(stderr, "BF_BASELINE: no sim_mips in %s\n", path);
+        std::fprintf(stderr, "BF_BASELINE: no sim_mips in %s\n",
+                     path.c_str());
         return base;
     }
-    base.aggregate_mips = std::atof(text.c_str() + pos + key.size());
+    // The report writes numbers right after the key, with no space.
+    const auto number = [&](std::size_t at, double value = 0) {
+        std::from_chars(text.data() + at + key.size(),
+                        text.data() + text.size(), value);
+        return value;
+    };
+    base.aggregate_mips = number(pos);
     for (const auto &label : labels) {
         const std::string row_key = "\"" + label + "\":{\"host_seconds\":";
         const auto row = text.find(row_key);
@@ -116,8 +114,7 @@ baselineFromFile(const char *path, const std::vector<std::string> &labels)
         const auto mips = text.find(key, row + row_key.size());
         if (mips == std::string::npos)
             continue;
-        base.row_mips.emplace_back(
-            label, std::atof(text.c_str() + mips + key.size()));
+        base.row_mips.emplace_back(label, number(mips));
     }
     return base;
 }
@@ -224,12 +221,9 @@ best(unsigned repeats, const std::function<SpeedSample()> &run)
 int
 main()
 {
-    bf::detail::setVerbose(false);
     const RunConfig cfg = RunConfig::fromEnv();
 
-    unsigned repeats = 1;
-    if (const char *r = std::getenv("BF_REPEAT"))
-        repeats = std::max(1, std::atoi(r));
+    const unsigned repeats = knob("BF_REPEAT", 1u);
 
     BenchReport report("simspeed");
     reportConfig(report, cfg);
@@ -264,12 +258,8 @@ main()
         labels.push_back(cell.label);
 
     Baseline base;
-    if (const char *b = std::getenv("BF_BASELINE"))
-        base = baselineFromFile(b, labels);
-    if (const char *b = std::getenv("BF_BASELINE_MIPS")) {
-        base.aggregate_mips = std::atof(b);
-        base.row_mips.clear(); // numeric override carries no rows
-    }
+    if (const auto path = knob<std::string>("BF_BASELINE", ""); !path.empty())
+        base = baselineFromFile(path, labels);
 
     std::printf("Simulation speed — host throughput of the Fig. 11 mix "
                 "(%u cores, best of %u)\n", cfg.num_cores, repeats);
@@ -325,10 +315,9 @@ main()
     // baseline row (default 0.80) — a single workload regressing badly
     // cannot hide behind other rows' gains. The report above is written
     // either way so the artifact shows the failing numbers.
-    if (const char *g = std::getenv("BF_MIPS_GUARD")) {
-        const double guard = std::atof(g);
+    if (const double guard = knob("BF_MIPS_GUARD", 0.0); guard > 0) {
         bool failed = false;
-        if (base.aggregate_mips > 0 && guard > 0 &&
+        if (base.aggregate_mips > 0 &&
             total.mips() < guard * base.aggregate_mips) {
             std::fprintf(stderr,
                          "FAIL: aggregate %.2f MIPS is below %.0f%% of "
@@ -336,10 +325,8 @@ main()
                          total.mips(), guard * 100, base.aggregate_mips);
             failed = true;
         }
-        double row_guard = 0.80;
-        if (const char *rg = std::getenv("BF_MIPS_GUARD_ROW"))
-            row_guard = std::atof(rg);
-        if (guard > 0 && row_guard > 0) {
+        const double row_guard = knob("BF_MIPS_GUARD_ROW", 0.80);
+        if (row_guard > 0) {
             for (const auto &[label, s] : rows) {
                 const double row_base = base.rowMips(label);
                 if (row_base <= 0)

@@ -23,7 +23,6 @@ using namespace bfbench;
 int
 main()
 {
-    bf::detail::setVerbose(false);
     const RunConfig cfg = RunConfig::fromEnv();
     BenchReport report("table2_attribution");
     reportConfig(report, cfg);

@@ -13,15 +13,14 @@
 #include <cstdio>
 
 #include "analysis/cacti_lite.hh"
-#include "bench/report.hh"
-#include "common/logging.hh"
+#include "bench/common.hh"
 
 using namespace bf::analysis;
 
 int
 main()
 {
-    bf::detail::setVerbose(false);
+    bfbench::RunConfig::fromEnv(); // checks the knobs, sets the log level
     CactiLite cacti;
     bfbench::BenchReport report("table3_cacti");
 

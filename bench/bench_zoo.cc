@@ -15,7 +15,8 @@
  *     on the non-sharing baseline their designs assume. One run entry
  *     per cell, labeled "fullsim.<backend>.<workload>".
  *  2. Trace-driven replay: a self-recorded reference mongodb trace is
- *     replayed under backend x L2-geometry points (3 x 3 by default),
+ *     replayed under backend x L2-geometry points (3 x 3 by default,
+ *     BF_ZOO_GRID caps the points),
  *     labeled "replay.<backend>.l2-<entries>" — the cheap outer sweep
  *     that answers how each design scales with TLB reach. The replay
  *     competitor models are functional approximations (see
@@ -24,16 +25,12 @@
  *
  * Output: schema-v3 BENCH_zoo.json with one run per grid cell and
  * headline metrics grid_backends / grid_workloads / replay_points.
- *
- * Extra environment knobs (on top of bench/common.hh's):
- *   BF_ZOO_GRID=n  cap on replay sweep points (default 9).
  */
 
 #include "bench/common.hh"
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -90,14 +87,11 @@ secondsSince(std::chrono::steady_clock::time_point start)
 int
 main()
 {
-    bf::detail::setVerbose(false);
     RunConfig cfg = RunConfig::fromEnv();
     BenchReport report("zoo");
     reportConfig(report, cfg);
 
-    unsigned replay_cap = 9;
-    if (const char *grid = std::getenv("BF_ZOO_GRID"))
-        replay_cap = static_cast<unsigned>(std::atoi(grid));
+    const unsigned replay_cap = knob("BF_ZOO_GRID", 9u);
     report.config("zoo_grid", replay_cap);
 
     // ---- Tier 1: full-simulation backend x workload grid.

@@ -8,71 +8,34 @@
  * per core for FaaS), runs the two-phase warm-up + measurement protocol
  * of §VI, and extracts the metrics the paper reports.
  *
- * Environment knobs:
- *   BF_FAST=1      quarter-length runs on 4 cores (CI smoke mode).
- *   BF_CORES=n     override the core count.
- *   BF_MEASURE_MS  override the measurement window.
- *   BF_JOBS=n      worker threads for independent configurations
- *                  (default: hardware concurrency; 1 = serial).
- *   BF_WORKERS=n   host threads INSIDE each System: bound phase, fault
- *                  resumes, per-peer probe drains (default 1; stats are
- *                  byte-identical at any value).
- *   BF_BATCH=n     references pulled per Thread::nextBatch call into
- *                  the cores' prefetch buffers (default 16; stats are
- *                  byte-identical at any value, 1 disables batching).
- *   BF_SYNC_CHUNK  lockstep sync-chunk length in cycles (default
- *                  20000; must be > 0).
- *   BF_SAMPLE_MS   time-series sampling period (default 1 ms of
- *                  simulated time; 0 disables sampling).
- *   BF_JSON=0      skip the BENCH_<name>.json report.
- *   BF_JSON_DIR    directory for the JSON report (default ".").
- *   BF_CKPT=dir    save a checkpoint of each co-located app run right
- *                  after warm-up into dir (one file per profile+config).
- *   BF_RESTORE=dir restore the matching warm-up checkpoint instead of
- *                  re-simulating warm-up; a missing/corrupt/mismatched
- *                  file falls back to a cold start with a warning.
- *   BF_CKPT_EVERY_MS  additionally re-save every N simulated ms during
- *                  the run (crash recovery for long runs).
- *   BF_TRACE=dir   record a translation-pipeline event trace of every
- *                  run into dir, one "<profile>-<hash>.trace" file per
- *                  configuration (inspect/convert with tools/bf_trace).
- *                  Trace bytes are identical at every BF_WORKERS.
- *   BF_TRACE_EVENTS  bit mask of traced event types (default: all;
- *                  see common/trace/trace.hh for the bit order).
- *   BF_TRACE_LIMIT   cap on records written per trace (0 = unlimited;
- *                  excess records are counted as dropped).
- *   BF_ATTRIB=0    disable per-container attribution (common/attrib,
- *                  DESIGN.md §17). Default on; the attrib.* stats
- *                  subtree and the per-run `tenants` report section
- *                  disappear when off.
- *   BF_TOP=path    publish the live per-tenant table into this file at
- *                  chunk barriers (watch with tools/bf_top). Host-side
- *                  observability only; note that parallel bench jobs
- *                  share the one file — last writer wins.
- *   BF_LOG=quiet|warn|info  log level (common/logging.hh). Takes
- *                  precedence over the benches' default quieting, so
- *                  `BF_LOG=quiet` also silences warnings and
- *                  `BF_LOG=info` restores inform() output.
- *
- * bench_replay_sweep additionally reads (see its file header):
- *   BF_REPLAY_TRACE=<file>  replay this trace instead of self-recording.
- *   BF_REPLAY_GRID=n        cap on sweep points (default 64).
+ * Environment knobs: every BF_* variable is one row of `knobs` below —
+ * its type, accepted range and doc line. RunConfig::fromEnv checks the
+ * whole environment at start-up: a malformed or out-of-range value, or
+ * a BF_* name the table does not list, exits 2 naming the knob. The
+ * same table drives the report `config` block (reportConfig) and the
+ * harness half of RunConfig::configHash.
  */
 
 #ifndef BF_BENCH_COMMON_HH
 #define BF_BENCH_COMMON_HH
 
-#include <algorithm>
+#include <unistd.h>
+
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "bench/report.hh"
+#include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/stats_export.hh"
 #include "core/system.hh"
@@ -105,144 +68,23 @@ struct RunConfig
     std::uint64_t trace_limit = 0;            //!< BF_TRACE_LIMIT cap.
     bool attrib = true;        //!< BF_ATTRIB: per-container attribution.
     std::string top_path;      //!< BF_TOP: live per-tenant table file.
-    /**
-     * BF_BACKEND: translation backend for every System the bench
-     * builds ("babelfish" | "victima" | "coalesced", DESIGN.md §16).
-     * Stamped by applyExecKnobs, so any bench can run head-to-head
-     * under a competitor design.
-     */
+    /** BF_BACKEND, stamped by applyExecKnobs into every System. */
     translate::BackendKind backend = translate::BackendKind::BabelFish;
 
-    static RunConfig
-    fromEnv()
-    {
-        RunConfig cfg;
-        if (const char *fast = std::getenv("BF_FAST");
-            fast && fast[0] == '1') {
-            cfg.num_cores = 4;
-            cfg.warm_ms = 6;
-            cfg.measure_ms = 12;
-        }
-        if (const char *cores = std::getenv("BF_CORES"))
-            cfg.num_cores = static_cast<unsigned>(std::atoi(cores));
-        if (const char *ms = std::getenv("BF_MEASURE_MS"))
-            cfg.measure_ms = std::atof(ms);
-        if (const char *ms = std::getenv("BF_SAMPLE_MS"))
-            cfg.sample_ms = std::atof(ms);
-        if (const char *jobs = std::getenv("BF_JOBS"))
-            cfg.jobs = static_cast<unsigned>(std::atoi(jobs));
-        if (const char *workers = std::getenv("BF_WORKERS"))
-            cfg.system_workers =
-                std::max(1, std::atoi(workers));
-        if (std::getenv("BF_WEAVE_WORKERS")) {
-            std::fprintf(stderr, "BF_WEAVE_WORKERS was removed (the weave "
-                                 "is no longer sharded); use BF_WORKERS\n");
-            std::exit(2);
-        }
-        if (const char *batch = std::getenv("BF_BATCH"))
-            cfg.batch = static_cast<unsigned>(
-                std::max(1, std::atoi(batch)));
-        if (const char *chunk = std::getenv("BF_SYNC_CHUNK")) {
-            const long long value = std::atoll(chunk);
-            if (value <= 0) {
-                std::fprintf(stderr,
-                             "BF_SYNC_CHUNK must be > 0 (got %s)\n",
-                             chunk);
-                std::exit(2);
-            }
-            cfg.sync_chunk = static_cast<Cycles>(value);
-        }
-        if (const char *dir = std::getenv("BF_CKPT"))
-            cfg.ckpt_dir = dir;
-        if (const char *dir = std::getenv("BF_RESTORE"))
-            cfg.restore_dir = dir;
-        if (const char *ms = std::getenv("BF_CKPT_EVERY_MS"))
-            cfg.ckpt_every_ms = std::atof(ms);
-        if (const char *dir = std::getenv("BF_TRACE"))
-            cfg.trace_dir = dir;
-        if (const char *mask = std::getenv("BF_TRACE_EVENTS"))
-            cfg.trace_events = static_cast<std::uint32_t>(
-                std::strtoul(mask, nullptr, 0));
-        if (const char *limit = std::getenv("BF_TRACE_LIMIT"))
-            cfg.trace_limit = std::strtoull(limit, nullptr, 0);
-        if (const char *attrib = std::getenv("BF_ATTRIB"))
-            cfg.attrib = !(attrib[0] == '0' && attrib[1] == '\0');
-        if (const char *top = std::getenv("BF_TOP"))
-            cfg.top_path = top;
-        if (const char *backend = std::getenv("BF_BACKEND")) {
-            if (!translate::parseBackend(backend, cfg.backend)) {
-                std::fprintf(stderr,
-                             "BF_BACKEND must be babelfish, victima or "
-                             "coalesced (got %s)\n",
-                             backend);
-                std::exit(2);
-            }
-        }
-        return cfg;
-    }
+    /**
+     * The defaults overridden by the BF_* knobs in the environment (see
+     * `knobs`; exits 2 on a bad one). BF_JOBS 0 resolves to all CPUs.
+     */
+    static RunConfig fromEnv();
 
     /**
-     * FNV-1a hash over every knob that shapes simulated state,
-     * including the TLB geometry (so configurations differing only in
-     * TLB sizes, like bench_larger_tlb's, get distinct tags).
-     * measure_ms, jobs and BF_WORKERS are deliberately excluded: the
-     * measurement window happens after a warm-up checkpoint, and the
-     * worker count cannot change simulated state (the bound/weave
-     * determinism guarantee) — so one tag serves every measurement
-     * length and host parallelism level, and trace files produced at
-     * different BF_WORKERS land on the same name for byte comparison.
+     * FNV-1a hash of every core::forEachParam field plus the `hashed`
+     * harness fields of `knobs`. The measurement window and host-only
+     * knobs are not in it: one warm-up tag serves every measurement
+     * length and BF_WORKERS, and traces recorded at different
+     * BF_WORKERS land on the same name for byte comparison.
      */
-    std::uint64_t
-    configHash(const core::SystemParams &params) const
-    {
-        std::uint64_t hash = 1469598103934665603ull; // FNV-1a offset
-        const auto mix = [&hash](std::uint64_t value) {
-            hash ^= value;
-            hash *= 1099511628211ull;
-        };
-        const auto mixDouble = [&mix](double value) {
-            std::uint64_t bits;
-            std::memcpy(&bits, &value, sizeof bits);
-            mix(bits);
-        };
-        mix(params.kernel.babelfish);
-        mix(static_cast<std::uint64_t>(params.kernel.max_share_level));
-        mix(params.kernel.thp);
-        mix(params.kernel.max_cow_writers);
-        mix(static_cast<std::uint64_t>(params.kernel.aslr));
-        mix(params.kernel.mem_frames);
-        mix(params.mmu.babelfish);
-        mix(params.mmu.force_long_l2);
-        mix(params.mmu.aslr_transform_cycles);
-        mix(static_cast<std::uint64_t>(params.mmu.backend));
-        const auto mixTlb = [&mix](const tlb::TlbParams &t) {
-            mix(t.entries);
-            mix(t.assoc);
-            mix(static_cast<std::uint64_t>(t.policy));
-        };
-        mixTlb(params.mmu.l1i_4k);
-        mixTlb(params.mmu.l1d_4k);
-        mixTlb(params.mmu.l1d_2m);
-        mixTlb(params.mmu.l1d_1g);
-        mixTlb(params.mmu.l2_4k);
-        mixTlb(params.mmu.l2_2m);
-        mixTlb(params.mmu.l2_1g);
-        mixDouble(params.core.base_cpi);
-        mix(params.core.quantum);
-        mix(params.core.context_switch_cycles);
-        mix(params.num_cores);
-        mix(params.sync_chunk);
-        // Attribution does not alter simulated state, but it shapes the
-        // checkpoint archive (manifest flag + attrib stats subtree), so
-        // BF_ATTRIB=0 runs must not restore a with-attrib checkpoint.
-        mix(params.attrib);
-        mix(params.seed);
-        mix(containers_per_core);
-        mixDouble(warm_ms);
-        mixDouble(sample_ms);
-        mix(seed);
-        return hash;
-    }
+    std::uint64_t configHash(const core::SystemParams &params) const;
 
     /** "<profile>-<16 hex of configHash>.<ext>" */
     std::string
@@ -314,6 +156,255 @@ struct RunConfig
     }
 };
 
+/** Value type of a BF_* knob. */
+enum class KnobType : std::uint8_t
+{
+    Count, //!< Unsigned integer, decimal or 0x hex; flags are [0, 1].
+    Real,  //!< Decimal number.
+    Text,  //!< A path, or one of the row's choices when it has them.
+};
+using enum KnobType;
+
+/** The RunConfig field a knob sets (none for the per-bench knobs). */
+using KnobTarget =
+    std::variant<std::monostate, bool RunConfig::*, unsigned RunConfig::*,
+                 std::uint64_t RunConfig::*, double RunConfig::*,
+                 std::string RunConfig::*,
+                 translate::BackendKind RunConfig::*>;
+
+/** One row of the knob table. */
+struct Knob
+{
+    const char *name = nullptr; //!< BF_* variable; null: no knob sets it.
+    KnobType type = Count;
+    double lo = 0, hi = 0;      //!< Accepted range (Count, Real).
+    KnobTarget target{};        //!< The RunConfig field fromEnv sets.
+    const char *report = nullptr; //!< Report `config` key, if reported.
+    const char *doc = "";
+    bool hashed = false; //!< A numeric field shaping the warmed state.
+    bool report_if_changed = false; //!< Report only off the default.
+    const char *choices = nullptr;  //!< Text: "a|b|c" when restricted.
+};
+
+/**
+ * Every BF_* environment knob, plus the harness fields no knob sets
+ * that the report or the config hash still need. Reported rows are in
+ * report order.
+ */
+inline const Knob knobs[] = {
+    { "BF_FAST", Count, 0, 1, {}, nullptr,
+      "1 = quarter-length runs on 4 cores (CI smoke mode)" },
+    { "BF_CORES", Count, 1, 1024, &RunConfig::num_cores, "num_cores",
+      "timing cores (8; 4 under BF_FAST)" },
+    { nullptr, Count, 0, 0, &RunConfig::containers_per_core,
+      "containers_per_core", "containers per core (§VI: 2)", /*hashed=*/true },
+    { nullptr, Real, 0, 0, &RunConfig::warm_ms, "warm_ms",
+      "warm-up in simulated ms (15; 6 under BF_FAST)", /*hashed=*/true },
+    { "BF_MEASURE_MS", Real, 1e-3, 1e6, &RunConfig::measure_ms,
+      "measure_ms", "measured ms after warm-up (35; 12 under BF_FAST)" },
+    { "BF_SAMPLE_MS", Real, 0, 1e6, &RunConfig::sample_ms, "sample_ms",
+      "time-series period in simulated ms (1; 0 = off)", /*hashed=*/true },
+    { "BF_JOBS", Count, 0, 1024, &RunConfig::jobs, "jobs",
+      "threads for independent configurations (0: all CPUs)" },
+    { "BF_WORKERS", Count, 1, 1024, &RunConfig::system_workers, "workers",
+      "host threads inside each System (1; stats identical)" },
+    { "BF_BATCH", Count, 1, 65536, &RunConfig::batch, "batch",
+      "references per Thread::nextBatch call (16; stats identical)" },
+    { "BF_SYNC_CHUNK", Count, 1, 1e12, &RunConfig::sync_chunk,
+      "sync_chunk", "lockstep sync-chunk length in cycles (20000)" },
+    { nullptr, Count, 0, 0, &RunConfig::seed, "seed",
+      "workload and ASLR seed (42)", /*hashed=*/true },
+    { "BF_CKPT", Text, 0, 0, &RunConfig::ckpt_dir, "ckpt_dir",
+      "save each app run's post-warm-up checkpoint into this dir" },
+    { "BF_RESTORE", Text, 0, 0, &RunConfig::restore_dir, "restore_dir",
+      "restore warm-up checkpoints from this dir (else cold start)" },
+    { "BF_CKPT_EVERY_MS", Real, 0, 1e6, &RunConfig::ckpt_every_ms,
+      "ckpt_every_ms", "also re-save every N simulated ms (0 = off)" },
+    { "BF_TRACE", Text, 0, 0, &RunConfig::trace_dir, "trace",
+      "write <profile>-<hash>.trace event traces into this dir" },
+    { "BF_TRACE_EVENTS", Count, 0, 0xffffffffu, &RunConfig::trace_events,
+      "trace_events", "traced event-type bit mask (all; common/trace)" },
+    { "BF_TRACE_LIMIT", Count, 0, 0x1p53, &RunConfig::trace_limit,
+      "trace_limit", "cap on records per trace (0 = unlimited)" },
+    { "BF_BACKEND", Text, 0, 0, &RunConfig::backend, "backend",
+      "translation backend (DESIGN.md §16)", /*hashed=*/false,
+      /*report_if_changed=*/true, "babelfish|victima|coalesced" },
+    { "BF_ATTRIB", Count, 0, 1, &RunConfig::attrib, "attrib",
+      "0 = no per-container attribution (DESIGN.md §17)",
+      /*hashed=*/false, /*report_if_changed=*/true },
+    { "BF_TOP", Text, 0, 0, &RunConfig::top_path, nullptr,
+      "publish the live per-tenant table into this file" },
+    { "BF_JSON", Count, 0, 1, {}, nullptr,
+      "0 = skip the BENCH_<name>.json report" },
+    { "BF_JSON_DIR", Text, 0, 0, {}, nullptr,
+      "directory for the JSON report (.)" },
+    { "BF_LOG", Text, 0, 0, {}, nullptr, "log level (warn)",
+      /*hashed=*/false, /*report_if_changed=*/false, "quiet|warn|info" },
+    { "BF_REPEAT", Count, 1, 1000, {}, nullptr,
+      "bench_simspeed: best of n timings per workload (1)" },
+    { "BF_BASELINE", Text, 0, 0, {}, nullptr,
+      "bench_simspeed: prior BENCH_simspeed.json to compare to" },
+    { "BF_MIPS_GUARD", Real, 0, 1, {}, nullptr,
+      "bench_simspeed: aggregate floor, fraction of baseline" },
+    { "BF_MIPS_GUARD_ROW", Real, 0, 1, {}, nullptr,
+      "bench_simspeed: per-row floor under BF_MIPS_GUARD (0.8)" },
+    { "BF_REPLAY_TRACE", Text, 0, 0, {}, nullptr,
+      "bench_replay_sweep: replay this trace, don't record one" },
+    { "BF_REPLAY_GRID", Count, 1, 1e6, {}, nullptr,
+      "bench_replay_sweep: cap on sweep points (64)" },
+    { "BF_ZOO_GRID", Count, 0, 1e6, {}, nullptr,
+      "bench_zoo: cap on replay-tier sweep points (9)" },
+};
+
+/** The row of knob @p name, or null when the table has none. */
+inline const Knob *
+findKnob(std::string_view name)
+{
+    for (const Knob &knob : knobs) {
+        if (knob.name && name == knob.name)
+            return &knob;
+    }
+    return nullptr;
+}
+
+/**
+ * The one table reader: when @p row's variable is set, parse it as the
+ * row's type into @p dst (a Text row's value, or a Count/Real row's
+ * number when T is arithmetic). A malformed or out-of-range value
+ * prints "<knob>=<value>: <why>" and exits 2.
+ */
+template <typename T>
+void
+readKnob(const Knob &row, T &dst)
+{
+    const char *text = std::getenv(row.name);
+    if (!text)
+        return;
+    const std::string value = text;
+    const auto fail = [&](const std::string &why) {
+        std::fprintf(stderr, "%s=%s: %s\n", row.name, text, why.c_str());
+        std::exit(2);
+    };
+    if (row.type == Text) {
+        if (row.choices && ("|" + std::string(row.choices) + "|")
+                                   .find("|" + value + "|") ==
+                               std::string::npos)
+            fail(std::string("not one of ") + row.choices);
+        if constexpr (std::is_same_v<T, std::string>)
+            dst = value;
+        else if constexpr (std::is_same_v<T, translate::BackendKind>)
+            translate::parseBackend(text, dst);
+        return;
+    }
+    const char *last = text + value.size();
+    const bool hex = value.starts_with("0x");
+    std::uint64_t bits = 0;
+    double number = 0;
+    const auto [end, ec] = hex ? std::from_chars(text + 2, last, bits, 16)
+                               : std::from_chars(text, last, number);
+    if (hex)
+        number = static_cast<double>(bits);
+    if (ec != std::errc() || end != last ||
+        (row.type == Count && number != std::floor(number)))
+        fail(row.type == Count ? "not an unsigned integer" : "not a number");
+    if (!(number >= row.lo && number <= row.hi)) {
+        char range[64];
+        std::snprintf(range, sizeof range, "outside [%g, %g]", row.lo,
+                      row.hi);
+        fail(range);
+    }
+    if constexpr (std::is_arithmetic_v<T>)
+        dst = static_cast<T>(number);
+}
+
+/** Knob @p name's value, or @p fallback when unset (exits 2 if bad). */
+template <typename T>
+T
+knob(std::string_view name, T fallback)
+{
+    const Knob *row = findKnob(name);
+    bf_assert(row, "no knob named ", name);
+    readKnob(*row, fallback);
+    return fallback;
+}
+
+/** Call f(&RunConfig::field) if @p knob has a target. */
+template <typename F>
+void
+visitTarget(const Knob &knob, F &&f)
+{
+    std::visit(
+        [&](auto field) {
+            if constexpr (!std::is_same_v<decltype(field), std::monostate>)
+                f(field);
+        },
+        knob.target);
+}
+
+inline RunConfig
+RunConfig::fromEnv()
+{
+    for (char **env = environ; *env; ++env) {
+        const std::string_view var(*env);
+        const std::string_view name = var.substr(0, var.find('='));
+        if (name.starts_with("BF_") && !findKnob(name)) {
+            std::fprintf(stderr, "unknown knob %.*s (see bench/common.hh)\n",
+                         static_cast<int>(name.size()), name.data());
+            std::exit(2);
+        }
+    }
+    const std::string level = knob<std::string>("BF_LOG", "warn");
+    bf::detail::setLogLevel(level == "quiet"  ? LogLevel::Quiet
+                            : level == "info" ? LogLevel::Info
+                                              : LogLevel::Warn);
+    RunConfig cfg;
+    if (knob("BF_FAST", false)) {
+        cfg.num_cores = 4;
+        cfg.warm_ms = 6;
+        cfg.measure_ms = 12;
+    }
+    for (const Knob &row : knobs) {
+        if (!row.name)
+            continue;
+        // Checks the per-bench knobs too: a bad value fails up front.
+        std::string text;
+        readKnob(row, text);
+        visitTarget(row, [&](auto field) { readKnob(row, cfg.*field); });
+    }
+    if (cfg.jobs == 0)
+        cfg.jobs = defaultWorkers();
+    return cfg;
+}
+
+inline std::uint64_t
+RunConfig::configHash(const core::SystemParams &params) const
+{
+    std::uint64_t hash = 1469598103934665603ull; // FNV-1a offset
+    const auto mix = [&hash](std::uint64_t value) {
+        hash ^= value;
+        hash *= 1099511628211ull;
+    };
+    core::forEachParam(params, [&](std::string_view, const auto &value) {
+        mix(core::paramBits(value));
+    });
+    for (const Knob &row : knobs) {
+        visitTarget(row, [&](auto field) {
+            const auto &value = this->*field;
+            if constexpr (std::is_arithmetic_v<
+                              std::remove_cvref_t<decltype(value)>>) {
+                if (row.hashed)
+                    mix(core::paramBits(value));
+            }
+        });
+    }
+    return hash;
+}
+
+inline BenchReport::BenchReport(std::string name)
+    : name_(std::move(name)), enabled_(knob("BF_JSON", true)),
+      dir_(knob<std::string>("BF_JSON_DIR", "."))
+{}
+
 /**
  * Run independent bench configurations on cfg.workers() threads.
  *
@@ -329,34 +420,31 @@ runJobs(const RunConfig &cfg, std::vector<std::function<void()>> jobs)
                 [&](std::size_t i) { jobs[i](); });
 }
 
-/** Stamp the harness configuration into a bench report. */
+/**
+ * Stamp the harness configuration into a bench report: every `knobs`
+ * row with a report key, in table order. Rows marked report_if_changed
+ * (backend, attrib) appear only off their default, so reference runs
+ * keep the pre-zoo, pre-attribution golden config block.
+ */
 inline void
 reportConfig(BenchReport &report, const RunConfig &cfg)
 {
-    report.config("num_cores", cfg.num_cores);
-    report.config("containers_per_core", cfg.containers_per_core);
-    report.config("warm_ms", cfg.warm_ms);
-    report.config("measure_ms", cfg.measure_ms);
-    report.config("sample_ms", cfg.sample_ms);
-    report.config("jobs", cfg.workers());
-    report.config("workers", cfg.system_workers);
-    report.config("batch", cfg.batch);
-    report.config("sync_chunk", static_cast<double>(cfg.sync_chunk));
-    report.config("seed", static_cast<double>(cfg.seed));
-    report.config("ckpt_dir", cfg.ckpt_dir);
-    report.config("restore_dir", cfg.restore_dir);
-    report.config("ckpt_every_ms", cfg.ckpt_every_ms);
-    report.config("trace", cfg.trace_dir);
-    report.config("trace_events", static_cast<double>(cfg.trace_events));
-    report.config("trace_limit", static_cast<double>(cfg.trace_limit));
-    // Only tag non-reference backends: the reference (default) output
-    // must stay byte-identical to pre-zoo golden files.
-    if (cfg.backend != translate::BackendKind::BabelFish)
-        report.config("backend",
-                      std::string(translate::backendName(cfg.backend)));
-    // Same idea for attribution: tagged only when disabled.
-    if (!cfg.attrib)
-        report.config("attrib", 0.0);
+    static const RunConfig defaults;
+    for (const Knob &row : knobs) {
+        visitTarget(row, [&](auto field) {
+            const auto &value = cfg.*field;
+            using T = std::remove_cvref_t<decltype(value)>;
+            if (!row.report ||
+                (row.report_if_changed && value == defaults.*field))
+                return;
+            if constexpr (std::is_same_v<T, std::string>)
+                report.config(row.report, value);
+            else if constexpr (std::is_same_v<T, translate::BackendKind>)
+                report.config(row.report, translate::backendName(value));
+            else
+                report.config(row.report, static_cast<double>(value));
+        });
+    }
 }
 
 /** Serialize a finished System's stats + time series + cap flag. */

@@ -34,7 +34,7 @@
  *                                "merge": <number>, "weave": <number> } },
  *       ...
  *     },
- *     "notes": { "<key>": <number|string>, ... }
+ *     "notes": { "<key>": <number>, ... }
  *   }
  *
  * Version 2 added the host-speed section ("host": wall-clock seconds and
@@ -49,15 +49,14 @@
  * stages of the chunk loop, from System::phaseTimes) is likewise an
  * additive v3 field — absent when the bench did not collect it.
  *
- * Environment knobs: BF_JSON=0 disables the file; BF_JSON_DIR=<dir>
- * redirects it (default: the current directory).
+ * BF_JSON=0 disables the file; BF_JSON_DIR=<dir> redirects it (default:
+ * the current directory).
  */
 
 #ifndef BF_BENCH_REPORT_HH
 #define BF_BENCH_REPORT_HH
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -83,13 +82,8 @@ struct RunArtifacts
 class BenchReport
 {
   public:
-    explicit BenchReport(std::string name) : name_(std::move(name))
-    {
-        if (const char *flag = std::getenv("BF_JSON"))
-            enabled_ = !(flag[0] == '0' && flag[1] == '\0');
-        if (const char *dir = std::getenv("BF_JSON_DIR"))
-            dir_ = dir;
-    }
+    /** Reads BF_JSON / BF_JSON_DIR (defined after the knob table). */
+    explicit BenchReport(std::string name);
 
     bool enabled() const { return enabled_; }
 
@@ -122,21 +116,12 @@ class BenchReport
     }
 
     /**
-     * Record a host-speed measurement: wall-clock seconds of simulation
-     * and the resulting simulated MIPS (instructions per host-second /
-     * 1e6). These fields describe the *simulator's* throughput, never
-     * the modeled machine, so they are exempt from golden-stats diffs.
-     */
-    void
-    host(const std::string &label, double host_seconds, double sim_mips)
-    {
-        host_.push_back({ label, host_seconds, sim_mips });
-    }
-
-    /**
-     * As host(), plus the per-phase breakdown of where those host
-     * seconds went (System::phaseTimes — bound / fault-service / merge
-     * / weave). Emits the optional "phases" object on the host row.
+     * Record a host-speed measurement: wall-clock seconds of simulation,
+     * the resulting simulated MIPS (instructions per host-second / 1e6)
+     * and the per-phase breakdown of where those seconds went
+     * (System::phaseTimes — bound / fault-service / merge / weave).
+     * These fields describe the *simulator's* throughput, never the
+     * modeled machine, so they are exempt from golden-stats diffs.
      */
     void
     hostPhases(const std::string &label, double host_seconds,
@@ -144,24 +129,15 @@ class BenchReport
                double weave)
     {
         host_.push_back(
-            { label, host_seconds, sim_mips, true, bound, fault, merge,
-              weave });
+            { label, host_seconds, sim_mips, bound, fault, merge, weave });
     }
 
-    /** @{ @name Free-form notes (e.g.\ baseline_mips, speedup). */
+    /** Record a free-form note (e.g.\ baseline_mips, speedup). */
     void
     note(const std::string &key, double value)
     {
         notes_.emplace_back(key, bf::stats::jsonNumber(value));
     }
-
-    void
-    note(const std::string &key, const std::string &value)
-    {
-        notes_.emplace_back(
-            key, "\"" + bf::stats::jsonEscape(value) + "\"");
-    }
-    /** @} */
 
     /** Record one run's full stats + time series under a label. */
     void
@@ -183,9 +159,6 @@ class BenchReport
     {
         series_.push_back({ name, x_label, y_label, points });
     }
-
-    /** Runs recorded so far that hit the runUntilFinished cycle cap. */
-    unsigned cappedRuns() const { return capped_runs_; }
 
     /**
      * Write the JSON file and surface truncated runs on stdout. Call
@@ -266,15 +239,11 @@ class BenchReport
             os << (first ? "" : ",") << '"'
                << bf::stats::jsonEscape(h.label) << "\":{\"host_seconds\":"
                << bf::stats::jsonNumber(h.host_seconds) << ",\"sim_mips\":"
-               << bf::stats::jsonNumber(h.sim_mips);
-            if (h.has_phases) {
-                os << ",\"phases\":{\"bound\":"
-                   << bf::stats::jsonNumber(h.bound) << ",\"fault\":"
-                   << bf::stats::jsonNumber(h.fault) << ",\"merge\":"
-                   << bf::stats::jsonNumber(h.merge) << ",\"weave\":"
-                   << bf::stats::jsonNumber(h.weave) << '}';
-            }
-            os << '}';
+               << bf::stats::jsonNumber(h.sim_mips)
+               << ",\"phases\":{\"bound\":" << bf::stats::jsonNumber(h.bound)
+               << ",\"fault\":" << bf::stats::jsonNumber(h.fault)
+               << ",\"merge\":" << bf::stats::jsonNumber(h.merge)
+               << ",\"weave\":" << bf::stats::jsonNumber(h.weave) << "}}";
             first = false;
         }
         os << "},\"notes\":{";
@@ -302,7 +271,6 @@ class BenchReport
         std::string label;
         double host_seconds = 0;
         double sim_mips = 0;
-        bool has_phases = false; //!< Emit the "phases" object.
         double bound = 0;
         double fault = 0;
         double merge = 0;
@@ -310,8 +278,8 @@ class BenchReport
     };
 
     std::string name_;
-    std::string dir_ = ".";
-    bool enabled_ = true;
+    bool enabled_;
+    std::string dir_;
     std::vector<std::pair<std::string, std::string>> config_;
     std::vector<std::pair<std::string, double>> metrics_;
     std::vector<std::pair<std::string, RunArtifacts>> runs_;

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace bf
 {
@@ -12,45 +11,8 @@ namespace detail
 namespace
 {
 
-/**
- * Process-wide log-level state. BF_LOG, parsed once on first use, pins
- * the level: the benches' blanket setVerbose(false) must not undo an
- * operator's explicit BF_LOG=info, and BF_LOG=quiet must silence benches
- * that never call setVerbose at all.
- */
-struct LogState
-{
-    LogLevel level = LogLevel::Info;
-    bool env_pinned = false;
-
-    LogState()
-    {
-        const char *env = std::getenv("BF_LOG");
-        if (!env)
-            return;
-        if (std::strcmp(env, "quiet") == 0) {
-            level = LogLevel::Quiet;
-        } else if (std::strcmp(env, "warn") == 0) {
-            level = LogLevel::Warn;
-        } else if (std::strcmp(env, "info") == 0) {
-            level = LogLevel::Info;
-        } else {
-            std::fprintf(stderr,
-                         "warn: BF_LOG=%s is not quiet|warn|info; "
-                         "ignored\n",
-                         env);
-            return;
-        }
-        env_pinned = true;
-    }
-};
-
-LogState &
-state()
-{
-    static LogState s;
-    return s;
-}
+/** Process-wide log level. */
+LogLevel current_level = LogLevel::Info;
 
 } // namespace
 
@@ -83,28 +45,25 @@ informImpl(const std::string &msg)
 void
 setVerbose(bool verbose)
 {
-    if (state().env_pinned)
-        return;
-    state().level = verbose ? LogLevel::Info : LogLevel::Warn;
+    current_level = verbose ? LogLevel::Info : LogLevel::Warn;
 }
 
 bool
 verbose()
 {
-    return state().level >= LogLevel::Info;
+    return current_level >= LogLevel::Info;
 }
 
 void
 setLogLevel(LogLevel level)
 {
-    state().level = level;
-    state().env_pinned = false;
+    current_level = level;
 }
 
 LogLevel
 logLevel()
 {
-    return state().level;
+    return current_level;
 }
 
 } // namespace detail

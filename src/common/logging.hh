@@ -7,11 +7,10 @@
  *
  * Output below panic/fatal is gated by a process-wide log level:
  * `quiet` silences warn() and inform(), `warn` keeps warnings only, and
- * `info` (the default) prints everything. The BF_LOG environment
- * variable (quiet|warn|info) pins the level and takes precedence over
- * the benches' programmatic setVerbose(false) default, so e.g.\
- * BF_JOBS-parallel bench runs can be silenced — or un-silenced — without
- * a rebuild.
+ * `info` (the default) prints everything. The benches default to
+ * `warn`; their BF_LOG knob (quiet|warn|info, bench/common.hh) sets the
+ * level, so e.g.\ BF_JOBS-parallel bench runs can be silenced — or
+ * un-silenced — without a rebuild.
  */
 
 #ifndef BF_COMMON_LOGGING_HH
@@ -58,19 +57,16 @@ void warnImpl(const std::string &msg);
 /** Print "info: ...". */
 void informImpl(const std::string &msg);
 
-/**
- * Globally enable/disable inform() output (benches quiet it). A BF_LOG
- * environment setting takes precedence over this legacy toggle.
- */
+/** Globally enable/disable inform() output (level info or warn). */
 void setVerbose(bool verbose);
 
 /** Current verbosity (true when inform() prints). */
 bool verbose();
 
-/** Force the log level, overriding BF_LOG and setVerbose. */
+/** Set the log level. */
 void setLogLevel(LogLevel level);
 
-/** Effective log level (BF_LOG is parsed on first use). */
+/** Effective log level. */
 LogLevel logLevel();
 
 } // namespace detail

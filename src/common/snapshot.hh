@@ -42,9 +42,10 @@ class SnapshotError : public std::runtime_error
 /**
  * Bumped whenever the serialized component layout changes.
  * History: 1 = initial layout; 2 = Distribution stats in the stat tree;
- * 3 = TLB replacement policy + RNG state in the TLB payload.
+ * 3 = TLB replacement policy + RNG state in the TLB payload; 4 = the
+ * manifest covers every core::forEachParam field.
  */
-inline constexpr std::uint32_t formatVersion = 3;
+inline constexpr std::uint32_t formatVersion = 4;
 
 /** CRC32 (IEEE 802.3, reflected) of a byte range. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t len);

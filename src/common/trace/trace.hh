@@ -204,8 +204,6 @@ packFault(std::uint64_t cycles, std::uint16_t pcid, unsigned stale_size,
            (std::uint64_t{declared_cow} << 50);
 }
 
-inline std::uint64_t faultCycles(std::uint64_t arg)
-{ return arg & 0xffffffffull; }
 inline std::uint16_t faultPcid(std::uint64_t arg)
 { return static_cast<std::uint16_t>(arg >> 32); }
 inline unsigned faultStaleSize(std::uint64_t arg)

@@ -6,8 +6,13 @@
 #ifndef BF_CORE_PARAMS_HH
 #define BF_CORE_PARAMS_HH
 
+#include <bit>
+#include <concepts>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
+#include "common/snapshot.hh"
 #include "common/types.hh"
 #include "mem/hierarchy.hh"
 #include "tlb/page_walk_cache.hh"
@@ -57,9 +62,9 @@ struct MmuParams
     /**
      * Host-side execution knob: the L0 inline translation cache in front
      * of the L1 TLBs (DESIGN.md §14). Stats are byte-identical either
-     * way, so like CoreParams::batch it is excluded from config hashes
-     * and checkpoint manifests. Off in replay (paramsFromTrace), the L0
-     * equivalence test and the bench_micro L0-disabled case.
+     * way, so like CoreParams::batch it is skipped by forEachParam. Off
+     * in replay (paramsFromTrace), the L0 equivalence test and the
+     * bench_micro L0-disabled case.
      */
     bool l0_cache = true;
 
@@ -88,8 +93,8 @@ struct CoreParams
      * references the core pulls per Thread::nextBatch call into its
      * per-thread prefetch buffer. Stats are byte-identical at every
      * value; 1 degenerates to one next() per reference. Benches
-     * override via BF_BATCH. Excluded from config hashes and
-     * checkpoint manifests for the same reason workers is.
+     * override via BF_BATCH. Skipped by forEachParam for the same
+     * reason workers is.
      */
     unsigned batch = 16;
 };
@@ -126,8 +131,8 @@ struct SystemParams
      * pipeline events into that file (benches wire BF_TRACE).
      * trace_events is the EventType bit mask (BF_TRACE_EVENTS) and
      * trace_limit caps the records written (BF_TRACE_LIMIT, 0 =
-     * unlimited). Tracing never changes stats or timing, so it is
-     * deliberately absent from the checkpoint manifest.
+     * unlimited). Tracing never changes stats or timing, so forEachParam
+     * skips it.
      */
     std::string trace_path;
     std::uint32_t trace_events = 0xffffffffu;
@@ -177,6 +182,133 @@ struct SystemParams
         return p;
     }
 };
+
+/**
+ * A parameter field as a 64-bit fingerprint: integers, enums and bools
+ * widened, doubles by bit pattern (so no value goes through decimal).
+ */
+template <typename T>
+std::uint64_t
+paramBits(T value)
+{
+    if constexpr (std::is_floating_point_v<T>)
+        return std::bit_cast<std::uint64_t>(static_cast<double>(value));
+    else
+        return static_cast<std::uint64_t>(value);
+}
+
+/**
+ * The one description of the configuration: visit(dotted_name, field)
+ * for every field that shapes simulated state, e.g.
+ * ("mmu.l2_4k.entries", p.mmu.l2_4k.entries), by reference (a non-const
+ * @p p lets the visitor edit it). The config hash and the checkpoint
+ * manifest derive from it. Host-only fields (workers, core.batch,
+ * mmu.l0_cache, trace_*) and structure names (stat labels) are skipped.
+ */
+template <typename P, typename Visit>
+    requires std::same_as<std::remove_const_t<P>, SystemParams>
+void
+forEachParam(P &p, Visit &&visit)
+{
+    const auto tlb = [&](const std::string &at, auto &t) {
+        visit(at + ".entries", t.entries);
+        visit(at + ".assoc", t.assoc);
+        visit(at + ".page_size", t.page_size);
+        visit(at + ".access_cycles", t.access_cycles);
+        visit(at + ".bitmask_extra_cycles", t.bitmask_extra_cycles);
+        visit(at + ".policy", t.policy);
+    };
+    const auto cache = [&](const std::string &at, auto &c) {
+        visit(at + ".size_bytes", c.size_bytes);
+        visit(at + ".assoc", c.assoc);
+        visit(at + ".line_bytes", c.line_bytes);
+        visit(at + ".access_cycles", c.access_cycles);
+        visit(at + ".mshrs", c.mshrs);
+    };
+    auto &k = p.kernel;
+    visit("kernel.babelfish", k.babelfish);
+    visit("kernel.max_share_level", k.max_share_level);
+    visit("kernel.thp", k.thp);
+    visit("kernel.max_cow_writers", k.max_cow_writers);
+    visit("kernel.aslr", k.aslr);
+    visit("kernel.mem_frames", k.mem_frames);
+    visit("kernel.minor_fault_cycles", k.minor_fault_cycles);
+    visit("kernel.major_fault_cycles", k.major_fault_cycles);
+    visit("kernel.cow_fault_cycles", k.cow_fault_cycles);
+    visit("kernel.shared_install_cycles", k.shared_install_cycles);
+    visit("kernel.fork_base_cycles", k.fork_base_cycles);
+    visit("kernel.fork_per_entry_cycles", k.fork_per_entry_cycles);
+    visit("kernel.fork_per_table_cycles", k.fork_per_table_cycles);
+    visit("kernel.shootdown_cycles", k.shootdown_cycles);
+
+    auto &m = p.mmu;
+    tlb("mmu.l1i_4k", m.l1i_4k);
+    tlb("mmu.l1d_4k", m.l1d_4k);
+    tlb("mmu.l1d_2m", m.l1d_2m);
+    tlb("mmu.l1d_1g", m.l1d_1g);
+    tlb("mmu.l2_4k", m.l2_4k);
+    tlb("mmu.l2_2m", m.l2_2m);
+    tlb("mmu.l2_1g", m.l2_1g);
+    visit("mmu.pwc.entries_per_level", m.pwc.entries_per_level);
+    visit("mmu.pwc.assoc", m.pwc.assoc);
+    visit("mmu.pwc.access_cycles", m.pwc.access_cycles);
+    visit("mmu.pwc.levels", m.pwc.levels);
+    visit("mmu.babelfish", m.babelfish);
+    visit("mmu.aslr", m.aslr);
+    visit("mmu.aslr_transform_cycles", m.aslr_transform_cycles);
+    visit("mmu.force_long_l2", m.force_long_l2);
+    visit("mmu.backend", m.backend);
+
+    visit("core.base_cpi", p.core.base_cpi);
+    visit("core.quantum", p.core.quantum);
+    visit("core.context_switch_cycles", p.core.context_switch_cycles);
+
+    auto &mem = p.mem;
+    cache("mem.l1i", mem.l1i);
+    cache("mem.l1d", mem.l1d);
+    cache("mem.l2", mem.l2);
+    cache("mem.l3", mem.l3);
+    visit("mem.dram.channels", mem.dram.channels);
+    visit("mem.dram.ranks_per_channel", mem.dram.ranks_per_channel);
+    visit("mem.dram.banks_per_rank", mem.dram.banks_per_rank);
+    visit("mem.dram.row_bytes", mem.dram.row_bytes);
+    visit("mem.dram.t_cas", mem.dram.t_cas);
+    visit("mem.dram.t_rcd", mem.dram.t_rcd);
+    visit("mem.dram.t_rp", mem.dram.t_rp);
+    visit("mem.dram.t_burst", mem.dram.t_burst);
+    visit("mem.dram.channel_latency", mem.dram.channel_latency);
+    visit("mem.model_coherence", mem.model_coherence);
+
+    visit("num_cores", p.num_cores);
+    visit("sync_chunk", p.sync_chunk);
+    visit("seed", p.seed);
+    // Attribution leaves simulated state alone, but it shapes the
+    // checkpoint (attrib stats subtree), so it is part of the config.
+    visit("attrib", p.attrib);
+}
+
+/** Write every forEachParam field into a checkpoint manifest. */
+inline void
+saveParams(snap::ArchiveWriter &ar, const SystemParams &p)
+{
+    forEachParam(p, [&ar](std::string_view, const auto &value) {
+        ar.u64(paramBits(value));
+    });
+}
+
+/**
+ * Check a manifest written by saveParams against @p p.
+ * @throws snap::SnapshotError naming the first field that differs.
+ */
+inline void
+checkParams(snap::ArchiveReader &ar, const SystemParams &p)
+{
+    forEachParam(p, [&ar](std::string_view name, const auto &value) {
+        if (ar.u64() != paramBits(value))
+            throw snap::SnapshotError("manifest mismatch: " +
+                                      std::string(name));
+    });
+}
 
 } // namespace bf::core
 

@@ -402,32 +402,11 @@ System::saveCheckpoint(const std::string &path) const
 {
     snap::ArchiveWriter ar;
 
-    // MANI: enough of the configuration and topology to recognize —
-    // before any state is mutated — that this archive belongs to a
-    // differently built world. Everything here is validated field by
-    // field in restoreCheckpoint().
+    // MANI: every state-shaping parameter (forEachParam) plus the
+    // topology, so restoreCheckpoint() recognizes — before any state is
+    // mutated — that this archive belongs to a differently built world.
     ar.beginSection("MANI");
-    ar.u32(params_.num_cores);
-    ar.u64(params_.sync_chunk);
-    ar.u64(params_.seed);
-    const vm::KernelParams &kp = params_.kernel;
-    ar.b(kp.babelfish);
-    ar.u32(static_cast<std::uint32_t>(kp.max_share_level));
-    ar.b(kp.thp);
-    ar.u32(kp.max_cow_writers);
-    ar.u8(static_cast<std::uint8_t>(kp.aslr));
-    ar.u64(kp.mem_frames);
-    const MmuParams &mp = params_.mmu;
-    ar.b(mp.babelfish);
-    ar.u8(static_cast<std::uint8_t>(mp.aslr));
-    ar.u64(mp.aslr_transform_cycles);
-    ar.b(mp.force_long_l2);
-    ar.u8(static_cast<std::uint8_t>(mp.backend));
-    ar.b(params_.attrib);
-    const CoreParams &cp = params_.core;
-    ar.f64(cp.base_cpi);
-    ar.u64(cp.quantum);
-    ar.u64(cp.context_switch_cycles);
+    saveParams(ar, params_);
     for (const auto &core : cores_)
         ar.u32(static_cast<std::uint32_t>(core->threads().size()));
     const auto procs = kernel_->processes();
@@ -497,37 +476,12 @@ System::restoreCheckpoint(const std::string &path)
     bool mutating = false;
     try {
         const auto ck = [](bool ok, const char *what) {
-            if (!ok) {
+            if (!ok)
                 throw snap::SnapshotError(
                     std::string("manifest mismatch: ") + what);
-            }
         };
         ar.enterSection("MANI");
-        ck(ar.u32() == params_.num_cores, "num_cores");
-        ck(ar.u64() == params_.sync_chunk, "sync_chunk");
-        ck(ar.u64() == params_.seed, "seed");
-        const vm::KernelParams &kp = params_.kernel;
-        ck(ar.b() == kp.babelfish, "kernel.babelfish");
-        ck(ar.u32() == static_cast<std::uint32_t>(kp.max_share_level),
-           "kernel.max_share_level");
-        ck(ar.b() == kp.thp, "kernel.thp");
-        ck(ar.u32() == kp.max_cow_writers, "kernel.max_cow_writers");
-        ck(ar.u8() == static_cast<std::uint8_t>(kp.aslr), "kernel.aslr");
-        ck(ar.u64() == kp.mem_frames, "kernel.mem_frames");
-        const MmuParams &mp = params_.mmu;
-        ck(ar.b() == mp.babelfish, "mmu.babelfish");
-        ck(ar.u8() == static_cast<std::uint8_t>(mp.aslr), "mmu.aslr");
-        ck(ar.u64() == mp.aslr_transform_cycles,
-           "mmu.aslr_transform_cycles");
-        ck(ar.b() == mp.force_long_l2, "mmu.force_long_l2");
-        ck(ar.u8() == static_cast<std::uint8_t>(mp.backend),
-           "mmu.backend");
-        ck(ar.b() == params_.attrib, "attrib");
-        const CoreParams &cp = params_.core;
-        ck(ar.f64() == cp.base_cpi, "core.base_cpi");
-        ck(ar.u64() == cp.quantum, "core.quantum");
-        ck(ar.u64() == cp.context_switch_cycles,
-           "core.context_switch_cycles");
+        checkParams(ar, params_);
         for (const auto &core : cores_) {
             ck(ar.u32() == core->threads().size(),
                "per-core thread count");

@@ -8,18 +8,6 @@
 namespace bf::mem
 {
 
-const char *
-memLevelName(MemLevel level)
-{
-    switch (level) {
-      case MemLevel::L1: return "L1";
-      case MemLevel::L2: return "L2";
-      case MemLevel::L3: return "L3";
-      case MemLevel::Memory: return "Memory";
-    }
-    return "?";
-}
-
 CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
                                unsigned num_cores,
                                stats::StatGroup *parent)

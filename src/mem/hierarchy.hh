@@ -33,9 +33,6 @@ enum class MemLevel : std::uint8_t
     Memory,
 };
 
-/** Name of a hierarchy level for reports. */
-const char *memLevelName(MemLevel level);
-
 /** Outcome of one cache-hierarchy access. */
 struct MemAccessResult
 {

@@ -55,19 +55,6 @@ class Pwc
     /** Drop everything. */
     void invalidateAll();
 
-    /**
-     * Return the structure to its post-construction state (all lines
-     * invalid, LRU clock zeroed). For standalone reuse (the replay
-     * engine); statistics are left untouched.
-     */
-    void
-    reset()
-    {
-        for (Line &line : lines_)
-            line = Line{};
-        lru_clock_ = 0;
-    }
-
     Cycles accessCycles() const { return params_.access_cycles; }
 
     const PwcParams &params() const { return params_; }

@@ -81,7 +81,6 @@ class FrameAllocator
         return allocated.value() - freed.value();
     }
 
-    std::uint64_t totalFrames() const { return total_frames_; }
 
     /** @{ @name Checkpointing (Kernel only; stats ride the stats tree) */
     Ppn nextFrame() const { return next_; }

@@ -60,17 +60,6 @@ class PageTablePage
         return entryPaddr(tableIndex(va, level_));
     }
 
-    /** Number of present entries (bookkeeping / tests). */
-    unsigned
-    presentCount() const
-    {
-        unsigned n = 0;
-        for (const auto &e : entries_)
-            if (e.present())
-                ++n;
-        return n;
-    }
-
     /**
      * @{
      * @name BabelFish sharing bookkeeping

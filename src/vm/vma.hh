@@ -72,18 +72,6 @@ struct Vma
         return (object_offset + (entryBase(va, leafLevel()) - start)) /
                pageBytes(page_size);
     }
-
-    /**
-     * Whether translations of this VMA can be identical across processes
-     * mapping the same object at the same VA: shared mappings always;
-     * private mappings only while clean (CoW preserves identity until a
-     * write, and read-only private mappings are never written).
-     */
-    bool
-    shareableBacking() const
-    {
-        return object != nullptr;
-    }
 };
 
 } // namespace bf::vm

@@ -267,7 +267,6 @@ class ComputeThread : public QueueThread
 
     /** Work units completed (normalized execution-time metric). */
     std::uint64_t unitsDone() const { return units_done_; }
-    Cycles lastUnitEnd() const { return last_unit_end_; }
     void resetMeasurement() { units_done_ = 0; }
 
   private:

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -444,7 +445,8 @@ httpdProfile()
 
 /** The bench shape, shrunk: 4 cores x 2 httpd containers, sampling on. */
 World
-makeWorld(unsigned workers, bool babelfish = true, std::uint64_t seed = 31)
+makeWorld(unsigned workers, bool babelfish = true, std::uint64_t seed = 31,
+          const std::function<void(core::SystemParams &)> &tweak = {})
 {
     core::SystemParams params = babelfish
                                     ? core::SystemParams::babelfish()
@@ -454,6 +456,8 @@ makeWorld(unsigned workers, bool babelfish = true, std::uint64_t seed = 31)
     params.sync_chunk = 20000;
     params.kernel.mem_frames = 1 << 22;
     params.core.quantum = msToCycles(0.25);
+    if (tweak)
+        tweak(params);
 
     World w;
     w.sys = std::make_unique<core::System>(params);
@@ -624,6 +628,25 @@ TEST(SystemSnapshot, RejectionFallsBackToColdStart)
     spit(path, good);
     World base = makeWorld(1, /*babelfish=*/false);
     EXPECT_FALSE(base.sys->restoreCheckpoint(path));
+
+    // Worlds differing in one geometry, latency or cost field: each is
+    // caught by the manifest before any mutation (the structures' own
+    // geometry echoes would otherwise throw mid-restore, and the costs
+    // and latencies are checked nowhere else).
+    const std::vector<std::function<void(core::SystemParams &)>> tweaks = {
+        [](auto &p) { p.mmu.l2_4k.entries = 768; },
+        [](auto &p) { p.mem.l2.size_bytes *= 2; },
+        [](auto &p) { p.mmu.pwc.entries_per_level = 32; },
+        [](auto &p) { p.kernel.minor_fault_cycles += 100; },
+        [](auto &p) { p.mem.model_coherence = false; },
+        [](auto &p) { p.mmu.l2_4k.access_cycles += 1; },
+    };
+    for (const auto &tweak : tweaks) {
+        World other = makeWorld(1, true, 31, tweak);
+        EXPECT_FALSE(other.sys->restoreCheckpoint(path));
+        other.sys->run(msToCycles(0.5)); // still a working cold world
+        EXPECT_GT(other.sys->totalInstructions(), 0u);
+    }
 
     // The rejected worlds are untouched: a cold run proceeds and matches
     // a never-offered-a-checkpoint run.
