@@ -23,8 +23,10 @@
  * the fastest of n timings per workload (use 3+ for recorded numbers).
  * BF_BASELINE names a prior BENCH_simspeed.json: its metrics.sim_mips
  * is the baseline for the speedup note and its host rows the
- * per-workload baselines. With a baseline, BF_MIPS_GUARD=f exits 1 when
- * the aggregate falls below f x baseline, and BF_MIPS_GUARD_ROW
+ * per-workload baselines; an unreadable file, or one without sim_mips,
+ * exits 2 before anything runs. BF_MIPS_GUARD=f requires a baseline
+ * (exit 2 without one) and exits 1 when the aggregate falls below
+ * f x baseline, and BF_MIPS_GUARD_ROW
  * (default 0.80, 0 = off) holds each row to its own baseline, so one
  * workload cannot regress behind other rows' gains. Without a baseline
  * the speedup note is omitted — there is no hard-coded reference value,
@@ -76,29 +78,29 @@ struct Baseline
 /**
  * Parse BF_BASELINE. The aggregate is the first "sim_mips" in the file
  * (the metrics section precedes the host rows in the schema); a host
- * row's value follows its '"<label>":{"host_seconds":' opener. Returns
- * zeros for unreadable files so the guards degrade to no-ops.
+ * row's value follows its '"<label>":{"host_seconds":' opener. A file
+ * that cannot be read or has no positive sim_mips exits 2: a named
+ * baseline that silently reads as zero would disarm the guards.
  */
 Baseline
 baselineFromFile(const std::string &path,
                  const std::vector<std::string> &labels)
 {
+    const auto fail = [&](const char *why) {
+        std::fprintf(stderr, "BF_BASELINE=%s: %s\n", path.c_str(), why);
+        std::exit(2);
+    };
     Baseline base;
     std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "BF_BASELINE: cannot read %s\n", path.c_str());
-        return base;
-    }
+    if (!in)
+        fail("cannot read the file");
     std::stringstream buf;
     buf << in.rdbuf();
     const std::string text = buf.str();
     const std::string key = "\"sim_mips\":";
     const auto pos = text.find(key);
-    if (pos == std::string::npos) {
-        std::fprintf(stderr, "BF_BASELINE: no sim_mips in %s\n",
-                     path.c_str());
-        return base;
-    }
+    if (pos == std::string::npos)
+        fail("no sim_mips in the file");
     // The report writes numbers right after the key, with no space.
     const auto number = [&](std::size_t at, double value = 0) {
         std::from_chars(text.data() + at + key.size(),
@@ -106,6 +108,8 @@ baselineFromFile(const std::string &path,
         return value;
     };
     base.aggregate_mips = number(pos);
+    if (!(base.aggregate_mips > 0))
+        fail("sim_mips is not a positive number");
     for (const auto &label : labels) {
         const std::string row_key = "\"" + label + "\":{\"host_seconds\":";
         const auto row = text.find(row_key);
@@ -260,6 +264,12 @@ main()
     Baseline base;
     if (const auto path = knob<std::string>("BF_BASELINE", ""); !path.empty())
         base = baselineFromFile(path, labels);
+    const double guard = knob("BF_MIPS_GUARD", 0.0);
+    if (guard > 0 && base.aggregate_mips == 0) {
+        std::fprintf(stderr, "BF_MIPS_GUARD=%g: needs a baseline "
+                             "(set BF_BASELINE)\n", guard);
+        return 2;
+    }
 
     std::printf("Simulation speed — host throughput of the Fig. 11 mix "
                 "(%u cores, best of %u)\n", cfg.num_cores, repeats);
@@ -315,10 +325,9 @@ main()
     // baseline row (default 0.80) — a single workload regressing badly
     // cannot hide behind other rows' gains. The report above is written
     // either way so the artifact shows the failing numbers.
-    if (const double guard = knob("BF_MIPS_GUARD", 0.0); guard > 0) {
+    if (guard > 0) {
         bool failed = false;
-        if (base.aggregate_mips > 0 &&
-            total.mips() < guard * base.aggregate_mips) {
+        if (total.mips() < guard * base.aggregate_mips) {
             std::fprintf(stderr,
                          "FAIL: aggregate %.2f MIPS is below %.0f%% of "
                          "the %.2f MIPS baseline\n",

@@ -69,16 +69,6 @@ mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
     out.flags.reserve(total);
     out.slot.reserve(total);
 
-    // Single-run fast path: one core issued every event this chunk
-    // (FaaS groups run on one core), so its log already is the
-    // canonical order.
-    if (live == 1) {
-        const EpochLog &log = *heads[0].log;
-        for (std::size_t i = 0; i < log.size(); ++i)
-            emitEvent(log, i, heads[0].core, out);
-        return;
-    }
-
     // k-way ladder: repeatedly emit the (ts, core)-minimal head. Heads
     // are kept in core order, so the strict `<` scan resolves timestamp
     // ties toward the lower core id, and a head's events leave in
@@ -112,8 +102,6 @@ mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
 }
 
 BoundPool::BoundPool(unsigned extra_workers)
-    : stripe_count_(extra_workers + 1),
-      cursors_(std::make_unique<BlockCursor[]>(stripe_count_))
 {
     threads_.reserve(extra_workers);
     for (unsigned i = 0; i < extra_workers; ++i)
@@ -129,19 +117,13 @@ BoundPool::~BoundPool()
 }
 
 void
-BoundPool::drainBlock(unsigned block, const std::function<void(unsigned)> &fn)
+BoundPool::runStripe(unsigned stripe) const
 {
-    const unsigned end =
-        block + 1 == stripe_count_ ? n_ : blockBegin(block + 1);
-    std::atomic<unsigned> &cursor = cursors_[block].next;
-    // Cheap pre-check keeps steal sweeps from bumping exhausted
-    // cursors; the fetch_add below is the authoritative unique claim.
-    while (cursor.load(std::memory_order_relaxed) < end) {
-        const unsigned i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= end)
-            break;
-        fn(i);
-    }
+    const std::uint64_t n = n_, stripes = threads_.size() + 1;
+    const auto begin = static_cast<unsigned>(n * stripe / stripes);
+    const auto end = static_cast<unsigned>(n * (stripe + 1) / stripes);
+    for (unsigned i = begin; i < end; ++i)
+        (*job_)(i);
 }
 
 void
@@ -155,10 +137,7 @@ BoundPool::workerLoop(unsigned stripe)
         if (stop_.load(std::memory_order_acquire))
             return;
         seen = generation_.load(std::memory_order_acquire);
-        const auto &fn = *job_;
-        // Own block first, then steal from the others round-robin.
-        for (unsigned b = 0; b < stripe_count_; ++b)
-            drainBlock((stripe + b) % stripe_count_, fn);
+        runStripe(stripe);
         // Last touch of round state: after this the worker only reads
         // generation_, so the caller may safely set up the next round.
         done_.fetch_add(1, std::memory_order_release);
@@ -175,13 +154,9 @@ BoundPool::run(unsigned n, const std::function<void(unsigned)> &fn)
     }
     job_ = &fn;
     n_ = n;
-    for (unsigned s = 0; s < stripe_count_; ++s)
-        cursors_[s].next.store(blockBegin(s), std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
     generation_.fetch_add(1, std::memory_order_release);
-    // The caller is stripe 0: drain its block, then steal.
-    for (unsigned b = 0; b < stripe_count_; ++b)
-        drainBlock(b, fn);
+    runStripe(0);
     const unsigned workers = static_cast<unsigned>(threads_.size());
     spinUntil([&] {
         return done_.load(std::memory_order_acquire) == workers;

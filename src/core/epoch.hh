@@ -219,27 +219,24 @@ void mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
 
 /**
  * Persistent worker pool for the chunk's parallel rounds (bound phase,
- * fault resumes, weave + probe drain), with work stealing.
+ * fault resumes, weave + probe drain).
  *
  * A chunked simulation crosses the fork/join point tens of thousands of
  * times per second, so the pool keeps its threads alive and uses
  * spin-then-yield waits on atomics rather than re-spawning (a condvar
  * handoff costs microseconds per round).
  *
- * Work distribution: the n items of a round are split into one
- * contiguous block per active stripe (worker threads plus the caller),
- * each with an atomic claim cursor. A stripe drains its own block
- * first, then sweeps the other blocks and steals whatever is still
- * unclaimed — so a stripe whose cores idle at the sync barrier (short
- * bound phases, uneven run queues) helps finish the stragglers' cores
- * instead of spinning. Round items are fully independent and each is
- * claimed exactly once (the cursor fetch_add is the claim), so which
- * host thread runs an item cannot affect simulated state — the
- * determinism argument is unchanged from static striping.
+ * Work distribution: static striping. With S stripes (worker threads
+ * plus the caller, which is stripe 0), stripe s runs the contiguous
+ * block [n*s/S, n*(s+1)/S) in index order. Round items are fully
+ * independent and each belongs to exactly one stripe, so which host
+ * thread runs an item cannot affect simulated state. Work stealing
+ * measured within noise of this on the 8-core cells (EXPERIMENTS.md),
+ * so the pool keeps the simpler design.
  *
- * Round isolation: workers signal done_ only after their final claim,
- * and run() returns only once every worker has signaled, so no claim
- * can leak into the next round's cursor reset.
+ * Round isolation: workers signal done_ only after their last item,
+ * and run() returns only once every worker has signaled, so no worker
+ * can still be reading a round's job when the next one is set up.
  */
 class BoundPool
 {
@@ -259,29 +256,12 @@ class BoundPool
     void run(unsigned n, const std::function<void(unsigned)> &fn);
 
   private:
-    /** One claim cursor per stripe block, padded against false sharing. */
-    struct alignas(64) BlockCursor
-    {
-        std::atomic<unsigned> next{0};
-    };
-
     void workerLoop(unsigned stripe);
 
-    /** Claim-and-run loop over one block; returns when it is exhausted. */
-    void drainBlock(unsigned block,
-                    const std::function<void(unsigned)> &fn);
-
-    /** First item of a stripe's block (blocks are contiguous). */
-    unsigned
-    blockBegin(unsigned stripe) const
-    {
-        return static_cast<unsigned>(
-            (static_cast<std::uint64_t>(n_) * stripe) / stripe_count_);
-    }
+    /** Run stripe @p stripe's block of the current round. */
+    void runStripe(unsigned stripe) const;
 
     std::vector<std::thread> threads_;
-    const unsigned stripe_count_; //!< threads_.size() + 1 (the caller).
-    std::unique_ptr<BlockCursor[]> cursors_; //!< One per stripe.
     std::atomic<std::uint64_t> generation_{0};
     std::atomic<unsigned> done_{0}; //!< Workers finished this round.
     std::atomic<bool> stop_{false};

@@ -142,10 +142,7 @@ System::runChunk(Cycles barrier)
     // order, then resume the suspended cores through the pool; they may
     // fault again, so iterate until every core reaches the barrier. No
     // core is executing during service, so the kernel may mutate page
-    // tables and broadcast shootdowns freely. Faults of one round are a
-    // service batch: the kernel may memoize VMA/table lookups across
-    // them (vm/kernel.hh), which same-region fault storms amortize.
-    kernel_->beginFaultBatch();
+    // tables and broadcast shootdowns freely.
     for (;;) {
         pending_faults_.clear();
         for (unsigned c = 0; c < numCores(); ++c) {
@@ -173,7 +170,7 @@ System::runChunk(Cycles barrier)
 
         // Resume the unblocked cores in one pool round: like the bound
         // phase, each touches only its own private state (the kernel
-        // stays read-only until the next service batch), so running
+        // stays read-only until the next service round), so running
         // them concurrently is state-identical to running them one by
         // one. The round's join is the barrier before the next service.
         pool_->run(static_cast<unsigned>(pending_faults_.size()),
@@ -181,7 +178,6 @@ System::runChunk(Cycles barrier)
                        cores_[pending_faults_[k].core]->runUntil(barrier);
                    });
     }
-    kernel_->endFaultBatch();
     const auto t_weave = hostclock::now();
     phase_times_.fault_seconds += elapsed(t_fault, t_weave);
 

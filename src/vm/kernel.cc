@@ -44,7 +44,6 @@ Kernel::~Kernel() = default;
 PageTablePage *
 Kernel::allocateTable(int level)
 {
-    noteMutation();
     const Ppn frame = allocator_.allocate();
     auto table = table_pool_.make(level, frame);
     PageTablePage *raw = table.get();
@@ -56,7 +55,6 @@ Kernel::allocateTable(int level)
 void
 Kernel::freeTable(PageTablePage *table)
 {
-    noteMutation();
     ++tables_freed;
     const Ppn frame = table->frame();
     allocator_.free(frame);
@@ -183,7 +181,6 @@ Kernel::mmapObject(Process &proc, MappedObject *object, Addr canonical_va,
     vma.object_offset = object_offset;
     object->addMapper();
     proc.addVma(vma); // may reallocate the VMA list
-    noteMutation();
 }
 
 void
@@ -206,7 +203,6 @@ Kernel::mmapAnon(Process &proc, Addr canonical_va, std::uint64_t bytes,
         vma.page_size = PageSize::Size2M;
     object->addMapper();
     proc.addVma(vma); // may reallocate the VMA list
-    noteMutation();
 }
 
 int
@@ -660,19 +656,7 @@ Kernel::handleFault(Process &proc, Addr canonical_va, AccessType type)
     // Any shootdown this fault triggers (CoW privatization, mask-region
     // revert, raced-fill flush) is billed to the faulting container.
     noteAttribCauser(proc);
-    // Batched service (beginFaultBatch): same-region fault storms skip
-    // the linear VMA scan and the root-to-leaf table walk when the memo
-    // epoch proves nothing structural changed since the last fault.
-    Vma *vma;
-    if (fault_batch_active_ && vma_memo_.epoch == mutation_epoch_ &&
-        vma_memo_.pid == proc.pid() &&
-        vma_memo_.vma->contains(canonical_va)) {
-        vma = vma_memo_.vma;
-    } else {
-        vma = proc.findVma(canonical_va);
-        if (fault_batch_active_ && vma)
-            vma_memo_ = {proc.pid(), vma, mutation_epoch_};
-    }
+    Vma *vma = proc.findVma(canonical_va);
     if (!vma)
         return {FaultKind::Protection, 0};
     if (type == AccessType::Write && !vma->writable)
@@ -681,20 +665,7 @@ Kernel::handleFault(Process &proc, Addr canonical_va, AccessType type)
         return {FaultKind::Protection, 0};
 
     const int leaf_level = vma->leafLevel();
-    PageTablePage *leaf_table;
-    if (fault_batch_active_ && table_memo_.epoch == mutation_epoch_ &&
-        table_memo_.pid == proc.pid() &&
-        table_memo_.level == leaf_level &&
-        table_memo_.region_base ==
-            entryBase(canonical_va, leaf_level + 1)) {
-        leaf_table = table_memo_.table;
-    } else {
-        leaf_table = tableAt(proc, canonical_va, leaf_level);
-        if (fault_batch_active_ && leaf_table)
-            table_memo_ = {proc.pid(),
-                           entryBase(canonical_va, leaf_level + 1),
-                           leaf_level, leaf_table, mutation_epoch_};
-    }
+    PageTablePage *leaf_table = tableAt(proc, canonical_va, leaf_level);
 
     // Fill a leaf entry, keeping group-shared tables clean: a write
     // first-touch of a private-writable page in a shared table fills the
@@ -767,9 +738,7 @@ Kernel::handleFault(Process &proc, Addr canonical_va, AccessType type)
         auto it = group.shared_tables.find(key);
         if (it != group.shared_tables.end() &&
             it->second.signature == sig && !it->second.fork_only) {
-            // Attach to the existing shared table. No table is
-            // allocated or freed, yet the walkable tree changed shape.
-            noteMutation();
+            // Attach to the existing shared table.
             PageTablePage *shared = it->second.table;
             upper_entry.setFrame(shared->frame());
             upper_entry.set(bits::present);
@@ -1071,7 +1040,6 @@ Kernel::munmap(Process &proc, Addr start)
     }
     vma->object->removeMapper();
     proc.removeVma(start);
-    noteMutation();
 
     // Flush the process' cached translations (coarse, like a full-VMA
     // shootdown with an invpcid).
@@ -1095,7 +1063,6 @@ Kernel::exitProcess(Process &proc)
     proc.markDead();
     std::erase(group.members, proc.pid());
     processes_.erase(proc.pid());
-    noteMutation();
     // Pids are never reused, so stale {pid, region} cache entries can
     // never match a future process — the bump is belt and braces.
     ++group.mask_generation;
@@ -1411,7 +1378,6 @@ Kernel::save(snap::ArchiveWriter &ar) const
 void
 Kernel::restore(snap::ArchiveReader &ar)
 {
-    noteMutation(); // everything the fault memos point at is replaced
     ckptCheck(ar.b() == params_.babelfish, "babelfish flag");
     ckptCheck(ar.u32() ==
                   static_cast<std::uint32_t>(params_.max_share_level),

@@ -225,23 +225,6 @@ class Kernel
      */
     FaultOutcome serviceFault(const DeferredFault &fault);
 
-    /**
-     * @{
-     * @name Fault-service batching
-     * A chunk's deferred faults form one service batch: between
-     * beginFaultBatch() and endFaultBatch() the kernel may memoize the
-     * VMA and leaf-table lookups at the top of handleFault, which
-     * same-region fault storms (a thread touching a fresh mapping page
-     * by page) amortize to O(1). Exactly behavior-preserving: memos are
-     * keyed by a mutation epoch that every structural change (table
-     * alloc/free, mmap/munmap, fork/exit, shared-table attach, restore)
-     * bumps, so a memo is only ever consulted when a fresh walk would
-     * return the identical result. Nested batches are not supported.
-     */
-    void beginFaultBatch() { fault_batch_active_ = true; }
-    void endFaultBatch() { fault_batch_active_ = false; }
-    /** @} */
-
     /** Table object for a physical frame (used by the page walker). */
     PageTablePage *tableByFrame(Ppn frame);
 
@@ -445,36 +428,6 @@ class Kernel
         attrib_causer_slot_ = proc.attribSlot();
         attrib_causer_ccid_ = proc.ccid();
     }
-    /** @} */
-
-    /**
-     * @{
-     * @name Fault-batch memos (beginFaultBatch)
-     * Consulted only while a batch is active and only when their epoch
-     * matches mutation_epoch_, which every structural mutation bumps —
-     * so a matching memo is provably what the fresh lookup would
-     * return. Both start with epoch 0 (never matches: the counter
-     * starts at 1) and survive across batches, staying valid exactly
-     * as long as nothing mutated.
-     */
-    bool fault_batch_active_ = false;
-    std::uint64_t mutation_epoch_ = 1;
-    struct
-    {
-        Pid pid = 0;
-        Vma *vma = nullptr;
-        std::uint64_t epoch = 0;
-    } vma_memo_;
-    struct
-    {
-        Pid pid = 0;
-        Addr region_base = 0;
-        int level = -1;
-        PageTablePage *table = nullptr;
-        std::uint64_t epoch = 0;
-    } table_memo_;
-    /** Structural mutation: any cached fault-path lookup may be stale. */
-    void noteMutation() { ++mutation_epoch_; }
     /** @} */
 
     /** Allocate a fresh table page at a level. */

@@ -14,11 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/stats_export.hh"
+#include "core/epoch.hh"
 #include "core/system.hh"
 #include "workloads/apps.hh"
 
@@ -146,12 +148,12 @@ TEST(ParallelSystem, WorkersByteIdentical)
     EXPECT_EQ(w1.stats_json, w4.stats_json);
 }
 
-// Work stealing: a deliberately skewed placement — most containers
-// piled onto core 0, the rest nearly idle — makes the static split
-// maximally unbalanced, so idle stripes steal from core 0's block on
-// every chunk. Which host thread simulates a core must not matter:
-// the stats tree stays byte-identical at every worker count.
-TEST(ParallelSystem, UnevenLoadStealingByteIdentical)
+// A deliberately skewed placement — most containers piled onto core
+// 0, the rest nearly idle — makes the static stripes maximally
+// unbalanced: the stripe holding core 0 finishes long after the others.
+// Which host thread simulates a core must not matter: the stats tree
+// stays byte-identical at every worker count.
+TEST(ParallelSystem, UnevenLoadByteIdentical)
 {
     const auto run = [](unsigned workers) {
         SystemParams params = SystemParams::babelfish();
@@ -259,4 +261,39 @@ TEST(ParallelSystem, MultiFaultRoundsByteIdentical)
     const std::string w1 = run(1);
     EXPECT_EQ(w1, run(2));
     EXPECT_EQ(w1, run(4));
+}
+
+// BoundPool::run calls every index of [0, n) exactly once, whatever
+// the stripe count — rounds smaller than the pool included — and
+// across 1000 back-to-back rounds on one pool, so an item leaking into
+// the next round (run twice, or run with the wrong round's job) shows
+// up as a miscount.
+TEST(BoundPool, RunsEveryIndexExactlyOnce)
+{
+    const unsigned sizes[] = {0, 1, 2, 3, 4, 5, 9, 17};
+    constexpr unsigned kMaxN = 17;
+    for (const unsigned extra_workers : {0u, 1u, 3u}) {
+        BoundPool pool(extra_workers);
+        std::vector<std::atomic<unsigned>> calls(kMaxN);
+        std::atomic<unsigned> out_of_range{0};
+        for (unsigned round = 0; round < 1000; ++round) {
+            const unsigned n = sizes[round % std::size(sizes)];
+            for (auto &c : calls)
+                c.store(0, std::memory_order_relaxed);
+            pool.run(n, [&](unsigned i) {
+                if (i < n)
+                    calls[i].fetch_add(1, std::memory_order_relaxed);
+                else
+                    out_of_range.fetch_add(1, std::memory_order_relaxed);
+            });
+            for (unsigned i = 0; i < kMaxN; ++i) {
+                ASSERT_EQ(calls[i].load(std::memory_order_relaxed),
+                          i < n ? 1u : 0u)
+                    << "workers " << extra_workers << ", round " << round
+                    << ", n " << n << ", index " << i;
+            }
+            ASSERT_EQ(out_of_range.load(std::memory_order_relaxed), 0u)
+                << "workers " << extra_workers << ", round " << round;
+        }
+    }
 }

@@ -316,18 +316,26 @@ TEST(WeaveMerge, ExactlyFullPooledLog)
     expectStreamsEqual(ladder, reference);
 }
 
-// Single-core fast path: one active log must stream through unchanged.
-TEST(WeaveMerge, SingleLogFastPath)
+// One live log among several (the FaaS shape: a 1-core group issues
+// every event of the chunk) streams through unchanged, stamped with its
+// own core id, not its position among the live logs.
+TEST(WeaveMerge, SingleLiveLog)
 {
     std::vector<std::unique_ptr<core::EpochLog>> logs;
-    logs.push_back(std::make_unique<core::EpochLog>());
+    for (unsigned c = 0; c < kCores; ++c)
+        logs.push_back(std::make_unique<core::EpochLog>());
     for (std::size_t i = 0; i < 100; ++i)
-        logs[0]->appendAccess(10 + i, i * 64, AccessType::Read, false);
+        logs[3]->appendAccess(10 + i / 2, i * 64,
+                              (i % 3) ? AccessType::Read
+                                      : AccessType::Write,
+                              false);
     core::WeaveStream ladder, reference;
     core::mergeEpochLogs(logs, ladder);
     referenceMerge(logs, reference);
     expectStreamsEqual(ladder, reference);
     EXPECT_EQ(ladder.accesses(), 100u);
+    for (const std::uint8_t core : ladder.core)
+        EXPECT_EQ(core, 3u);
 }
 
 // The bound path logs every write into the issuing core's write lane —
