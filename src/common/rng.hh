@@ -83,21 +83,14 @@ class Rng
         return uniform() < p;
     }
 
-    /** @{ @name Checkpointing: copy the 256-bit state in/out. */
-    void
-    getState(std::uint64_t out[4]) const
+    /** Checkpoint layout (common/snapshot.hh): the 256-bit state. */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        for (int i = 0; i < 4; ++i)
-            out[i] = state_[i];
+        for (auto &word : self.state_)
+            ar.u64(word);
     }
-
-    void
-    setState(const std::uint64_t in[4])
-    {
-        for (int i = 0; i < 4; ++i)
-            state_[i] = in[i];
-    }
-    /** @} */
 
   private:
     static std::uint64_t

@@ -53,21 +53,9 @@ crc32(const std::uint8_t *data, std::size_t len)
 }
 
 void
-ArchiveWriter::u16(std::uint16_t v)
+ArchiveWriter::put(std::uint64_t v, unsigned bytes)
 {
-    putLe(buf_, v, 2);
-}
-
-void
-ArchiveWriter::u32(std::uint32_t v)
-{
-    putLe(buf_, v, 4);
-}
-
-void
-ArchiveWriter::u64(std::uint64_t v)
-{
-    putLe(buf_, v, 8);
+    putLe(buf_, v, bytes);
 }
 
 void
@@ -82,7 +70,7 @@ ArchiveWriter::f64(double v)
 void
 ArchiveWriter::str(std::string_view s)
 {
-    u32(static_cast<std::uint32_t>(s.size()));
+    u32(s.size());
     buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
@@ -191,53 +179,40 @@ ArchiveReader::fromFile(const std::string &path)
     return ArchiveReader(std::move(payload));
 }
 
-void
-ArchiveReader::need(std::size_t n) const
+std::size_t
+ArchiveReader::left() const
 {
     const std::size_t limit =
         section_ends_.empty() ? payload_.size() : section_ends_.back();
-    if (pos_ + n > limit)
+    return limit - pos_;
+}
+
+void
+ArchiveReader::need(std::size_t n) const
+{
+    if (n > left())
         throw SnapshotError("checkpoint read past end of data/section");
 }
 
-std::uint8_t
-ArchiveReader::u8()
+std::uint64_t
+ArchiveReader::bounded(std::uint64_t count) const
 {
-    need(1);
-    return payload_[pos_++];
-}
-
-std::uint16_t
-ArchiveReader::u16()
-{
-    need(2);
-    std::uint16_t v = 0;
-    for (unsigned i = 0; i < 2; ++i)
-        v = static_cast<std::uint16_t>(
-            v | static_cast<std::uint16_t>(payload_[pos_ + i]) << (8 * i));
-    pos_ += 2;
-    return v;
-}
-
-std::uint32_t
-ArchiveReader::u32()
-{
-    need(4);
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(payload_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return v;
+    if (count > left()) {
+        throw SnapshotError("checkpoint count " + std::to_string(count) +
+                            " exceeds the " + std::to_string(left()) +
+                            " bytes left in its section");
+    }
+    return count;
 }
 
 std::uint64_t
-ArchiveReader::u64()
+ArchiveReader::get(unsigned bytes)
 {
-    need(8);
+    need(bytes);
     std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i)
+    for (unsigned i = 0; i < bytes; ++i)
         v |= static_cast<std::uint64_t>(payload_[pos_ + i]) << (8 * i);
-    pos_ += 8;
+    pos_ += bytes;
     return v;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/snapshot.hh"
@@ -176,121 +177,53 @@ StatGroup::accept(StatVisitor &visitor) const
     visitor.endGroup(*this);
 }
 
-void
-StatGroup::saveStats(snap::ArchiveWriter &ar) const
-{
-    ar.str(name_);
-    ar.u32(static_cast<std::uint32_t>(scalars_.size()));
-    for (const auto &[name, stat] : scalars_) {
-        ar.str(name);
-        ar.u64(stat->value());
-    }
-    ar.u32(static_cast<std::uint32_t>(averages_.size()));
-    for (const auto &[name, stat] : averages_) {
-        ar.str(name);
-        ar.f64(stat->sum());
-        ar.u64(stat->count());
-    }
-    ar.u32(static_cast<std::uint32_t>(latencies_.size()));
-    for (const auto &[name, stat] : latencies_) {
-        ar.str(name);
-        const auto &samples = stat->rawSamples();
-        ar.u64(samples.size());
-        for (double s : samples)
-            ar.f64(s);
-    }
-    ar.u32(static_cast<std::uint32_t>(distributions_.size()));
-    for (const auto &[name, stat] : distributions_) {
-        ar.str(name);
-        const auto &buckets = stat->buckets();
-        ar.u32(static_cast<std::uint32_t>(buckets.size()));
-        for (std::uint64_t b : buckets)
-            ar.u64(b);
-        ar.u64(stat->count());
-        ar.u64(stat->sum());
-        ar.u64(stat->max());
-    }
-    ar.u32(static_cast<std::uint32_t>(children_.size()));
-    for (const auto *child : children_)
-        child->saveStats(ar);
-}
-
-namespace
-{
-
 // Restore walks the same canonical order save used; any divergence in
 // group or stat name means the rebuilt world's stat tree does not match
 // the checkpointed one, which restore must refuse to paper over.
+template <class Ar, class Self>
 void
-verifyName(const char *what, const StatGroup &group,
-           const std::string &expected, const std::string &found)
+StatGroup::io(Ar &ar, Self &self)
 {
-    if (expected != found) {
-        throw snap::SnapshotError(
-            std::string("checkpoint stat tree mismatch at ") +
-            group.path() + ": expected " + what + " '" + expected +
-            "', found '" + found + "'");
-    }
+    // The registered pointers are const because normal clients only
+    // read; the stats live in the owning components, and restore is the
+    // one sanctioned writer through this registry.
+    const auto stat = [](const auto *ptr) -> auto & {
+        using T = std::remove_const_t<std::remove_pointer_t<decltype(ptr)>>;
+        using Like = std::conditional_t<std::is_const_v<Self>, const T, T>;
+        return const_cast<Like &>(*ptr);
+    };
+    const std::string at =
+        "checkpoint stat tree mismatch at " + self.path() + ": ";
+    const auto each = [&](const auto &stats, const char *kind) {
+        ar.expect(static_cast<std::uint32_t>(stats.size()),
+                  at + kind + " count");
+        for (const auto &[name, ptr] : stats) {
+            ar.expect(name, at + kind + " '" + name + "'");
+            std::remove_cvref_t<decltype(*ptr)>::io(ar, stat(ptr));
+        }
+    };
+
+    ar.expect(self.name_, at + "group name");
+    each(self.scalars_, "scalar");
+    each(self.averages_, "average");
+    each(self.latencies_, "latency");
+    each(self.distributions_, "distribution");
+    ar.expect(static_cast<std::uint32_t>(self.children_.size()),
+              at + "child group count");
+    for (StatGroup *child : self.children_)
+        io(ar, static_cast<Self &>(*child));
 }
 
 void
-verifyCount(const char *what, const StatGroup &group, std::size_t expected,
-            std::size_t found)
+StatGroup::saveStats(snap::ArchiveWriter &ar) const
 {
-    if (expected != found) {
-        throw snap::SnapshotError(
-            std::string("checkpoint stat tree mismatch at ") +
-            group.path() + ": " + what + " count " +
-            std::to_string(expected) + " != " + std::to_string(found));
-    }
+    io(ar, *this);
 }
-
-} // namespace
 
 void
 StatGroup::restoreStats(snap::ArchiveReader &ar)
 {
-    verifyName("group", *this, ar.str(), name_);
-
-    // The registered pointers are const because normal clients only
-    // read; the stats live in the owning components, and restore is the
-    // one sanctioned writer through this registry.
-    verifyCount("scalar", *this, ar.u32(), scalars_.size());
-    for (const auto &[name, stat] : scalars_) {
-        verifyName("scalar", *this, ar.str(), name);
-        const_cast<Scalar *>(stat)->restoreValue(ar.u64());
-    }
-    verifyCount("average", *this, ar.u32(), averages_.size());
-    for (const auto &[name, stat] : averages_) {
-        verifyName("average", *this, ar.str(), name);
-        const double sum = ar.f64();
-        const std::uint64_t count = ar.u64();
-        const_cast<Average *>(stat)->restoreState(sum, count);
-    }
-    verifyCount("latency", *this, ar.u32(), latencies_.size());
-    for (const auto &[name, stat] : latencies_) {
-        verifyName("latency", *this, ar.str(), name);
-        std::vector<double> samples(ar.u64());
-        for (double &s : samples)
-            s = ar.f64();
-        const_cast<LatencyTracker *>(stat)->restoreSamples(
-            std::move(samples));
-    }
-    verifyCount("distribution", *this, ar.u32(), distributions_.size());
-    for (const auto &[name, stat] : distributions_) {
-        verifyName("distribution", *this, ar.str(), name);
-        std::vector<std::uint64_t> buckets(ar.u32());
-        for (std::uint64_t &b : buckets)
-            b = ar.u64();
-        const std::uint64_t count = ar.u64();
-        const std::uint64_t sum = ar.u64();
-        const std::uint64_t max = ar.u64();
-        const_cast<Distribution *>(stat)->restoreState(std::move(buckets),
-                                                       count, sum, max);
-    }
-    verifyCount("child group", *this, ar.u32(), children_.size());
-    for (auto *child : children_)
-        child->restoreStats(ar);
+    io(ar, *this);
 }
 
 const Scalar *

@@ -48,8 +48,16 @@ class Scalar
     /** Reset to zero (used between warm-up and measurement). */
     void reset() { value_ = 0; }
 
-    /** Overwrite the count (checkpoint restore only). */
+    /** Overwrite the count (the attribution tenants' pid/ccid stats). */
     void restoreValue(std::uint64_t v) { value_ = v; }
+
+    /** Checkpoint layout (common/snapshot.hh). */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        ar.u64(self.value_);
+    }
 
   private:
     std::uint64_t value_ = 0;
@@ -78,11 +86,13 @@ class Average
 
     void reset() { sum_ = 0; count_ = 0; }
 
-    /** Overwrite sum and count (checkpoint restore only). */
-    void restoreState(double sum, std::uint64_t count)
+    /** Checkpoint layout (common/snapshot.hh). */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        sum_ = sum;
-        count_ = count;
+        ar.f64(self.sum_);
+        ar.u64(self.count_);
     }
 
   private:
@@ -239,15 +249,17 @@ class Distribution
         max_ = std::max(max_, window_max);
     }
 
-    /** Overwrite all state (checkpoint restore only). */
-    void
-    restoreState(std::vector<std::uint64_t> buckets, std::uint64_t count,
-                 std::uint64_t sum, std::uint64_t max)
+    /** Checkpoint layout (common/snapshot.hh). */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        buckets_ = std::move(buckets);
-        count_ = count;
-        sum_ = sum;
-        max_ = max;
+        ar.count32(self.buckets_);
+        for (auto &bucket : self.buckets_)
+            ar.u64(bucket);
+        ar.u64(self.count_);
+        ar.u64(self.sum_);
+        ar.u64(self.max_);
     }
 
   private:
@@ -282,18 +294,21 @@ class LatencyTracker
     void reset() { samples_.clear(); sorted_ = false; }
 
     /**
-     * @{ @name Checkpointing
-     * Samples are saved and restored in insertion order; neither run
-     * sorts mid-run, so the restored run's summation order (and thus
-     * its exported mean) matches the uninterrupted run bit-for-bit.
+     * Checkpoint layout (common/snapshot.hh). Samples travel in
+     * insertion order; neither run sorts mid-run, so the restored run's
+     * summation order (and thus its exported mean) matches the
+     * uninterrupted run bit-for-bit.
      */
-    const std::vector<double> &rawSamples() const { return samples_; }
-    void restoreSamples(std::vector<double> samples)
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        samples_ = std::move(samples);
-        sorted_ = false;
+        ar.count64(self.samples_);
+        for (double &sample : self.samples_)
+            ar.f64(sample);
+        if constexpr (Ar::loading)
+            self.sorted_ = false;
     }
-    /** @} */
 
   private:
     mutable std::vector<double> samples_;
@@ -425,6 +440,8 @@ class StatGroup
     /** @} */
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     std::string name_;
     StatGroup *parent_ = nullptr;
     std::vector<StatGroup *> children_;

@@ -324,76 +324,48 @@ Core::resetStats()
     syncAttribWindow();
 }
 
+template <class Ar, class Self>
+void
+Core::io(Ar &ar, Self &self)
+{
+    ar.u64(self.now_);
+    ar.u64(self.quantum_left_);
+    ar.f64(self.cpi_accum_);
+    ar.u64(self.current_);
+    ar.expect(static_cast<std::uint32_t>(self.threads_.size()),
+              "core checkpoint thread-count mismatch");
+    for (auto &done : self.thread_done_)
+        ar.b(done);
+    ar.u64(self.done_count_);
+    ar.b(self.has_pending_);
+    MemRef::io(ar, self.pending_ref_);
+    ar.u32(self.pending_retries_);
+    // Unconsumed prefetched references: already pulled from their
+    // generators, so they must re-issue from the checkpoint exactly as
+    // the uninterrupted run would have issued them.
+    for (auto &buf : self.prefetch_) {
+        ar.count32(buf.refs, buf.head);
+        for (std::size_t i = buf.head; i < buf.refs.size(); ++i)
+            MemRef::io(ar, buf.refs[i]);
+    }
+    ar.part(*self.mmu_);
+}
+
 void
 Core::save(snap::ArchiveWriter &ar) const
 {
     bf_assert(!blocked_,
               "checkpoint mid-fault: core ", id_, " is suspended");
-    ar.u64(now_);
-    ar.u64(quantum_left_);
-    ar.f64(cpi_accum_);
-    ar.u64(current_);
-    ar.u32(static_cast<std::uint32_t>(threads_.size()));
-    for (const char done : thread_done_)
-        ar.b(done != 0);
-    ar.u64(done_count_);
-    ar.b(has_pending_);
-    ar.u64(pending_ref_.va);
-    ar.u8(static_cast<std::uint8_t>(pending_ref_.type));
-    ar.u32(pending_ref_.instrs);
-    ar.b(pending_ref_.request_end);
-    ar.b(pending_ref_.yield_after);
-    ar.u32(pending_retries_);
-    // Unconsumed prefetched references: already pulled from their
-    // generators, so they must re-issue from the checkpoint exactly as
-    // the uninterrupted run would have issued them.
-    for (const PrefetchBuf &buf : prefetch_) {
-        ar.u32(static_cast<std::uint32_t>(buf.refs.size() - buf.head));
-        for (std::size_t i = buf.head; i < buf.refs.size(); ++i) {
-            const MemRef &ref = buf.refs[i];
-            ar.u64(ref.va);
-            ar.u8(static_cast<std::uint8_t>(ref.type));
-            ar.u32(ref.instrs);
-            ar.b(ref.request_end);
-            ar.b(ref.yield_after);
-        }
-    }
-    mmu_->save(ar);
+    io(ar, *this);
 }
 
 void
 Core::restore(snap::ArchiveReader &ar)
 {
-    now_ = ar.u64();
-    quantum_left_ = ar.u64();
-    cpi_accum_ = ar.f64();
-    current_ = ar.u64();
-    if (ar.u32() != threads_.size()) {
-        throw snap::SnapshotError("core checkpoint thread-count mismatch");
-    }
-    for (char &done : thread_done_)
-        done = ar.b() ? 1 : 0;
-    done_count_ = ar.u64();
-    has_pending_ = ar.b();
-    pending_ref_.va = ar.u64();
-    pending_ref_.type = static_cast<AccessType>(ar.u8());
-    pending_ref_.instrs = ar.u32();
-    pending_ref_.request_end = ar.b();
-    pending_ref_.yield_after = ar.b();
-    pending_retries_ = ar.u32();
-    for (PrefetchBuf &buf : prefetch_) {
-        buf.refs.resize(ar.u32());
-        buf.head = 0;
-        for (MemRef &ref : buf.refs) {
-            ref.va = ar.u64();
-            ref.type = static_cast<AccessType>(ar.u8());
-            ref.instrs = ar.u32();
-            ref.request_end = ar.b();
-            ref.yield_after = ar.b();
-        }
-    }
+    io(ar, *this);
+    if (current_ != 0 && current_ >= threads_.size())
+        throw snap::SnapshotError("core checkpoint thread index out of range");
     blocked_ = false;
-    mmu_->restore(ar);
 }
 
 } // namespace bf::core

@@ -152,6 +152,8 @@ class Core
     void resetStats();
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     unsigned id_;
     CoreParams params_;
     mem::CacheHierarchy &hierarchy_;

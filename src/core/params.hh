@@ -287,27 +287,30 @@ forEachParam(P &p, Visit &&visit)
     visit("attrib", p.attrib);
 }
 
-/** Write every forEachParam field into a checkpoint manifest. */
-inline void
-saveParams(snap::ArchiveWriter &ar, const SystemParams &p)
+/**
+ * The parameter half of the checkpoint manifest: every forEachParam
+ * field by bit pattern. Restore expects each one back and throws
+ * snap::SnapshotError naming the first field that differs.
+ */
+template <class Ar>
+void
+paramsIo(Ar &ar, const SystemParams &p)
 {
-    forEachParam(p, [&ar](std::string_view, const auto &value) {
-        ar.u64(paramBits(value));
+    forEachParam(p, [&ar](std::string_view name, const auto &value) {
+        ar.expect(paramBits(value), "manifest mismatch: " + std::string(name));
     });
 }
 
-/**
- * Check a manifest written by saveParams against @p p.
- * @throws snap::SnapshotError naming the first field that differs.
- */
+inline void
+saveParams(snap::ArchiveWriter &ar, const SystemParams &p)
+{
+    paramsIo(ar, p);
+}
+
 inline void
 checkParams(snap::ArchiveReader &ar, const SystemParams &p)
 {
-    forEachParam(p, [&ar](std::string_view name, const auto &value) {
-        if (ar.u64() != paramBits(value))
-            throw snap::SnapshotError("manifest mismatch: " +
-                                      std::string(name));
-    });
+    paramsIo(ar, p);
 }
 
 } // namespace bf::core

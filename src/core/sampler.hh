@@ -113,45 +113,8 @@ class StatSampler
      * re-registers them (System::enableSampling) and restore() verifies
      * the names line up.
      */
-    void
-    save(snap::ArchiveWriter &ar) const
-    {
-        ar.u64(interval_);
-        ar.u64(next_);
-        ar.u32(phase_);
-        ar.u32(static_cast<std::uint32_t>(names_.size()));
-        for (const std::string &name : names_)
-            ar.str(name);
-        ar.u64(points_.size());
-        for (const Point &point : points_) {
-            ar.u64(point.cycle);
-            ar.u32(point.phase);
-            for (const std::uint64_t value : point.values)
-                ar.u64(value);
-        }
-    }
-
-    void
-    restore(snap::ArchiveReader &ar)
-    {
-        interval_ = ar.u64();
-        next_ = ar.u64();
-        phase_ = ar.u32();
-        if (ar.u32() != names_.size())
-            throw snap::SnapshotError("sampler probe-count mismatch");
-        for (const std::string &name : names_) {
-            if (ar.str() != name)
-                throw snap::SnapshotError("sampler probe-name mismatch");
-        }
-        points_.assign(ar.u64(), Point{});
-        for (Point &point : points_) {
-            point.cycle = ar.u64();
-            point.phase = ar.u32();
-            point.values.resize(names_.size());
-            for (std::uint64_t &value : point.values)
-                value = ar.u64();
-        }
-    }
+    void save(snap::ArchiveWriter &ar) const { io(ar, *this); }
+    void restore(snap::ArchiveReader &ar) { io(ar, *this); }
     /** @} */
 
     /**
@@ -182,6 +145,30 @@ class StatSampler
         for (const auto &probe : probes_)
             point.values.push_back(probe());
         points_.push_back(std::move(point));
+    }
+
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        ar.u64(self.interval_);
+        ar.u64(self.next_);
+        ar.u32(self.phase_);
+        ar.expect(static_cast<std::uint32_t>(self.names_.size()),
+                  "sampler probe-count mismatch");
+        for (const std::string &name : self.names_)
+            ar.expect(name, "sampler probe-name mismatch");
+        ar.count64(self.points_);
+        for (auto &point : self.points_) {
+            ar.u64(point.cycle);
+            ar.u32(point.phase);
+            // One value per probe; the probes are config, so restore
+            // sizes each row from the rebuilt probe list.
+            if constexpr (Ar::loading)
+                point.values.resize(self.names_.size());
+            for (auto &value : point.values)
+                ar.u64(value);
+        }
     }
 };
 

@@ -393,63 +393,68 @@ System::runUntilFinished(Cycles max_cycles)
     warn("runUntilFinished hit the cycle cap");
 }
 
+template <class Ar>
+void
+System::manifestIo(Ar &ar) const
+{
+    // Every state-shaping parameter (forEachParam) plus the topology, so
+    // restoreCheckpoint() recognizes, before any state is mutated, that
+    // an archive belongs to a differently built world.
+    ar.section("MANI", [&] {
+        paramsIo(ar, params_);
+        for (const auto &core : cores_) {
+            ar.expect(static_cast<std::uint32_t>(core->threads().size()),
+                      "manifest mismatch: per-core thread count");
+        }
+        const auto procs = kernel_->processes();
+        ar.expect(static_cast<std::uint32_t>(procs.size()),
+                  "manifest mismatch: process count");
+        for (const vm::Process *proc : procs)
+            ar.expect(proc->pid(), "manifest mismatch: process pids");
+        ar.expect(static_cast<std::uint64_t>(kernel_->objectCount()),
+                  "manifest mismatch: object count");
+        const auto ccids = kernel_->groupCcids();
+        ar.expect(static_cast<std::uint32_t>(ccids.size()),
+                  "manifest mismatch: group count");
+        for (const Ccid ccid : ccids)
+            ar.expect(ccid, "manifest mismatch: group ccids");
+    });
+}
+
+template <class Ar, class Self>
+void
+System::stateIo(Ar &ar, Self &self)
+{
+    ar.section("KERN", [&] { ar.part(*self.kernel_); });
+    ar.section("MEMH", [&] { ar.part(*self.hierarchy_); });
+    for (const auto &core : self.cores_)
+        ar.section("CORE", [&] { ar.part(*core); });
+    ar.section("THRD", [&] {
+        for (const auto &core : self.cores_) {
+            for (Thread *thread : core->threads())
+                ar.part(*thread, &Thread::saveState, &Thread::restoreState);
+        }
+    });
+    ar.section("SAMP", [&] { ar.part(self.sampler_); });
+
+    // Sinks are drained at every chunk barrier, but direct translate()
+    // calls outside run() (tests) may leave booked-but-undrained lanes
+    // or an open per-core window. Fold them first: a save then holds
+    // the complete totals, and a restore zeroes them before overwriting
+    // the tenant scalars they would fold into.
+    self.drainAttrib();
+    ar.section("STAT", [&] {
+        ar.part(self.stat_group_, &stats::StatGroup::saveStats,
+                &stats::StatGroup::restoreStats);
+    });
+}
+
 bool
 System::saveCheckpoint(const std::string &path) const
 {
     snap::ArchiveWriter ar;
-
-    // MANI: every state-shaping parameter (forEachParam) plus the
-    // topology, so restoreCheckpoint() recognizes — before any state is
-    // mutated — that this archive belongs to a differently built world.
-    ar.beginSection("MANI");
-    saveParams(ar, params_);
-    for (const auto &core : cores_)
-        ar.u32(static_cast<std::uint32_t>(core->threads().size()));
-    const auto procs = kernel_->processes();
-    ar.u32(static_cast<std::uint32_t>(procs.size()));
-    for (const vm::Process *proc : procs)
-        ar.u32(proc->pid());
-    ar.u64(kernel_->objectCount());
-    const auto ccids = kernel_->groupCcids();
-    ar.u32(static_cast<std::uint32_t>(ccids.size()));
-    for (const Ccid ccid : ccids)
-        ar.u16(ccid);
-    ar.endSection();
-
-    ar.beginSection("KERN");
-    kernel_->save(ar);
-    ar.endSection();
-
-    ar.beginSection("MEMH");
-    hierarchy_->save(ar);
-    ar.endSection();
-
-    for (const auto &core : cores_) {
-        ar.beginSection("CORE");
-        core->save(ar);
-        ar.endSection();
-    }
-
-    ar.beginSection("THRD");
-    for (const auto &core : cores_) {
-        for (const Thread *thread : core->threads())
-            thread->saveState(ar);
-    }
-    ar.endSection();
-
-    ar.beginSection("SAMP");
-    sampler_.save(ar);
-    ar.endSection();
-
-    // Sinks are drained at every chunk barrier, but direct translate()
-    // calls outside run() (tests) may leave booked-but-undrained lanes
-    // or an open per-core window; fold them so the STAT section holds
-    // the complete totals.
-    drainAttrib();
-    ar.beginSection("STAT");
-    stat_group_.saveStats(ar);
-    ar.endSection();
-
+    manifestIo(ar);
+    stateIo(ar, *this);
     return ar.writeFile(path);
 }
 
@@ -466,67 +471,15 @@ System::restoreCheckpoint(const std::string &path)
     }
     snap::ArchiveReader &ar = *reader;
 
-    // Until `mutating` flips, any mismatch leaves the system untouched
-    // and the caller falls back to a cold start. After it flips, partial
-    // state has been overwritten, so a decode error is fatal.
+    // MANI is fully checked before any state mutates. Until `mutating`
+    // flips, any mismatch leaves the system untouched and the caller
+    // falls back to a cold start. After it flips, partial state has been
+    // overwritten, so a decode error is fatal.
     bool mutating = false;
     try {
-        const auto ck = [](bool ok, const char *what) {
-            if (!ok)
-                throw snap::SnapshotError(
-                    std::string("manifest mismatch: ") + what);
-        };
-        ar.enterSection("MANI");
-        checkParams(ar, params_);
-        for (const auto &core : cores_) {
-            ck(ar.u32() == core->threads().size(),
-               "per-core thread count");
-        }
-        const auto procs = kernel_->processes();
-        ck(ar.u32() == procs.size(), "process count");
-        for (const vm::Process *proc : procs)
-            ck(ar.u32() == proc->pid(), "process pids");
-        ck(ar.u64() == kernel_->objectCount(), "object count");
-        const auto ccids = kernel_->groupCcids();
-        ck(ar.u32() == ccids.size(), "group count");
-        for (const Ccid ccid : ccids)
-            ck(ar.u16() == ccid, "group ccids");
-        ar.exitSection();
-
+        manifestIo(ar);
         mutating = true;
-
-        ar.enterSection("KERN");
-        kernel_->restore(ar);
-        ar.exitSection();
-
-        ar.enterSection("MEMH");
-        hierarchy_->restore(ar);
-        ar.exitSection();
-
-        for (auto &core : cores_) {
-            ar.enterSection("CORE");
-            core->restore(ar);
-            ar.exitSection();
-        }
-
-        ar.enterSection("THRD");
-        for (auto &core : cores_) {
-            for (Thread *thread : core->threads())
-                thread->restoreState(ar);
-        }
-        ar.exitSection();
-
-        ar.enterSection("SAMP");
-        sampler_.restore(ar);
-        ar.exitSection();
-
-        // Zero any undrained sink lanes and open windows first (drain
-        // folds them into tenant scalars restoreStats is about to
-        // overwrite).
-        drainAttrib();
-        ar.enterSection("STAT");
-        stat_group_.restoreStats(ar);
-        ar.exitSection();
+        stateIo(ar, *this);
         // The restore just rewrote the global counters underneath the
         // cores' window bases; re-base so the next flush credits only
         // post-restore growth.

@@ -240,6 +240,16 @@ class System
      * mirrors (saveCheckpoint needs the complete totals).
      */
     void drainAttrib() const;
+
+    /**
+     * @{
+     * @name Checkpoint layout (common/snapshot.hh)
+     * manifestIo: the MANI section, everything a restore checks before
+     * it mutates any state. stateIo: the sections after it.
+     */
+    template <class Ar> void manifestIo(Ar &ar) const;
+    template <class Ar, class Self> static void stateIo(Ar &ar, Self &self);
+    /** @} */
     /**
      * Replay the merged logs in canonical order against L3/DRAM while
      * pool workers drain each peer's coherence probes (byte-identical

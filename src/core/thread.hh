@@ -45,6 +45,18 @@ struct MemRef
      * in the TLBs continuously.
      */
     bool yield_after = false;
+
+    /** Checkpoint layout (common/snapshot.hh). */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        ar.u64(self.va);
+        ar.u8(self.type);
+        ar.u32(self.instrs);
+        ar.b(self.request_end);
+        ar.b(self.yield_after);
+    }
 };
 
 /** A schedulable container process. */

@@ -231,15 +231,18 @@ Cache::resetStats()
     invalidations.reset();
 }
 
+template <class Ar, class Self>
 void
-Cache::save(snap::ArchiveWriter &ar) const
+Cache::io(Ar &ar, Self &self)
 {
-    ar.str(params_.name);
-    ar.u64(params_.size_bytes);
-    ar.u32(params_.assoc);
-    ar.u32(params_.line_bytes);
-    ar.u64(lru_clock_);
-    for (const Line &line : lines_) {
+    const std::string what =
+        "cache '" + self.params_.name + "' checkpoint geometry mismatch";
+    ar.expect(self.params_.name, what);
+    ar.expect(static_cast<std::uint64_t>(self.params_.size_bytes), what);
+    ar.expect(static_cast<std::uint32_t>(self.params_.assoc), what);
+    ar.expect(static_cast<std::uint32_t>(self.params_.line_bytes), what);
+    ar.u64(self.lru_clock_);
+    for (auto &line : self.lines_) {
         ar.u64(line.tag);
         ar.b(line.valid);
         ar.b(line.dirty);
@@ -248,22 +251,17 @@ Cache::save(snap::ArchiveWriter &ar) const
 }
 
 void
+Cache::save(snap::ArchiveWriter &ar) const
+{
+    io(ar, *this);
+}
+
+void
 Cache::restore(snap::ArchiveReader &ar)
 {
-    if (ar.str() != params_.name || ar.u64() != params_.size_bytes ||
-        ar.u32() != params_.assoc || ar.u32() != params_.line_bytes) {
-        throw snap::SnapshotError("cache '" + params_.name +
-                                  "' checkpoint geometry mismatch");
-    }
-    lru_clock_ = ar.u64();
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-        Line &line = lines_[i];
-        line.tag = ar.u64();
-        line.valid = ar.b();
-        line.dirty = ar.b();
-        line.lru = ar.u64();
+    io(ar, *this);
+    for (std::size_t i = 0; i < lines_.size(); ++i)
         syncKey(i);
-    }
 }
 
 } // namespace bf::mem

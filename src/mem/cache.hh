@@ -159,6 +159,8 @@ class Cache
     void resetStats();
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     struct Line
     {
         Addr tag = 0;

@@ -100,11 +100,13 @@ Dram::resetStats()
     row_conflicts.reset();
 }
 
+template <class Ar, class Self>
 void
-Dram::save(snap::ArchiveWriter &ar) const
+Dram::io(Ar &ar, Self &self)
 {
-    ar.u32(static_cast<std::uint32_t>(banks_.size()));
-    for (const Bank &bank : banks_) {
+    ar.expect(static_cast<std::uint32_t>(self.banks_.size()),
+              "DRAM checkpoint bank-count mismatch");
+    for (auto &bank : self.banks_) {
         ar.u64(bank.open_row);
         ar.b(bank.row_open);
         ar.u64(bank.ready_at);
@@ -112,15 +114,15 @@ Dram::save(snap::ArchiveWriter &ar) const
 }
 
 void
+Dram::save(snap::ArchiveWriter &ar) const
+{
+    io(ar, *this);
+}
+
+void
 Dram::restore(snap::ArchiveReader &ar)
 {
-    if (ar.u32() != banks_.size())
-        throw snap::SnapshotError("DRAM checkpoint bank-count mismatch");
-    for (Bank &bank : banks_) {
-        bank.open_row = ar.u64();
-        bank.row_open = ar.b();
-        bank.ready_at = ar.u64();
-    }
+    io(ar, *this);
 }
 
 } // namespace bf::mem

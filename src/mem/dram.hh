@@ -108,6 +108,8 @@ class Dram
     /** @} */
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     struct Bank
     {
         std::uint64_t open_row = 0;

@@ -202,31 +202,31 @@ CacheHierarchy::resetStats()
     dram_->resetStats();
 }
 
+template <class Ar, class Self>
+void
+CacheHierarchy::io(Ar &ar, Self &self)
+{
+    ar.expect(static_cast<std::uint32_t>(self.num_cores_),
+              "hierarchy checkpoint core-count mismatch");
+    for (unsigned c = 0; c < self.num_cores_; ++c) {
+        ar.part(*self.l1i_[c]);
+        ar.part(*self.l1d_[c]);
+        ar.part(*self.l2_[c]);
+    }
+    ar.part(*self.l3_);
+    ar.part(*self.dram_);
+}
+
 void
 CacheHierarchy::save(snap::ArchiveWriter &ar) const
 {
-    ar.u32(num_cores_);
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        l1i_[c]->save(ar);
-        l1d_[c]->save(ar);
-        l2_[c]->save(ar);
-    }
-    l3_->save(ar);
-    dram_->save(ar);
+    io(ar, *this);
 }
 
 void
 CacheHierarchy::restore(snap::ArchiveReader &ar)
 {
-    if (ar.u32() != num_cores_)
-        throw snap::SnapshotError("hierarchy checkpoint core-count mismatch");
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        l1i_[c]->restore(ar);
-        l1d_[c]->restore(ar);
-        l2_[c]->restore(ar);
-    }
-    l3_->restore(ar);
-    dram_->restore(ar);
+    io(ar, *this);
 }
 
 } // namespace bf::mem

@@ -184,6 +184,8 @@ class CacheHierarchy
     Dram &dram() { return *dram_; }
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     HierarchyParams params_;
     unsigned num_cores_;
     bool coherence_active_ = false; //!< model_coherence && num_cores_ > 1.

@@ -95,14 +95,17 @@ Pwc::resetStats()
     misses.reset();
 }
 
+template <class Ar, class Self>
 void
-Pwc::save(snap::ArchiveWriter &ar) const
+Pwc::io(Ar &ar, Self &self)
 {
-    ar.str(params_.name);
-    ar.u32(static_cast<std::uint32_t>(lines_.size()));
-    ar.u32(params_.assoc);
-    ar.u64(lru_clock_);
-    for (const Line &line : lines_) {
+    const std::string what =
+        "PWC '" + self.params_.name + "' checkpoint geometry mismatch";
+    ar.expect(self.params_.name, what);
+    ar.expect(static_cast<std::uint32_t>(self.lines_.size()), what);
+    ar.expect(static_cast<std::uint32_t>(self.params_.assoc), what);
+    ar.u64(self.lru_clock_);
+    for (auto &line : self.lines_) {
         ar.u64(line.tag);
         ar.b(line.valid);
         ar.u64(line.lru);
@@ -110,19 +113,15 @@ Pwc::save(snap::ArchiveWriter &ar) const
 }
 
 void
+Pwc::save(snap::ArchiveWriter &ar) const
+{
+    io(ar, *this);
+}
+
+void
 Pwc::restore(snap::ArchiveReader &ar)
 {
-    if (ar.str() != params_.name || ar.u32() != lines_.size() ||
-        ar.u32() != params_.assoc) {
-        throw snap::SnapshotError("PWC '" + params_.name +
-                                  "' checkpoint geometry mismatch");
-    }
-    lru_clock_ = ar.u64();
-    for (Line &line : lines_) {
-        line.tag = ar.u64();
-        line.valid = ar.b();
-        line.lru = ar.u64();
-    }
+    io(ar, *this);
 }
 
 } // namespace bf::tlb

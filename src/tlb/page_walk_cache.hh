@@ -72,6 +72,8 @@ class Pwc
     void resetStats();
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     struct Line
     {
         Addr tag = 0;

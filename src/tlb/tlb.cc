@@ -359,33 +359,34 @@ Tlb::resetStats()
     invalidations.reset();
 }
 
+template <class Ar, class Self>
 void
-Tlb::save(snap::ArchiveWriter &ar) const
+Tlb::io(Ar &ar, Self &self)
 {
-    ar.str(params_.name);
-    ar.u32(static_cast<std::uint32_t>(entries_.size()));
-    ar.u32(params_.assoc);
-    ar.u8(static_cast<std::uint8_t>(params_.page_size));
-    ar.u8(static_cast<std::uint8_t>(params_.policy));
+    const std::string what =
+        "TLB '" + self.params_.name + "' checkpoint mismatch: ";
+    ar.expect(self.params_.name, what + "name");
+    ar.expect(static_cast<std::uint32_t>(self.entries_.size()),
+              what + "entry count");
+    ar.expect(static_cast<std::uint32_t>(self.params_.assoc),
+              what + "associativity");
+    ar.expect(static_cast<std::uint8_t>(self.params_.page_size),
+              what + "page size");
+    ar.expect(static_cast<std::uint8_t>(self.params_.policy),
+              what + "replacement policy");
 
-    ar.u64(lru_clock_);
-    ar.u64(rng_state_);
-    ar.u32(valid_count_);
-    for (const TlbEntry &entry : entries_) {
+    ar.u64(self.lru_clock_);
+    ar.u64(self.rng_state_);
+    ar.u32(self.valid_count_);
+    for (auto &entry : self.entries_) {
         ar.b(entry.valid);
         ar.u64(entry.vpn);
         ar.u64(entry.ppn);
-        ar.u8(static_cast<std::uint8_t>(entry.size));
+        ar.u8(entry.size);
         ar.u16(entry.pcid);
         ar.u16(entry.ccid);
-        std::uint8_t flags = 0;
-        flags |= entry.writable ? 1u << 0 : 0;
-        flags |= entry.user ? 1u << 1 : 0;
-        flags |= entry.no_exec ? 1u << 2 : 0;
-        flags |= entry.cow ? 1u << 3 : 0;
-        flags |= entry.owned ? 1u << 4 : 0;
-        flags |= entry.orpc ? 1u << 5 : 0;
-        ar.u8(flags);
+        ar.flags(entry.writable, entry.user, entry.no_exec, entry.cow,
+                 entry.owned, entry.orpc);
         ar.u32(entry.pc_bitmask);
         ar.u16(entry.fill_pcid);
         ar.u64(entry.lru);
@@ -393,44 +394,15 @@ Tlb::save(snap::ArchiveWriter &ar) const
 }
 
 void
+Tlb::save(snap::ArchiveWriter &ar) const
+{
+    io(ar, *this);
+}
+
+void
 Tlb::restore(snap::ArchiveReader &ar)
 {
-    auto geometry = [&](bool ok, const char *what) {
-        if (!ok) {
-            throw snap::SnapshotError(std::string("TLB '") +
-                                      params_.name +
-                                      "' checkpoint mismatch: " + what);
-        }
-    };
-    geometry(ar.str() == params_.name, "name");
-    geometry(ar.u32() == entries_.size(), "entry count");
-    geometry(ar.u32() == params_.assoc, "associativity");
-    geometry(ar.u8() == static_cast<std::uint8_t>(params_.page_size),
-             "page size");
-    geometry(ar.u8() == static_cast<std::uint8_t>(params_.policy),
-             "replacement policy");
-
-    lru_clock_ = ar.u64();
-    rng_state_ = ar.u64();
-    valid_count_ = ar.u32();
-    for (TlbEntry &entry : entries_) {
-        entry.valid = ar.b();
-        entry.vpn = ar.u64();
-        entry.ppn = ar.u64();
-        entry.size = static_cast<PageSize>(ar.u8());
-        entry.pcid = ar.u16();
-        entry.ccid = ar.u16();
-        const std::uint8_t flags = ar.u8();
-        entry.writable = flags & (1u << 0);
-        entry.user = flags & (1u << 1);
-        entry.no_exec = flags & (1u << 2);
-        entry.cow = flags & (1u << 3);
-        entry.owned = flags & (1u << 4);
-        entry.orpc = flags & (1u << 5);
-        entry.pc_bitmask = ar.u32();
-        entry.fill_pcid = ar.u16();
-        entry.lru = ar.u64();
-    }
+    io(ar, *this);
     rebuildShadow();
 }
 

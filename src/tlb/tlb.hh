@@ -178,6 +178,8 @@ class Tlb
     void resetStats();
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     TlbParams params_;
     unsigned num_sets_;
     std::uint64_t set_mask_ = 0;    //!< num_sets_ - 1 when pow2.

@@ -90,18 +90,4 @@ CoalescedBackend::resetExtraStats()
     range_installs_.reset();
 }
 
-void
-CoalescedBackend::saveExtra(snap::ArchiveWriter &ar) const
-{
-    ranges_.save(ar);
-    detector_.save(ar);
-}
-
-void
-CoalescedBackend::restoreExtra(snap::ArchiveReader &ar)
-{
-    ranges_.restore(ar);
-    detector_.restore(ar);
-}
-
 } // namespace bf::translate

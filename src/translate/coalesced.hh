@@ -55,10 +55,18 @@ class CoalescedBackend : public PipelineBackend
     void invalidateExtra(const vm::TlbInvalidate &inv) override;
     void flushExtra() override;
     void resetExtraStats() override;
-    void saveExtra(snap::ArchiveWriter &ar) const override;
-    void restoreExtra(snap::ArchiveReader &ar) override;
+    void extraIo(snap::ArchiveWriter &ar) const override { io(ar, *this); }
+    void extraIo(snap::ArchiveReader &ar) override { io(ar, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        ar.part(self.ranges_);
+        ar.part(self.detector_);
+    }
+
     RangeTlb ranges_{ kRangeEntries };
     RunDetector detector_;
     /**

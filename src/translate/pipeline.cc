@@ -237,18 +237,6 @@ PipelineBackend::resetExtraStats()
 }
 
 void
-PipelineBackend::saveExtra(snap::ArchiveWriter &ar) const
-{
-    (void)ar;
-}
-
-void
-PipelineBackend::restoreExtra(snap::ArchiveReader &ar)
-{
-    (void)ar;
-}
-
-void
 PipelineBackend::installL0(Addr va, Pcid pcid, AccessType type,
                            PageSize size, const tlb::TlbEntry *entry)
 {
@@ -525,28 +513,29 @@ PipelineBackend::resetStats()
     resetExtraStats();
 }
 
+template <class Ar, class Self>
+void
+PipelineBackend::io(Ar &ar, Self &self)
+{
+    ar.part(*self.l1i_4k_);
+    for (auto &tlb : self.l1d_)
+        ar.part(*tlb);
+    for (auto &tlb : self.l2_)
+        ar.part(*tlb);
+    ar.part(*self.pwc_);
+    self.extraIo(ar);
+}
+
 void
 PipelineBackend::save(snap::ArchiveWriter &ar) const
 {
-    l1i_4k_->save(ar);
-    for (const auto &tlb : l1d_)
-        tlb->save(ar);
-    for (const auto &tlb : l2_)
-        tlb->save(ar);
-    pwc_->save(ar);
-    saveExtra(ar);
+    io(ar, *this);
 }
 
 void
 PipelineBackend::restore(snap::ArchiveReader &ar)
 {
-    l1i_4k_->restore(ar);
-    for (auto &tlb : l1d_)
-        tlb->restore(ar);
-    for (auto &tlb : l2_)
-        tlb->restore(ar);
-    pwc_->restore(ar);
-    restoreExtra(ar);
+    io(ar, *this);
     // Drop the L0 front cache: it re-warms on first use and replays
     // with no stat side effects, so resuming cold is invisible to stats.
     ++l0_gen_;

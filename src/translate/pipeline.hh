@@ -101,9 +101,13 @@ class PipelineBackend : public Backend
     virtual void flushExtra();
     virtual void resetExtraStats();
 
-    /** Extend the checkpoint with competitor structures. */
-    virtual void saveExtra(snap::ArchiveWriter &ar) const;
-    virtual void restoreExtra(snap::ArchiveReader &ar);
+    /**
+     * Extend the checkpoint with competitor structures. The two
+     * overloads let PipelineBackend::io reach them in either direction;
+     * an override pair enters one description of its structures.
+     */
+    virtual void extraIo(snap::ArchiveWriter &ar) const { (void)ar; }
+    virtual void extraIo(snap::ArchiveReader &ar) { (void)ar; }
     /** @} */
 
     /**
@@ -139,6 +143,8 @@ class PipelineBackend : public Backend
     attrib::CoreSink *sink_ = nullptr; //!< Per-tenant counter sink.
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     /**
      * L0 inline translation cache: a small direct-mapped front cache
      * over lookupL1 that short-circuits the common repeated hit. Each

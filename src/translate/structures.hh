@@ -149,20 +149,40 @@ class VictimStore
         return n;
     }
 
-    /** @{ @name Checkpointing (valid slots only, fixed order) */
-    void
-    save(snap::ArchiveWriter &ar) const
+    /** @{ @name Checkpointing (valid slots only, in slot order) */
+    void save(snap::ArchiveWriter &ar) const { io(ar, *this); }
+    void restore(snap::ArchiveReader &ar) { io(ar, *this); }
+    /** @} */
+
+  private:
+    std::vector<tlb::TlbEntry> slots_;
+
+    /**
+     * Each valid slot travels as {index, entry}; restore empties the
+     * store first, and a listed slot is valid with a cold LRU stamp.
+     */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        ar.u64(slots_.size());
-        ar.u64(validCount());
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            const tlb::TlbEntry &e = slots_[i];
-            if (!e.valid)
-                continue;
-            ar.u64(i);
+        ar.expect(static_cast<std::uint64_t>(self.slots_.size()),
+                  "victim-store size mismatch");
+        std::vector<std::uint64_t> live;
+        for (std::size_t i = 0; i < self.slots_.size(); ++i) {
+            if (self.slots_[i].valid)
+                live.push_back(i);
+        }
+        if constexpr (Ar::loading)
+            self.clear();
+        ar.count64(live);
+        for (std::uint64_t &slot : live) {
+            ar.u64(slot);
+            if (slot >= self.slots_.size())
+                throw snap::SnapshotError("victim-store slot out of range");
+            auto &e = self.slots_[slot];
             ar.u64(e.vpn);
             ar.u64(e.ppn);
-            ar.u8(static_cast<std::uint8_t>(e.size));
+            ar.u8(e.size);
             ar.u32(e.pcid);
             ar.u32(e.ccid);
             ar.b(e.writable);
@@ -173,43 +193,12 @@ class VictimStore
             ar.b(e.orpc);
             ar.u32(e.pc_bitmask);
             ar.u32(e.fill_pcid);
+            if constexpr (Ar::loading) {
+                e.valid = true;
+                e.lru = 0;
+            }
         }
     }
-
-    void
-    restore(snap::ArchiveReader &ar)
-    {
-        const std::uint64_t n_slots = ar.u64();
-        if (n_slots != slots_.size())
-            throw snap::SnapshotError("victim-store size mismatch");
-        clear();
-        const std::uint64_t n = ar.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const std::uint64_t slot = ar.u64();
-            if (slot >= slots_.size())
-                throw snap::SnapshotError("victim-store slot out of range");
-            tlb::TlbEntry &e = slots_[slot];
-            e.valid = true;
-            e.vpn = ar.u64();
-            e.ppn = ar.u64();
-            e.size = static_cast<PageSize>(ar.u8());
-            e.pcid = ar.u32();
-            e.ccid = ar.u32();
-            e.writable = ar.b();
-            e.user = ar.b();
-            e.no_exec = ar.b();
-            e.cow = ar.b();
-            e.owned = ar.b();
-            e.orpc = ar.b();
-            e.pc_bitmask = ar.u32();
-            e.fill_pcid = ar.u32();
-            e.lru = 0;
-        }
-    }
-    /** @} */
-
-  private:
-    std::vector<tlb::TlbEntry> slots_;
 };
 
 /** One coalesced range: len contiguous 4K VPN→PPN pairs. */
@@ -337,12 +326,22 @@ class RangeTlb
     }
 
     /** @{ @name Checkpointing (full array, LRU clock included) */
-    void
-    save(snap::ArchiveWriter &ar) const
+    void save(snap::ArchiveWriter &ar) const { io(ar, *this); }
+    void restore(snap::ArchiveReader &ar) { io(ar, *this); }
+    /** @} */
+
+  private:
+    std::vector<RangeEntry> entries_;
+    std::uint64_t lru_clock_ = 0;
+
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        ar.u64(entries_.size());
-        ar.u64(lru_clock_);
-        for (const auto &e : entries_) {
+        ar.expect(static_cast<std::uint64_t>(self.entries_.size()),
+                  "range-tlb size mismatch");
+        ar.u64(self.lru_clock_);
+        for (auto &e : self.entries_) {
             ar.b(e.valid);
             ar.u64(e.base_vpn);
             ar.u64(e.base_ppn);
@@ -352,29 +351,6 @@ class RangeTlb
             ar.u64(e.lru);
         }
     }
-
-    void
-    restore(snap::ArchiveReader &ar)
-    {
-        const std::uint64_t n = ar.u64();
-        if (n != entries_.size())
-            throw snap::SnapshotError("range-tlb size mismatch");
-        lru_clock_ = ar.u64();
-        for (auto &e : entries_) {
-            e.valid = ar.b();
-            e.base_vpn = ar.u64();
-            e.base_ppn = ar.u64();
-            e.len = ar.u32();
-            e.pcid = ar.u32();
-            e.ccid = ar.u32();
-            e.lru = ar.u64();
-        }
-    }
-    /** @} */
-
-  private:
-    std::vector<RangeEntry> entries_;
-    std::uint64_t lru_clock_ = 0;
 };
 
 /**
@@ -431,36 +407,8 @@ class RunDetector
     }
 
     /** @{ @name Checkpointing */
-    void
-    save(snap::ArchiveWriter &ar) const
-    {
-        ar.u64(kSlots);
-        for (const auto &s : slots_) {
-            ar.b(s.live);
-            ar.u32(s.pcid);
-            ar.u64(s.base_vpn);
-            ar.u64(s.base_ppn);
-            ar.u64(s.last_vpn);
-            ar.u64(s.last_ppn);
-            ar.u32(s.len);
-        }
-    }
-
-    void
-    restore(snap::ArchiveReader &ar)
-    {
-        if (ar.u64() != kSlots)
-            throw snap::SnapshotError("run-detector size mismatch");
-        for (auto &s : slots_) {
-            s.live = ar.b();
-            s.pcid = ar.u32();
-            s.base_vpn = ar.u64();
-            s.base_ppn = ar.u64();
-            s.last_vpn = ar.u64();
-            s.last_ppn = ar.u64();
-            s.len = ar.u32();
-        }
-    }
+    void save(snap::ArchiveWriter &ar) const { io(ar, *this); }
+    void restore(snap::ArchiveReader &ar) { io(ar, *this); }
     /** @} */
 
   private:
@@ -477,6 +425,23 @@ class RunDetector
         std::uint32_t len = 0;
     };
     std::array<Slot, kSlots> slots_{};
+
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        ar.expect(static_cast<std::uint64_t>(kSlots),
+                  "run-detector size mismatch");
+        for (auto &s : self.slots_) {
+            ar.b(s.live);
+            ar.u32(s.pcid);
+            ar.u64(s.base_vpn);
+            ar.u64(s.base_ppn);
+            ar.u64(s.last_vpn);
+            ar.u64(s.last_ppn);
+            ar.u32(s.len);
+        }
+    }
 };
 
 } // namespace bf::translate

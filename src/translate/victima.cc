@@ -98,16 +98,4 @@ VictimaBackend::resetExtraStats()
     store_hits_.reset();
 }
 
-void
-VictimaBackend::saveExtra(snap::ArchiveWriter &ar) const
-{
-    store_.save(ar);
-}
-
-void
-VictimaBackend::restoreExtra(snap::ArchiveReader &ar)
-{
-    store_.restore(ar);
-}
-
 } // namespace bf::translate

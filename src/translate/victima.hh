@@ -61,8 +61,8 @@ class VictimaBackend : public PipelineBackend
     void invalidateExtra(const vm::TlbInvalidate &inv) override;
     void flushExtra() override;
     void resetExtraStats() override;
-    void saveExtra(snap::ArchiveWriter &ar) const override;
-    void restoreExtra(snap::ArchiveReader &ar) override;
+    void extraIo(snap::ArchiveWriter &ar) const override { ar.part(store_); }
+    void extraIo(snap::ArchiveReader &ar) override { ar.part(store_); }
 
   private:
     /** WalkSource metadata line of a store slot. */

@@ -117,8 +117,14 @@ class AslrTransform
                                  diff_.offset[seg]);
     }
 
-    /** The stored per-segment differences. */
-    const AslrOffsets &diff() const { return diff_; }
+    /** Checkpoint layout: the stored per-segment differences. */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        for (auto &diff : self.diff_.offset)
+            ar.i64(diff);
+    }
 
   private:
     AslrOffsets diff_{};

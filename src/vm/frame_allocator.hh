@@ -82,16 +82,16 @@ class FrameAllocator
     }
 
 
-    /** @{ @name Checkpointing (Kernel only; stats ride the stats tree) */
-    Ppn nextFrame() const { return next_; }
-    const std::vector<Ppn> &freeList() const { return free_list_; }
-    void
-    restoreState(Ppn next, std::vector<Ppn> free_list)
+    /** Checkpoint layout (Kernel only; stats ride the stats tree). */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        next_ = next;
-        free_list_ = std::move(free_list);
+        ar.u64(self.next_);
+        ar.count64(self.free_list_);
+        for (auto &ppn : self.free_list_)
+            ar.u64(ppn);
     }
-    /** @} */
 
     /** @{ @name Statistics */
     stats::Scalar allocated;

@@ -1233,317 +1233,183 @@ Kernel::countTablePages(const Process &proc) const
     return count;
 }
 
-namespace
-{
-
-/** Restore-side invariant check: throw, never crash, on divergence. */
+template <class Ar, class Self>
 void
-ckptCheck(bool ok, const char *what)
+Kernel::io(Ar &ar, Self &self)
 {
-    if (!ok) {
-        throw snap::SnapshotError(
-            std::string("kernel checkpoint mismatch: ") + what);
+    using Table = std::conditional_t<std::is_const_v<Self>,
+                                     const PageTablePage, PageTablePage>;
+    const auto what = [](const char *field) {
+        return std::string("kernel checkpoint mismatch: ") + field;
+    };
+    // Restore re-links pointers by the saved identity: a table by its
+    // frame, a VMA's object by its id (0 = anonymous).
+    const auto linkTable = [&](auto frame, const char *field) {
+        PageTablePage *table = self.tableByFrame(frame);
+        if (!table)
+            throw snap::SnapshotError(what(field));
+        return table;
+    };
+    std::map<std::uint64_t, MappedObject *> objects_by_id;
+    if constexpr (Ar::loading) {
+        for (const auto &obj : self.objects_)
+            objects_by_id[obj->id()] = obj.get();
     }
-}
 
-} // namespace
-
-void
-Kernel::save(snap::ArchiveWriter &ar) const
-{
-    // Configuration fingerprint first: restore() refuses a checkpoint
+    // Configuration fingerprint first: restore refuses a checkpoint
     // taken under a different OS model before touching any state.
-    ar.b(params_.babelfish);
-    ar.u32(static_cast<std::uint32_t>(params_.max_share_level));
-    ar.b(params_.thp);
-    ar.u32(params_.max_cow_writers);
-    ar.u8(static_cast<std::uint8_t>(params_.aslr));
-    ar.u64(params_.mem_frames);
+    const KernelParams &params = self.params_;
+    ar.expect(params.babelfish, what("babelfish flag"));
+    ar.expect(static_cast<std::uint32_t>(params.max_share_level),
+              what("max_share_level"));
+    ar.expect(params.thp, what("thp"));
+    ar.expect(static_cast<std::uint32_t>(params.max_cow_writers),
+              what("max_cow_writers"));
+    ar.expect(static_cast<std::uint8_t>(params.aslr), what("aslr mode"));
+    ar.expect(static_cast<std::uint64_t>(params.mem_frames),
+              what("mem_frames"));
 
-    ar.u64(next_pid_);
-    ar.u64(next_pcid_);
-    ar.u64(next_ccid_);
-    ar.u64(next_object_id_);
+    ar.u64(self.next_pid_);
+    ar.u64(self.next_pcid_);
+    ar.u64(self.next_ccid_);
+    ar.u64(self.next_object_id_);
+    FrameAllocator::io(ar, self.allocator_);
 
-    ar.u64(allocator_.nextFrame());
-    ar.u64(allocator_.freeList().size());
-    for (const Ppn ppn : allocator_.freeList())
-        ar.u64(ppn);
+    // Objects are never destroyed and ids are sequential, so the
+    // rebuilt world created the same set in the same order.
+    ar.expect(static_cast<std::uint32_t>(self.objects_.size()),
+              what("object count"));
+    for (const auto &obj : self.objects_)
+        MappedObject::io(ar, snap::like<Self>(*obj));
 
-    ar.u32(static_cast<std::uint32_t>(objects_.size()));
-    for (const auto &obj : objects_) {
-        ar.u64(obj->id());
-        ar.u64(obj->bytes());
-        ar.b(obj->isFile());
-        ar.b(obj->preloaded());
-        ar.u32(obj->mappers());
-        ar.u64(obj->frames().size());
-        for (const Ppn frame : obj->frames())
-            ar.u64(frame);
+    // Tables travel sorted by frame, so the archive bytes are
+    // independent of the unordered_map's iteration order. Restore
+    // rebuilds them wholesale from the pool: frames come from the
+    // archive and the allocation stats were already counted by the
+    // saving run, so not through allocateTable().
+    std::vector<Table *> tables;
+    if constexpr (Ar::loading) {
+        self.tables_.clear();
+    } else {
+        for (const auto &[frame, table] : self.tables_)
+            tables.push_back(table.get());
+        std::sort(tables.begin(), tables.end(), [](Table *a, Table *b) {
+            return a->frame() < b->frame();
+        });
     }
-
-    // Emit tables sorted by frame so the archive bytes are independent
-    // of the unordered_map's iteration order.
-    std::vector<const PageTablePage *> tables;
-    tables.reserve(tables_.size());
-    for (const auto &[frame, table] : tables_)
-        tables.push_back(table.get());
-    std::sort(tables.begin(), tables.end(),
-              [](const PageTablePage *a, const PageTablePage *b) {
-                  return a->frame() < b->frame();
-              });
-    ar.u32(static_cast<std::uint32_t>(tables.size()));
-    for (const PageTablePage *table : tables) {
-        ar.u64(table->frame());
-        ar.u8(static_cast<std::uint8_t>(table->level()));
+    ar.count32(tables);
+    for (Table *&table : tables) {
+        Ppn frame = table ? table->frame() : 0;
+        int level = table ? table->level() : 0;
+        ar.u64(frame);
+        ar.u8(level);
+        if constexpr (Ar::loading) {
+            auto made = self.table_pool_.make(level, frame);
+            table = made.get();
+            self.tables_[frame] = std::move(made);
+        }
         ar.u16(table->sharers);
         ar.b(table->group_shared);
         for (unsigned i = 0; i < entriesPerTable; ++i)
             ar.u64(table->entry(i).raw);
     }
 
-    ar.u32(static_cast<std::uint32_t>(processes_.size()));
-    for (const auto &[pid, proc] : processes_) {
-        ar.u32(pid);
-        ar.str(proc->name());
-        ar.u16(proc->pcid());
-        ar.u16(proc->ccid());
-        ar.u64(proc->pgd() ? proc->pgd()->frame() : 0);
+    ar.expect(static_cast<std::uint32_t>(self.processes_.size()),
+              what("process count"));
+    for (const auto &[pid, ptr] : self.processes_) {
+        auto &proc = snap::like<Self>(*ptr);
+        ar.expect(pid, what("process pid"));
+        ar.expect(proc.name_, what("process name"));
+        ar.expect(proc.pcid_, what("process pcid"));
+        ar.expect(proc.ccid_, what("process ccid"));
+        Ppn pgd = 0;
+        if constexpr (!Ar::loading)
+            pgd = proc.pgd_ ? proc.pgd_->frame() : 0;
+        ar.u64(pgd);
+        if constexpr (Ar::loading)
+            proc.pgd_ = linkTable(pgd, "process pgd frame");
 
-        ar.u32(static_cast<std::uint32_t>(proc->vmas().size()));
-        for (const Vma &vma : proc->vmas()) {
+        ar.count32(proc.vmas_);
+        for (auto &vma : proc.vmas_) {
             ar.u64(vma.start);
             ar.u64(vma.end);
             ar.b(vma.writable);
             ar.b(vma.exec);
             ar.b(vma.shared);
-            ar.u8(static_cast<std::uint8_t>(vma.page_size));
-            ar.u64(vma.object ? vma.object->id() : 0);
+            ar.u8(vma.page_size);
+            std::uint64_t object_id = vma.object ? vma.object->id() : 0;
+            ar.u64(object_id);
+            if constexpr (Ar::loading) {
+                if (object_id != 0) {
+                    const auto it = objects_by_id.find(object_id);
+                    if (it == objects_by_id.end())
+                        throw snap::SnapshotError(what("vma object id"));
+                    vma.object = it->second;
+                }
+            }
             ar.u64(vma.object_offset);
         }
 
-        ar.u32(static_cast<std::uint32_t>(proc->maskBits().size()));
-        for (const auto &[region, bit] : proc->maskBits()) {
+        ar.count32(proc.mask_bits_);
+        for (auto &[region, bit] : proc.mask_bits_) {
             ar.u64(region);
-            ar.u32(static_cast<std::uint32_t>(bit));
+            ar.u32(bit);
         }
-
-        for (unsigned s = 0; s < numSegments; ++s)
-            ar.i64(proc->aslr_offsets.offset[s]);
-        for (unsigned s = 0; s < numSegments; ++s)
-            ar.i64(proc->aslr_transform.diff().offset[s]);
+        for (auto &offset : proc.aslr_offsets.offset)
+            ar.i64(offset);
+        AslrTransform::io(ar, proc.aslr_transform);
     }
 
-    ar.u32(static_cast<std::uint32_t>(groups_.size()));
-    for (const auto &[ccid, group] : groups_) {
-        ar.u16(ccid);
-        ar.str(group.name);
-        for (unsigned s = 0; s < numSegments; ++s)
-            ar.i64(group.offsets.offset[s]);
+    ar.expect(static_cast<std::uint32_t>(self.groups_.size()),
+              what("group count"));
+    for (auto &[ccid, group] : self.groups_) {
+        ar.expect(ccid, what("group ccid"));
+        ar.expect(group.name, what("group name"));
+        for (auto &offset : group.offsets.offset)
+            ar.i64(offset);
         ar.u64(group.aslr_seed);
-
-        ar.u32(static_cast<std::uint32_t>(group.members.size()));
+        ar.expect(static_cast<std::uint32_t>(group.members.size()),
+                  what("group member count"));
         for (const Pid member : group.members)
-            ar.u32(member);
+            ar.expect(member, what("group member pid"));
         ar.u64(group.mask_generation);
 
-        ar.u32(static_cast<std::uint32_t>(group.masks.size()));
-        for (const auto &[region_base, mask] : group.masks) {
+        ar.entries32(group.masks, [&](auto &region_base, auto &mask) {
             ar.u64(region_base);
-            ar.u64(mask->frame());
-            for (unsigned i = 0; i < entriesPerTable; ++i)
-                ar.u32(mask->bitmasks()[i]);
-            ar.u32(static_cast<std::uint32_t>(mask->pidList().size()));
-            for (const Pid writer : mask->pidList())
-                ar.u32(writer);
-        }
-
-        ar.u32(static_cast<std::uint32_t>(group.mask_fallback.size()));
-        for (const auto &[region_base, reverted] : group.mask_fallback) {
-            ar.u64(region_base);
-            ar.b(reverted);
-        }
-
-        ar.u32(static_cast<std::uint32_t>(group.shared_tables.size()));
-        for (const auto &[key, rec] : group.shared_tables) {
+            Ppn frame = mask ? mask->frame() : 0;
+            ar.u64(frame);
+            if constexpr (Ar::loading)
+                mask = self.mask_pool_.make(frame, region_base);
+            MaskPage::io(ar, snap::like<Self>(*mask));
+        });
+        ar.entries32(group.mask_fallback,
+                     [&](auto &region_base, auto &reverted) {
+                         ar.u64(region_base);
+                         ar.b(reverted);
+                     });
+        ar.entries32(group.shared_tables, [&](auto &key, auto &rec) {
             ar.u64(key.region_base);
-            ar.u8(static_cast<std::uint8_t>(key.level));
-            ar.u64(rec.table->frame());
+            ar.u8(key.level);
+            Ppn frame = rec.table ? rec.table->frame() : 0;
+            ar.u64(frame);
+            if constexpr (Ar::loading)
+                rec.table = linkTable(frame, "shared table frame");
             ar.u64(rec.signature);
             ar.b(rec.fork_only);
-        }
+        });
     }
+}
+
+void
+Kernel::save(snap::ArchiveWriter &ar) const
+{
+    io(ar, *this);
 }
 
 void
 Kernel::restore(snap::ArchiveReader &ar)
 {
-    ckptCheck(ar.b() == params_.babelfish, "babelfish flag");
-    ckptCheck(ar.u32() ==
-                  static_cast<std::uint32_t>(params_.max_share_level),
-              "max_share_level");
-    ckptCheck(ar.b() == params_.thp, "thp");
-    ckptCheck(ar.u32() == params_.max_cow_writers, "max_cow_writers");
-    ckptCheck(ar.u8() == static_cast<std::uint8_t>(params_.aslr),
-              "aslr mode");
-    ckptCheck(ar.u64() == params_.mem_frames, "mem_frames");
-
-    next_pid_ = static_cast<Pid>(ar.u64());
-    next_pcid_ = static_cast<Pcid>(ar.u64());
-    next_ccid_ = static_cast<Ccid>(ar.u64());
-    next_object_id_ = ar.u64();
-
-    const Ppn alloc_next = ar.u64();
-    std::vector<Ppn> free_list(ar.u64());
-    for (Ppn &ppn : free_list)
-        ppn = ar.u64();
-    allocator_.restoreState(alloc_next, std::move(free_list));
-
-    // Objects are matched by id: ids are assigned sequentially and
-    // objects are never destroyed, so the rebuilt world created the
-    // same set in the same order.
-    std::map<std::uint64_t, MappedObject *> objects_by_id;
-    for (const auto &obj : objects_)
-        objects_by_id[obj->id()] = obj.get();
-    ckptCheck(ar.u32() == objects_.size(), "object count");
-    for (std::size_t i = 0; i < objects_.size(); ++i) {
-        const std::uint64_t id = ar.u64();
-        const auto it = objects_by_id.find(id);
-        ckptCheck(it != objects_by_id.end(), "unknown object id");
-        MappedObject &obj = *it->second;
-        ckptCheck(ar.u64() == obj.bytes(), "object size");
-        ckptCheck(ar.b() == obj.isFile(), "object kind");
-        const bool preloaded = ar.b();
-        const unsigned mappers = ar.u32();
-        std::vector<Ppn> frames(ar.u64());
-        ckptCheck(frames.size() == obj.frames().size(),
-                  "object frame count");
-        for (Ppn &frame : frames)
-            frame = ar.u64();
-        obj.restoreState(preloaded, mappers, std::move(frames));
-    }
-
-    // Page tables are rebuilt wholesale, keyed by backing frame. Direct
-    // construction, not allocateTable(): frames come from the archive
-    // and the allocation stats were already counted by the saving run.
-    tables_.clear();
-    const std::uint32_t table_count = ar.u32();
-    for (std::uint32_t t = 0; t < table_count; ++t) {
-        const Ppn frame = ar.u64();
-        const int level = ar.u8();
-        auto table = table_pool_.make(level, frame);
-        table->sharers = ar.u16();
-        table->group_shared = ar.b();
-        for (unsigned i = 0; i < entriesPerTable; ++i)
-            table->entry(i).raw = ar.u64();
-        tables_[frame] = std::move(table);
-    }
-
-    ckptCheck(ar.u32() == processes_.size(), "process count");
-    for (std::size_t i = 0; i < processes_.size(); ++i) {
-        const Pid pid = ar.u32();
-        const auto it = processes_.find(pid);
-        ckptCheck(it != processes_.end(), "unknown pid");
-        Process &proc = *it->second;
-        ckptCheck(ar.str() == proc.name(), "process name");
-        ckptCheck(ar.u16() == proc.pcid(), "process pcid");
-        ckptCheck(ar.u16() == proc.ccid(), "process ccid");
-        PageTablePage *pgd = tableByFrame(ar.u64());
-        ckptCheck(pgd != nullptr, "process pgd frame");
-        proc.setPgd(pgd);
-
-        proc.vmas().clear();
-        const std::uint32_t vma_count = ar.u32();
-        for (std::uint32_t v = 0; v < vma_count; ++v) {
-            Vma vma;
-            vma.start = ar.u64();
-            vma.end = ar.u64();
-            vma.writable = ar.b();
-            vma.exec = ar.b();
-            vma.shared = ar.b();
-            vma.page_size = static_cast<PageSize>(ar.u8());
-            const std::uint64_t object_id = ar.u64();
-            if (object_id != 0) {
-                const auto obj_it = objects_by_id.find(object_id);
-                ckptCheck(obj_it != objects_by_id.end(),
-                          "vma object id");
-                vma.object = obj_it->second;
-            }
-            vma.object_offset = ar.u64();
-            proc.vmas().push_back(vma);
-        }
-
-        std::vector<std::pair<Addr, int>> mask_bits(ar.u32());
-        for (auto &[region, bit] : mask_bits) {
-            region = ar.u64();
-            bit = static_cast<int>(ar.u32());
-        }
-        proc.setMaskBits(std::move(mask_bits));
-
-        for (unsigned s = 0; s < numSegments; ++s)
-            proc.aslr_offsets.offset[s] = ar.i64();
-        // The transform stores diff = group - process; feeding the
-        // saved diff as "group" against zero "process" offsets rebuilds
-        // the identical module state.
-        AslrOffsets diff;
-        for (unsigned s = 0; s < numSegments; ++s)
-            diff.offset[s] = ar.i64();
-        proc.aslr_transform = AslrTransform(diff, AslrOffsets{});
-    }
-
-    ckptCheck(ar.u32() == groups_.size(), "group count");
-    for (std::size_t i = 0; i < groups_.size(); ++i) {
-        const Ccid ccid = ar.u16();
-        const auto it = groups_.find(ccid);
-        ckptCheck(it != groups_.end(), "unknown ccid");
-        Group &group = it->second;
-        ckptCheck(ar.str() == group.name, "group name");
-        for (unsigned s = 0; s < numSegments; ++s)
-            group.offsets.offset[s] = ar.i64();
-        group.aslr_seed = ar.u64();
-
-        ckptCheck(ar.u32() == group.members.size(), "group member count");
-        for (const Pid member : group.members)
-            ckptCheck(ar.u32() == member, "group member pid");
-        group.mask_generation = ar.u64();
-
-        group.masks.clear();
-        const std::uint32_t mask_count = ar.u32();
-        for (std::uint32_t m = 0; m < mask_count; ++m) {
-            const Addr region_base = ar.u64();
-            const Ppn frame = ar.u64();
-            auto mask = mask_pool_.make(frame, region_base);
-            std::array<std::uint32_t, entriesPerTable> bitmasks;
-            for (auto &bits : bitmasks)
-                bits = ar.u32();
-            std::vector<Pid> pid_list(ar.u32());
-            for (Pid &writer : pid_list)
-                writer = ar.u32();
-            mask->restoreState(bitmasks, std::move(pid_list));
-            group.masks[region_base] = std::move(mask);
-        }
-
-        group.mask_fallback.clear();
-        const std::uint32_t fallback_count = ar.u32();
-        for (std::uint32_t f = 0; f < fallback_count; ++f) {
-            const Addr region_base = ar.u64();
-            group.mask_fallback[region_base] = ar.b();
-        }
-
-        group.shared_tables.clear();
-        const std::uint32_t shared_count = ar.u32();
-        for (std::uint32_t s = 0; s < shared_count; ++s) {
-            SharedTableKey key;
-            key.region_base = ar.u64();
-            key.level = ar.u8();
-            SharedTableRecord rec;
-            rec.table = tableByFrame(ar.u64());
-            ckptCheck(rec.table != nullptr, "shared table frame");
-            rec.signature = ar.u64();
-            rec.fork_only = ar.b();
-            group.shared_tables[key] = rec;
-        }
-    }
+    io(ar, *this);
 }
 
 } // namespace bf::vm

@@ -319,10 +319,11 @@ class Kernel
      * allocator, object residency, every page-table page (raw entries
      * including O/ORPC/CoW bits), process VMAs + ASLR transforms, and the
      * group sharing registries (shared tables, MaskPages, fallbacks).
-     * restore() expects a world rebuilt with the identical configuration;
-     * identity is matched by pid / object id / ccid / table frame, and
-     * any divergence throws snap::SnapshotError. Stats are restored by
-     * the owner of the stats tree, not here.
+     * restore() expects a world rebuilt with the identical configuration:
+     * objects, processes and groups are checked in order by id / pid /
+     * ccid, pages are re-linked by table frame, and any divergence
+     * throws snap::SnapshotError. Stats are restored by the owner of the
+     * stats tree, not here.
      */
     void save(snap::ArchiveWriter &ar) const;
     void restore(snap::ArchiveReader &ar);
@@ -343,6 +344,8 @@ class Kernel
     /** @} */
 
   private:
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
+
     struct SharedTableKey
     {
         Addr region_base; //!< First canonical VA covered by the table.

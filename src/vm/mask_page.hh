@@ -115,20 +115,20 @@ class MaskPage
         return frame_ * basePageBytes + pmd_index * sizeof(std::uint32_t);
     }
 
-    /** @{ @name Checkpointing (Kernel only) */
-    const std::array<std::uint32_t, entriesPerTable> &bitmasks() const
+    /**
+     * Checkpoint layout (Kernel only): the bitmasks and the pid list;
+     * the frame and region are the Kernel's to rebuild the page from.
+     */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        return bitmasks_;
+        for (auto &bits : self.bitmasks_)
+            ar.u32(bits);
+        ar.count32(self.pid_list_);
+        for (auto &writer : self.pid_list_)
+            ar.u32(writer);
     }
-    const std::vector<Pid> &pidList() const { return pid_list_; }
-    void
-    restoreState(const std::array<std::uint32_t, entriesPerTable> &bitmasks,
-                 std::vector<Pid> pid_list)
-    {
-        bitmasks_ = bitmasks;
-        pid_list_ = std::move(pid_list);
-    }
-    /** @} */
 
   private:
     Ppn frame_;

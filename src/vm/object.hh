@@ -131,20 +131,25 @@ class MappedObject
     /** Mark all future first-touches as minor faults (page cache warm). */
     void markResident() { preloaded_ = true; }
 
-    /** @{ @name Checkpointing (Kernel only) */
-    bool preloaded() const { return preloaded_; }
-    const std::vector<Ppn> &frames() const { return frames_; }
-    /** Overwrite the mutable state; id/name/size/kind stay immutable. */
-    void
-    restoreState(bool preloaded, unsigned mappers, std::vector<Ppn> frames)
+    /**
+     * Checkpoint layout (Kernel only): the mutable state. Id, size, kind
+     * and the frame-vector length are immutable, so restore only checks
+     * them against the rebuilt object.
+     */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        bf_assert(frames.size() == frames_.size(),
-                  "object frame-vector size mismatch for ", name_);
-        preloaded_ = preloaded;
-        mappers_ = mappers;
-        frames_ = std::move(frames);
+        ar.expect(self.id_, "kernel checkpoint mismatch: object id");
+        ar.expect(self.bytes_, "kernel checkpoint mismatch: object size");
+        ar.expect(self.is_file_, "kernel checkpoint mismatch: object kind");
+        ar.b(self.preloaded_);
+        ar.u32(self.mappers_);
+        ar.expect(static_cast<std::uint64_t>(self.frames_.size()),
+                  "kernel checkpoint mismatch: object frame count");
+        for (auto &frame : self.frames_)
+            ar.u64(frame);
     }
-    /** @} */
 
   private:
     std::uint64_t id_;

@@ -146,19 +146,10 @@ class Process
     AslrTransform aslr_transform{};
     /** @} */
 
-    /** @{ @name Checkpointing (Kernel::restore only) */
-    void setPgd(PageTablePage *pgd) { pgd_ = pgd; }
-    const std::vector<std::pair<Addr, int>> &maskBits() const
-    {
-        return mask_bits_;
-    }
-    void setMaskBits(std::vector<std::pair<Addr, int>> bits)
-    {
-        mask_bits_ = std::move(bits);
-    }
-    /** @} */
-
   private:
+    /** Kernel::io describes the process's checkpoint layout. */
+    friend class Kernel;
+
     Pid pid_;
     Pcid pcid_;
     Ccid ccid_;

@@ -5,29 +5,6 @@
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 
-namespace
-{
-
-void
-saveRngState(bf::snap::ArchiveWriter &ar, const bf::Rng &rng)
-{
-    std::uint64_t state[4];
-    rng.getState(state);
-    for (const std::uint64_t word : state)
-        ar.u64(word);
-}
-
-void
-restoreRngState(bf::snap::ArchiveReader &ar, bf::Rng &rng)
-{
-    std::uint64_t state[4];
-    for (std::uint64_t &word : state)
-        word = ar.u64();
-    rng.setState(state);
-}
-
-} // namespace
-
 namespace bf::workloads
 {
 
@@ -255,47 +232,6 @@ buildApp(vm::Kernel &kernel, const AppProfile &profile,
     return inst;
 }
 
-void
-saveMemRef(snap::ArchiveWriter &ar, const core::MemRef &ref)
-{
-    ar.u64(ref.va);
-    ar.u8(static_cast<std::uint8_t>(ref.type));
-    ar.u32(ref.instrs);
-    ar.b(ref.request_end);
-    ar.b(ref.yield_after);
-}
-
-core::MemRef
-restoreMemRef(snap::ArchiveReader &ar)
-{
-    core::MemRef ref;
-    ref.va = ar.u64();
-    ref.type = static_cast<AccessType>(ar.u8());
-    ref.instrs = ar.u32();
-    ref.request_end = ar.b();
-    ref.yield_after = ar.b();
-    return ref;
-}
-
-void
-QueueThread::saveState(snap::ArchiveWriter &ar) const
-{
-    saveRngState(ar, rng_);
-    ar.u32(static_cast<std::uint32_t>(queue_.size()));
-    for (const core::MemRef &ref : queue_)
-        saveMemRef(ar, ref);
-}
-
-void
-QueueThread::restoreState(snap::ArchiveReader &ar)
-{
-    restoreRngState(ar, rng_);
-    queue_.clear();
-    const std::uint32_t count = ar.u32();
-    for (std::uint32_t i = 0; i < count; ++i)
-        queue_.push_back(restoreMemRef(ar));
-}
-
 // ---------------------------------------------------------------------
 // DataServingThread
 // ---------------------------------------------------------------------
@@ -493,36 +429,30 @@ DataServingThread::completed(const core::MemRef &ref, Cycles now)
     measuring_ = false;
 }
 
+template <class Ar, class Self>
+void
+DataServingThread::io(Ar &ar, Self &self)
+{
+    QueueThread::io(ar, self);
+    Rng::io(ar, self.client_.rng());
+    Rng::io(ar, self.tail_client_.rng());
+    ar.u64(self.scan_cursor_);
+    ar.u32(self.batch_count_);
+    stats::LatencyTracker::io(ar, self.latency_);
+    ar.u64(self.request_start_);
+    ar.b(self.measuring_);
+}
+
 void
 DataServingThread::saveState(snap::ArchiveWriter &ar) const
 {
-    QueueThread::saveState(ar);
-    saveRngState(ar, client_.rng());
-    saveRngState(ar, tail_client_.rng());
-    ar.u64(scan_cursor_);
-    ar.u32(batch_count_);
-    const std::vector<double> &samples = latency_.rawSamples();
-    ar.u64(samples.size());
-    for (const double sample : samples)
-        ar.f64(sample);
-    ar.u64(request_start_);
-    ar.b(measuring_);
+    io(ar, *this);
 }
 
 void
 DataServingThread::restoreState(snap::ArchiveReader &ar)
 {
-    QueueThread::restoreState(ar);
-    restoreRngState(ar, client_.rng());
-    restoreRngState(ar, tail_client_.rng());
-    scan_cursor_ = ar.u64();
-    batch_count_ = ar.u32();
-    std::vector<double> samples(ar.u64());
-    for (double &sample : samples)
-        sample = ar.f64();
-    latency_.restoreSamples(std::move(samples));
-    request_start_ = ar.u64();
-    measuring_ = ar.b();
+    io(ar, *this);
 }
 
 // ---------------------------------------------------------------------
@@ -600,22 +530,26 @@ ComputeThread::completed(const core::MemRef &ref, Cycles now)
     }
 }
 
+template <class Ar, class Self>
+void
+ComputeThread::io(Ar &ar, Self &self)
+{
+    QueueThread::io(ar, self);
+    ar.u64(self.seq_cursor_);
+    ar.u64(self.units_done_);
+    ar.u64(self.last_unit_end_);
+}
+
 void
 ComputeThread::saveState(snap::ArchiveWriter &ar) const
 {
-    QueueThread::saveState(ar);
-    ar.u64(seq_cursor_);
-    ar.u64(units_done_);
-    ar.u64(last_unit_end_);
+    io(ar, *this);
 }
 
 void
 ComputeThread::restoreState(snap::ArchiveReader &ar)
 {
-    QueueThread::restoreState(ar);
-    seq_cursor_ = ar.u64();
-    units_done_ = ar.u64();
-    last_unit_end_ = ar.u64();
+    io(ar, *this);
 }
 
 std::vector<std::unique_ptr<core::Thread>>

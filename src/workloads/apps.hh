@@ -145,11 +145,6 @@ AppInstance buildApp(vm::Kernel &kernel, const AppProfile &profile,
 void prefault(vm::Kernel &kernel, vm::Process &proc, Addr start,
               std::uint64_t bytes, AccessType type);
 
-/** @{ @name MemRef (de)serialization, shared by the thread classes. */
-void saveMemRef(snap::ArchiveWriter &ar, const core::MemRef &ref);
-core::MemRef restoreMemRef(snap::ArchiveReader &ar);
-/** @} */
-
 /** Common machinery: a thread fed from a replenishable ref queue. */
 class QueueThread : public core::Thread
 {
@@ -160,10 +155,6 @@ class QueueThread : public core::Thread
 
     vm::Process *process() override { return proc_; }
     const std::string &name() const override { return name_; }
-
-    /** RNG state and the queued burst; subclasses call these first. */
-    void saveState(snap::ArchiveWriter &ar) const override;
-    void restoreState(snap::ArchiveReader &ar) override;
 
     bool
     next(core::MemRef &ref) override
@@ -202,6 +193,20 @@ class QueueThread : public core::Thread
   protected:
     /** Subclasses push the next burst of refs. */
     virtual void refill() = 0;
+
+    /**
+     * Checkpoint layout: RNG state and the queued burst. Every
+     * subclass's io() describes these first.
+     */
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        Rng::io(ar, self.rng_);
+        ar.count32(self.queue_);
+        for (auto &ref : self.queue_)
+            core::MemRef::io(ar, ref);
+    }
 
     void push(const core::MemRef &ref) { queue_.push_back(ref); }
     Rng &rng() { return rng_; }
@@ -243,6 +248,7 @@ class DataServingThread : public QueueThread
     bool measuring_ = false;
 
     void refill() override;
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
 
     /** Record index: zipf within the hot set, rare cold excursions. */
     std::uint64_t pickRecord();
@@ -278,6 +284,7 @@ class ComputeThread : public QueueThread
     Cycles last_unit_end_ = 0;
 
     void refill() override;
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
 };
 
 /** Make one thread per container of an instance. */

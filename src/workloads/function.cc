@@ -280,34 +280,32 @@ FunctionThread::completed(const core::MemRef &ref, Cycles now)
     }
 }
 
+template <class Ar, class Self>
+void
+FunctionThread::io(Ar &ar, Self &self)
+{
+    QueueThread::io(ar, self);
+    ar.u8(self.phase_);
+    ar.u64(self.bringup_cursor_);
+    ar.u32(self.cow_done_);
+    ar.u64(self.config_read_done_);
+    ar.u64(self.input_cursor_);
+    ar.b(self.started_);
+    ar.u64(self.start_);
+    ar.u64(self.bringup_end_);
+    ar.u64(self.exec_end_);
+}
+
 void
 FunctionThread::saveState(snap::ArchiveWriter &ar) const
 {
-    QueueThread::saveState(ar);
-    ar.u8(static_cast<std::uint8_t>(phase_));
-    ar.u64(bringup_cursor_);
-    ar.u32(cow_done_);
-    ar.u64(config_read_done_);
-    ar.u64(input_cursor_);
-    ar.b(started_);
-    ar.u64(start_);
-    ar.u64(bringup_end_);
-    ar.u64(exec_end_);
+    io(ar, *this);
 }
 
 void
 FunctionThread::restoreState(snap::ArchiveReader &ar)
 {
-    QueueThread::restoreState(ar);
-    phase_ = static_cast<Phase>(ar.u8());
-    bringup_cursor_ = ar.u64();
-    cow_done_ = ar.u32();
-    config_read_done_ = ar.u64();
-    input_cursor_ = ar.u64();
-    started_ = ar.b();
-    start_ = ar.u64();
-    bringup_end_ = ar.u64();
-    exec_end_ = ar.u64();
+    io(ar, *this);
 }
 
 } // namespace bf::workloads

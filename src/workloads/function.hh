@@ -108,6 +108,7 @@ class FunctionThread : public QueueThread
     void refill() override;
     void refillBringup();
     void refillExec();
+    template <class Ar, class Self> static void io(Ar &ar, Self &self);
 };
 
 /** Canonical layout of per-function mappings. */

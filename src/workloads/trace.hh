@@ -73,19 +73,19 @@ class TraceThread : public core::Thread
         return done_loops_ * trace_.size() + pos_;
     }
 
-    /** The trace itself is config (rebuilt); only the cursor is state. */
-    void
-    saveState(snap::ArchiveWriter &ar) const override
-    {
-        ar.u64(pos_);
-        ar.u64(done_loops_);
-    }
+    /**
+     * The trace itself is config (rebuilt); only the cursor is state.
+     * The manifest does not cover the trace's contents, so restore
+     * checks the cursor against the rebuilt trace.
+     */
+    void saveState(snap::ArchiveWriter &ar) const override { io(ar, *this); }
 
     void
     restoreState(snap::ArchiveReader &ar) override
     {
-        pos_ = static_cast<std::size_t>(ar.u64());
-        done_loops_ = ar.u64();
+        io(ar, *this);
+        if (pos_ != 0 && pos_ >= trace_.size())
+            throw snap::SnapshotError("trace cursor past the end of trace");
     }
 
   private:
@@ -95,6 +95,14 @@ class TraceThread : public core::Thread
     std::uint64_t loops_;
     std::size_t pos_ = 0;
     std::uint64_t done_loops_ = 0;
+
+    template <class Ar, class Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        ar.u64(self.pos_);
+        ar.u64(self.done_loops_);
+    }
 };
 
 } // namespace bf::workloads

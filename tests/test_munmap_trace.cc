@@ -208,6 +208,27 @@ TEST(Trace, ThreadReplaysAndLoops)
     EXPECT_EQ(thread.replayed(), 6u);
 }
 
+// The trace is config, rebuilt by the resuming run, so a checkpointed
+// cursor can point past the end of a shorter trace: restore must reject
+// it rather than let next() read out of bounds.
+TEST(Trace, RestoreRejectsCursorPastTrace)
+{
+    std::vector<core::MemRef> refs(10);
+    for (std::size_t i = 0; i < refs.size(); ++i)
+        refs[i].va = kVa + i * 0x1000;
+    workloads::TraceThread long_thread("t", nullptr, refs);
+    core::MemRef ref;
+    for (int i = 0; i < 7; ++i)
+        ASSERT_TRUE(long_thread.next(ref));
+    snap::ArchiveWriter w;
+    long_thread.saveState(w);
+
+    refs.resize(5);
+    workloads::TraceThread short_thread("t", nullptr, refs);
+    snap::ArchiveReader r(w.payload());
+    EXPECT_THROW(short_thread.restoreState(r), snap::SnapshotError);
+}
+
 TEST(Trace, EndToEndOnSystem)
 {
     // Two containers replaying the same trace share translations.

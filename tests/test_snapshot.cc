@@ -420,6 +420,41 @@ TEST(ComponentSnapshot, StatsTreeRoundTrip)
     EXPECT_THROW(root_c.restoreStats(r2), snap::SnapshotError);
 }
 
+// A corrupt element count inside a CRC-valid archive must be rejected as
+// a SnapshotError before anything is sized from it, not escape as
+// std::length_error / std::bad_alloc. Offset 59 is the Kernel payload's
+// free-list count: the config echo (19 bytes), four id counters (32) and
+// the allocator's next frame (8) precede it.
+TEST(ComponentSnapshot, HugeCountRejected)
+{
+    vm::KernelParams params;
+    params.mem_frames = 1 << 22;
+    stats::StatGroup sga("system");
+    vm::Kernel a(params, &sga);
+    auto app_a =
+        workloads::buildApp(a, workloads::AppProfile::httpd(), 2, 5);
+    snap::ArchiveWriter w;
+    a.save(w);
+
+    constexpr std::size_t kFreeListCount = 59;
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 62, std::uint64_t{1} << 31,
+          std::uint64_t{w.payload().size()}}) {
+        std::vector<std::uint8_t> bytes = w.payload();
+        ASSERT_GT(bytes.size(), kFreeListCount + 8);
+        for (unsigned i = 0; i < 8; ++i)
+            bytes[kFreeListCount + i] =
+                static_cast<std::uint8_t>(count >> (8 * i));
+
+        stats::StatGroup sgb("system");
+        vm::Kernel b(params, &sgb);
+        auto app_b =
+            workloads::buildApp(b, workloads::AppProfile::httpd(), 2, 5);
+        snap::ArchiveReader r(std::move(bytes));
+        EXPECT_THROW(b.restore(r), snap::SnapshotError) << count;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Whole-system resume determinism
 // ---------------------------------------------------------------------
@@ -655,4 +690,43 @@ TEST(SystemSnapshot, RejectionFallsBackToColdStart)
     w1.sys->run(msToCycles(0.5));
     base.sys->run(msToCycles(0.5)); // different config; just must not die
     EXPECT_EQ(capture(fresh).stats, capture(w1).stats);
+}
+
+// The archive layout is pinned: a fixed small world per backend must
+// serialize to these exact bytes. A layout change that keeps
+// snap::formatVersion lets another build accept an archive it then
+// misreads: CRC-valid, but inconsistent. When the layout changes on
+// purpose, bump formatVersion and re-record the constants.
+TEST(SystemSnapshot, ArchiveLayoutPinned)
+{
+    const struct
+    {
+        translate::BackendKind backend;
+        std::uint32_t crc;
+    } cases[] = {
+        {translate::BackendKind::BabelFish, 0x2a1c6fa9u},
+        {translate::BackendKind::Victima, 0x54f0dccfu},
+        {translate::BackendKind::Coalesced, 0xf6a3bb14u},
+    };
+    for (const auto &c : cases) {
+        World w = makeWorld(1, true, 31, [&](core::SystemParams &p) {
+            p.mmu.backend = c.backend;
+            // A small L2 TLB keeps the competitor structures busy.
+            for (tlb::TlbParams *tp :
+                 {&p.mmu.l2_4k, &p.mmu.l2_2m, &p.mmu.l2_1g}) {
+                tp->entries = 16;
+                tp->assoc = 4;
+            }
+        });
+        w.sys->run(msToCycles(0.5));
+        const std::string path = tmpPath("pinned.ckpt");
+        ASSERT_TRUE(w.sys->saveCheckpoint(path));
+        const std::vector<std::uint8_t> bytes = slurp(path);
+        const std::uint32_t crc = snap::crc32(bytes.data(), bytes.size());
+        EXPECT_EQ(crc, c.crc)
+            << "backend " << static_cast<int>(c.backend) << ": crc 0x"
+            << std::hex << crc
+            << ". The checkpoint layout changed; if that was intended, "
+               "bump snap::formatVersion and re-record these constants";
+    }
 }
