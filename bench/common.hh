@@ -464,6 +464,31 @@ captureArtifacts(const core::System &sys)
 }
 
 /**
+ * The Fig. 10 figures of merit of a finished run into @p r: L2-TLB
+ * MPKI and the share of L2-TLB hits on shared entries, data and
+ * instruction side.
+ */
+template <class Result>
+void
+captureL2TlbRates(const core::System &sys, Result &r)
+{
+    using TS = translate::TranslateStats;
+    const auto total = [&sys](auto counter) {
+        return sys.totalTranslateStat(counter);
+    };
+    const auto share = [](std::uint64_t part, std::uint64_t whole) {
+        return whole ? static_cast<double>(part) / whole : 0;
+    };
+    const double ki = sys.totalInstructions() / 1000.0;
+    r.data_mpki = total(&TS::l2_data_misses) / ki;
+    r.instr_mpki = total(&TS::l2_instr_misses) / ki;
+    r.data_shared_frac =
+        share(total(&TS::l2_data_shared_hits), total(&TS::l2_data_hits));
+    r.instr_shared_frac = share(total(&TS::l2_instr_shared_hits),
+                                total(&TS::l2_instr_hits));
+}
+
+/**
  * Warm a freshly-built System, or restore its warm-up checkpoint.
  *
  * The caller has just rebuilt the world deterministically from the same
@@ -575,16 +600,8 @@ runApp(const workloads::AppProfile &profile,
     }
     r.units_per_ms = static_cast<double>(units) / cfg.measure_ms;
 
-    const double ki = sys.totalInstructions() / 1000.0;
     r.instructions = sys.totalInstructions();
-    r.data_mpki = sys.totalL2TlbMisses(false) / ki;
-    r.instr_mpki = sys.totalL2TlbMisses(true) / ki;
-    const auto dh = sys.totalL2TlbHits(false);
-    const auto ih = sys.totalL2TlbHits(true);
-    r.data_shared_frac =
-        dh ? static_cast<double>(sys.totalL2TlbSharedHits(false)) / dh : 0;
-    r.instr_shared_frac =
-        ih ? static_cast<double>(sys.totalL2TlbSharedHits(true)) / ih : 0;
+    captureL2TlbRates(sys, r);
     r.minor_faults = sys.kernel().minor_faults.value();
     r.cow_faults = sys.kernel().cow_faults.value();
     r.shared_installs = sys.kernel().shared_installs.value();
@@ -668,15 +685,7 @@ runFaas(core::SystemParams params, bool sparse, const RunConfig &cfg)
                     3.0 +
                 static_cast<double>(group.bringup_work) / 3.0;
     r.fork_work = static_cast<double>(group.bringup_work) / 3.0;
-    const double ki = sys.totalInstructions() / 1000.0;
-    r.data_mpki = sys.totalL2TlbMisses(false) / ki;
-    r.instr_mpki = sys.totalL2TlbMisses(true) / ki;
-    const auto dh = sys.totalL2TlbHits(false);
-    const auto ih = sys.totalL2TlbHits(true);
-    r.data_shared_frac =
-        dh ? static_cast<double>(sys.totalL2TlbSharedHits(false)) / dh : 0;
-    r.instr_shared_frac =
-        ih ? static_cast<double>(sys.totalL2TlbSharedHits(true)) / ih : 0;
+    captureL2TlbRates(sys, r);
     r.minor_faults = sys.kernel().minor_faults.value();
     r.artifacts = captureArtifacts(sys);
     return r;

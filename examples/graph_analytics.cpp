@@ -58,11 +58,13 @@ run(bool babelfish, unsigned containers)
         units += static_cast<workloads::ComputeThread *>(t.get())
                      ->unitsDone();
     r.units_per_ms = units / 20.0;
-    const auto hits =
-        sys.totalL2TlbHits(false) + sys.totalL2TlbHits(true);
+    using TS = translate::TranslateStats;
+    const auto hits = sys.totalTranslateStat(&TS::l2_data_hits) +
+                      sys.totalTranslateStat(&TS::l2_instr_hits);
     r.shared_hit_frac =
-        hits ? static_cast<double>(sys.totalL2TlbSharedHits(false) +
-                                   sys.totalL2TlbSharedHits(true)) /
+        hits ? static_cast<double>(
+                   sys.totalTranslateStat(&TS::l2_data_shared_hits) +
+                   sys.totalTranslateStat(&TS::l2_instr_shared_hits)) /
                    hits
              : 0;
     r.live_table_pages = sys.kernel().tables_allocated.value() -

@@ -48,11 +48,14 @@ run(const core::SystemParams &params)
     RunResult r{};
     const double kilo_instr =
         static_cast<double>(sys.totalInstructions()) / 1000.0;
-    r.l2_data_mpki = sys.totalL2TlbMisses(false) / kilo_instr;
-    r.l2_instr_mpki = sys.totalL2TlbMisses(true) / kilo_instr;
-    const auto hits = sys.totalL2TlbHits(false) + sys.totalL2TlbHits(true);
-    const auto shared = sys.totalL2TlbSharedHits(false) +
-                        sys.totalL2TlbSharedHits(true);
+    using TS = translate::TranslateStats;
+    r.l2_data_mpki = sys.totalTranslateStat(&TS::l2_data_misses) / kilo_instr;
+    r.l2_instr_mpki =
+        sys.totalTranslateStat(&TS::l2_instr_misses) / kilo_instr;
+    const auto hits = sys.totalTranslateStat(&TS::l2_data_hits) +
+                      sys.totalTranslateStat(&TS::l2_instr_hits);
+    const auto shared = sys.totalTranslateStat(&TS::l2_data_shared_hits) +
+                        sys.totalTranslateStat(&TS::l2_instr_shared_hits);
     r.shared_hit_fraction = hits ? static_cast<double>(shared) / hits : 0;
     r.minor_faults = sys.kernel().minor_faults.value();
     r.shared_installs = sys.kernel().shared_installs.value();

@@ -1,37 +1,38 @@
 #include "common/attrib/attrib.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <sstream>
 
 #include "common/logging.hh"
+#include "translate/stats.hh"
 
 namespace bf::attrib
 {
 
+static_assert(kWalks == translate::kNumScalarStats,
+              "attrib::Counter's leading block must be TranslateStats' "
+              "scalars, one lane each, in table order");
+
 const char *
 counterName(Counter c)
 {
-    switch (c) {
-      case kL1Hits: return "l1_hits";
-      case kL1Misses: return "l1_misses";
-      case kL2DataHits: return "l2_data_hits";
-      case kL2DataMisses: return "l2_data_misses";
-      case kL2InstrHits: return "l2_instr_hits";
-      case kL2InstrMisses: return "l2_instr_misses";
-      case kL2DataSharedHits: return "l2_data_shared_hits";
-      case kL2InstrSharedHits: return "l2_instr_shared_hits";
-      case kL2Long: return "l2_long_accesses";
-      case kMinorFaults: return "minor_faults";
-      case kMajorFaults: return "major_faults";
-      case kCowFaults: return "cow_faults";
-      case kSharedInstalls: return "shared_installs";
-      case kFaultCycles: return "fault_cycles";
-      case kWalks: return "walks";
-      case kInstructions: return "instructions";
-      default: break;
-    }
-    bf_panic("unknown attrib counter ", static_cast<unsigned>(c));
+    static const auto names = [] {
+        std::array<const char *, kNumCounters> n{};
+        unsigned lane = 0;
+        translate::TranslateStats probe;
+        translate::forEachScalarStat(
+            probe, [&](const char *name, stats::Scalar &) {
+                n[lane++] = name;
+            });
+        n[kWalks] = "walks";
+        n[kInstructions] = "instructions";
+        return n;
+    }();
+    if (c >= kNumCounters)
+        bf_panic("unknown attrib counter ", static_cast<unsigned>(c));
+    return names[c];
 }
 
 void
@@ -174,12 +175,7 @@ Registry::resetCoreStats()
         for (auto &c : t.counters)
             c.reset();
         t.miss_latency.reset();
-        for (auto &c : t.l1_evicted_by)
-            c.reset();
-        for (auto &c : t.l2_evicted_by)
-            c.reset();
-        t.l1_evicted_by_other.reset();
-        t.l2_evicted_by_other.reset();
+        t.evicted_by.resetTree();
         t.dram_data_extra.reset();
         t.dram_walk_extra.reset();
     }

@@ -58,10 +58,12 @@ namespace bf::attrib
 {
 
 /**
- * Per-tenant counter indices. The first block mirrors
- * translate::TranslateStats member-for-member (same booking sites);
- * kWalks and kInstructions extend it with the walker and core counters
- * the reconciliation test sums against.
+ * Per-tenant counter indices. The first block is
+ * translate::TranslateStats' scalars in the order of its one
+ * description (translate::forEachScalarStat, which drives the lane
+ * names and Core::readAttribCounters; a static_assert pins the block's
+ * length); kWalks and kInstructions extend it with the walker and core
+ * counters the reconciliation test sums against.
  */
 enum Counter : unsigned
 {

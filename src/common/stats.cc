@@ -177,6 +177,25 @@ StatGroup::accept(StatVisitor &visitor) const
     visitor.endGroup(*this);
 }
 
+namespace
+{
+
+/**
+ * A registered stat as @p Self (a const or mutable StatGroup) may touch
+ * it. The registered pointers are const because normal clients only
+ * read; the stats live in the owning components, and restoreStats and
+ * resetTree are the two sanctioned writers through this registry.
+ */
+template <class Self, class T>
+auto &
+registered(const T *ptr)
+{
+    using Like = std::conditional_t<std::is_const_v<Self>, const T, T>;
+    return const_cast<Like &>(*ptr);
+}
+
+} // namespace
+
 // Restore walks the same canonical order save used; any divergence in
 // group or stat name means the rebuilt world's stat tree does not match
 // the checkpointed one, which restore must refuse to paper over.
@@ -184,14 +203,6 @@ template <class Ar, class Self>
 void
 StatGroup::io(Ar &ar, Self &self)
 {
-    // The registered pointers are const because normal clients only
-    // read; the stats live in the owning components, and restore is the
-    // one sanctioned writer through this registry.
-    const auto stat = [](const auto *ptr) -> auto & {
-        using T = std::remove_const_t<std::remove_pointer_t<decltype(ptr)>>;
-        using Like = std::conditional_t<std::is_const_v<Self>, const T, T>;
-        return const_cast<Like &>(*ptr);
-    };
     const std::string at =
         "checkpoint stat tree mismatch at " + self.path() + ": ";
     const auto each = [&](const auto &stats, const char *kind) {
@@ -199,7 +210,8 @@ StatGroup::io(Ar &ar, Self &self)
                   at + kind + " count");
         for (const auto &[name, ptr] : stats) {
             ar.expect(name, at + kind + " '" + name + "'");
-            std::remove_cvref_t<decltype(*ptr)>::io(ar, stat(ptr));
+            std::remove_cvref_t<decltype(*ptr)>::io(
+                ar, registered<Self>(ptr));
         }
     };
 
@@ -224,6 +236,21 @@ void
 StatGroup::restoreStats(snap::ArchiveReader &ar)
 {
     io(ar, *this);
+}
+
+void
+StatGroup::resetTree()
+{
+    const auto each = [](const auto &stats) {
+        for (const auto &[name, ptr] : stats)
+            registered<StatGroup>(ptr).reset();
+    };
+    each(scalars_);
+    each(averages_);
+    each(latencies_);
+    each(distributions_);
+    for (StatGroup *child : children_)
+        child->resetTree();
 }
 
 const Scalar *

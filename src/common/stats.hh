@@ -45,7 +45,7 @@ class Scalar
     /** Current count. */
     std::uint64_t value() const { return value_; }
 
-    /** Reset to zero (used between warm-up and measurement). */
+    /** Reset to zero (StatGroup::resetTree, end of warm-up). */
     void reset() { value_ = 0; }
 
     /** Overwrite the count (the attribution tenants' pid/ccid stats). */
@@ -407,6 +407,13 @@ class StatGroup
     void saveStats(snap::ArchiveWriter &ar) const;
     void restoreStats(snap::ArchiveReader &ar);
     /** @} */
+
+    /**
+     * Reset every stat registered in this group and its children (end
+     * of warm-up). Registration is the one list of a component's
+     * stats, so no component keeps a reset of its own.
+     */
+    void resetTree();
 
     /**
      * Look up a scalar's value by path relative to this group, e.g.\

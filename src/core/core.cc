@@ -256,21 +256,13 @@ Core::applyWeaveAdjustment(Cycles data_extra, Cycles walk_extra)
 void
 Core::readAttribCounters(std::uint64_t out[attrib::kNumCounters]) const
 {
-    const translate::TranslateStats &st = *mmu_;
-    out[attrib::kL1Hits] = st.l1_hits.value();
-    out[attrib::kL1Misses] = st.l1_misses.value();
-    out[attrib::kL2DataHits] = st.l2_data_hits.value();
-    out[attrib::kL2DataMisses] = st.l2_data_misses.value();
-    out[attrib::kL2InstrHits] = st.l2_instr_hits.value();
-    out[attrib::kL2InstrMisses] = st.l2_instr_misses.value();
-    out[attrib::kL2DataSharedHits] = st.l2_data_shared_hits.value();
-    out[attrib::kL2InstrSharedHits] = st.l2_instr_shared_hits.value();
-    out[attrib::kL2Long] = st.l2_long_accesses.value();
-    out[attrib::kMinorFaults] = st.minor_faults.value();
-    out[attrib::kMajorFaults] = st.major_faults.value();
-    out[attrib::kCowFaults] = st.cow_faults.value();
-    out[attrib::kSharedInstalls] = st.shared_installs.value();
-    out[attrib::kFaultCycles] = st.fault_cycles.value();
+    // The leading lanes are TranslateStats' scalars in table order.
+    unsigned lane = 0;
+    translate::forEachScalarStat(
+        static_cast<const translate::TranslateStats &>(*mmu_),
+        [&](const char *, const stats::Scalar &stat) {
+            out[lane++] = stat.value();
+        });
     out[attrib::kWalks] = mmu_->walker().walks.value();
     out[attrib::kInstructions] = instructions.value();
 }
@@ -311,13 +303,7 @@ Core::syncAttribWindow()
 void
 Core::resetStats()
 {
-    instructions.reset();
-    mem_refs.reset();
-    busy_cycles.reset();
-    translation_cycles.reset();
-    data_cycles.reset();
-    context_switches.reset();
-    mmu_->resetStats();
+    stat_group_.resetTree();
     // The globals just moved underneath the attribution window; re-base
     // so the next flush books only post-reset deltas (the Registry's
     // own resetCoreStats resets the tenant side to match).

@@ -149,6 +149,10 @@ class Core
     stats::Scalar context_switches;
     /** @} */
 
+    /**
+     * Reset every stat in the core's subtree (core, MMU, backend
+     * structures, walker) and re-base the attribution window.
+     */
     void resetStats();
 
   private:

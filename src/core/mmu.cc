@@ -24,21 +24,11 @@ Mmu::Mmu(unsigned core_id, const MmuParams &params,
       // top of simulated DRAM so they never alias real data.
       meta_base_(kernel.params().mem_frames << 12)
 {
-    stat_group_.addStat("l1_hits", &l1_hits);
-    stat_group_.addStat("l1_misses", &l1_misses);
-    stat_group_.addStat("l2_data_hits", &l2_data_hits);
-    stat_group_.addStat("l2_data_misses", &l2_data_misses);
-    stat_group_.addStat("l2_instr_hits", &l2_instr_hits);
-    stat_group_.addStat("l2_instr_misses", &l2_instr_misses);
-    stat_group_.addStat("l2_data_shared_hits", &l2_data_shared_hits);
-    stat_group_.addStat("l2_instr_shared_hits", &l2_instr_shared_hits);
-    stat_group_.addStat("l2_long_accesses", &l2_long_accesses);
-    stat_group_.addStat("minor_faults", &minor_faults);
-    stat_group_.addStat("major_faults", &major_faults);
-    stat_group_.addStat("cow_faults", &cow_faults);
-    stat_group_.addStat("shared_installs", &shared_installs);
-    stat_group_.addStat("fault_cycles", &fault_cycles);
-    stat_group_.addStat("miss_latency", &miss_latency);
+    translate::forEachStat(
+        static_cast<translate::TranslateStats &>(*this),
+        [this](const char *name, const auto &stat) {
+            stat_group_.addStat(name, &stat);
+        });
 }
 
 Translation
@@ -184,15 +174,6 @@ Mmu::cachedProcessBit(const vm::Process &proc, Addr canonical_va)
     pb.region = region;
     pb.bit = kernel_.processBit(proc, canonical_va);
     return pb.bit;
-}
-
-
-void
-Mmu::resetStats()
-{
-    resetCounters();
-    backend_->resetStats();
-    walker_.resetStats();
 }
 
 void

@@ -40,10 +40,10 @@ using Translation = translate::Translation;
  * One core's memory-management unit.
  *
  * Inherits TranslateStats so the access-level counters keep their
- * historical homes (`mmu.l1_hits`, `&Mmu::l2_data_hits` member
- * pointers in the sampler) while the selected backend books into them
- * by reference. Privately a WalkSource: backend misses walk through the
- * live PageWalker and CacheHierarchy.
+ * historical homes (`mmu.l1_hits`) while the selected backend books
+ * into them by reference; translate::forEachStat registers them.
+ * Privately a WalkSource: backend misses walk through the live
+ * PageWalker and CacheHierarchy.
  */
 class Mmu : public translate::TranslateStats, private translate::WalkSource
 {
@@ -132,8 +132,6 @@ class Mmu : public translate::TranslateStats, private translate::WalkSource
     tlb::Pwc &pwc() { return backend_->pwc(); }
     tlb::PageWalker &walker() { return walker_; }
     /** @} */
-
-    void resetStats();
 
     const MmuParams &params() const { return params_; }
 

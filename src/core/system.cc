@@ -278,28 +278,23 @@ void
 System::enableSampling(Cycles interval)
 {
     if (sampler_.names().empty()) {
-        auto sumMmu = [this](auto member) {
-            return [this, member]() {
-                std::uint64_t total = 0;
-                for (const auto &core : cores_)
-                    total += (core->mmu().*member).value();
-                return total;
+        using TS = translate::TranslateStats;
+        auto total = [this](auto... counters) {
+            return [this, counters...] {
+                return (totalTranslateStat(counters) + ...);
             };
         };
         sampler_.addProbe("instructions", [this] {
             return totalInstructions();
         });
-        sampler_.addProbe("l2_tlb_data_hits",
-                          sumMmu(&Mmu::l2_data_hits));
-        sampler_.addProbe("l2_tlb_data_misses",
-                          sumMmu(&Mmu::l2_data_misses));
-        sampler_.addProbe("l2_tlb_instr_hits",
-                          sumMmu(&Mmu::l2_instr_hits));
+        sampler_.addProbe("l2_tlb_data_hits", total(&TS::l2_data_hits));
+        sampler_.addProbe("l2_tlb_data_misses", total(&TS::l2_data_misses));
+        sampler_.addProbe("l2_tlb_instr_hits", total(&TS::l2_instr_hits));
         sampler_.addProbe("l2_tlb_instr_misses",
-                          sumMmu(&Mmu::l2_instr_misses));
-        sampler_.addProbe("l2_tlb_shared_hits", [this] {
-            return totalL2TlbSharedHits(false) + totalL2TlbSharedHits(true);
-        });
+                          total(&TS::l2_instr_misses));
+        sampler_.addProbe("l2_tlb_shared_hits",
+                          total(&TS::l2_data_shared_hits,
+                                &TS::l2_instr_shared_hits));
         sampler_.addProbe("walks", [this] {
             std::uint64_t total = 0;
             for (const auto &core : cores_)
@@ -581,9 +576,11 @@ System::resetStats()
     if (tracer_)
         tracer_->record(0, trace::EventType::StatsReset,
                         cores_.empty() ? 0 : cores_[0]->now(), 0, 0, 0);
+    // Scope: the core subtrees and the caches group. system.kernel
+    // keeps its whole-run counts.
     for (auto &core : cores_)
         core->resetStats();
-    hierarchy_->resetStats();
+    hierarchy_->stats().resetTree();
     // Mirror the scope of the resets above: core-sourced tenant stats
     // reset, kernel-sourced ones (CoW, shootdowns) survive like the
     // kernel's own, so per-tenant sums still reconcile with the
@@ -605,35 +602,12 @@ System::totalInstructions() const
 }
 
 std::uint64_t
-System::totalL2TlbMisses(bool instruction) const
+System::totalTranslateStat(
+    stats::Scalar translate::TranslateStats::*counter) const
 {
     std::uint64_t total = 0;
-    for (const auto &core : cores_) {
-        total += instruction ? core->mmu().l2_instr_misses.value()
-                             : core->mmu().l2_data_misses.value();
-    }
-    return total;
-}
-
-std::uint64_t
-System::totalL2TlbHits(bool instruction) const
-{
-    std::uint64_t total = 0;
-    for (const auto &core : cores_) {
-        total += instruction ? core->mmu().l2_instr_hits.value()
-                             : core->mmu().l2_data_hits.value();
-    }
-    return total;
-}
-
-std::uint64_t
-System::totalL2TlbSharedHits(bool instruction) const
-{
-    std::uint64_t total = 0;
-    for (const auto &core : cores_) {
-        total += instruction ? core->mmu().l2_instr_shared_hits.value()
-                             : core->mmu().l2_data_shared_hits.value();
-    }
+    for (const auto &core : cores_)
+        total += (core->mmu().*counter).value();
     return total;
 }
 

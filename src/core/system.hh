@@ -151,11 +151,12 @@ class System
     void enableAutoCheckpoint(std::string path, Cycles interval);
     /** @} */
 
-    /** Aggregate counters across cores. */
+    /** @{ @name Aggregate counters across cores */
     std::uint64_t totalInstructions() const;
-    std::uint64_t totalL2TlbMisses(bool instruction) const;
-    std::uint64_t totalL2TlbHits(bool instruction) const;
-    std::uint64_t totalL2TlbSharedHits(bool instruction) const;
+    /** e.g.\ totalTranslateStat(&translate::TranslateStats::l2_data_hits) */
+    std::uint64_t totalTranslateStat(
+        stats::Scalar translate::TranslateStats::*counter) const;
+    /** @} */
 
     /**
      * Host wall-clock seconds spent in each phase of the chunk loop,

@@ -221,16 +221,6 @@ Cache::flush()
     std::fill(key_.begin(), key_.end(), 0);
 }
 
-void
-Cache::resetStats()
-{
-    hits.reset();
-    misses.reset();
-    evictions.reset();
-    writebacks.reset();
-    invalidations.reset();
-}
-
 template <class Ar, class Self>
 void
 Cache::io(Ar &ar, Self &self)

@@ -155,9 +155,6 @@ class Cache
     stats::Scalar invalidations;
     /** @} */
 
-    /** Reset all statistics (tags retained). */
-    void resetStats();
-
   private:
     template <class Ar, class Self> static void io(Ar &ar, Self &self);
 

@@ -90,16 +90,6 @@ Dram::access(Addr paddr, Cycles now, bool is_write)
     return latency;
 }
 
-void
-Dram::resetStats()
-{
-    reads.reset();
-    writes.reset();
-    row_hits.reset();
-    row_misses.reset();
-    row_conflicts.reset();
-}
-
 template <class Ar, class Self>
 void
 Dram::io(Ar &ar, Self &self)

@@ -98,8 +98,6 @@ class Dram
     stats::Scalar row_conflicts; //!< Bank had a different row open.
     /** @} */
 
-    void resetStats();
-
     const DramParams &params() const { return params_; }
 
     /** @{ @name Checkpointing (open rows + bank ready times) */

@@ -190,18 +190,6 @@ CacheHierarchy::flushAll()
     l3_->flush();
 }
 
-void
-CacheHierarchy::resetStats()
-{
-    for (unsigned c = 0; c < num_cores_; ++c) {
-        l1i_[c]->resetStats();
-        l1d_[c]->resetStats();
-        l2_[c]->resetStats();
-    }
-    l3_->resetStats();
-    dram_->resetStats();
-}
-
 template <class Ar, class Self>
 void
 CacheHierarchy::io(Ar &ar, Self &self)

@@ -157,10 +157,10 @@ class CacheHierarchy
     /** Drop every line in every cache. */
     void flushAll();
 
-    /** Reset statistics of all levels. */
-    void resetStats();
-
     unsigned numCores() const { return num_cores_; }
+
+    /** The "caches" stat group (every level and DRAM). */
+    stats::StatGroup &stats() { return stat_group_; }
 
     /** Coherence probes modeled (model_coherence and more than one core). */
     bool coherenceActive() const { return coherence_active_; }

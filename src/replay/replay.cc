@@ -16,21 +16,9 @@ namespace bf::replay
 Counters &
 Counters::operator+=(const Counters &o)
 {
-    accesses += o.accesses;
-    l1_hits += o.l1_hits;
-    l1_misses += o.l1_misses;
-    l2_data_hits += o.l2_data_hits;
-    l2_data_misses += o.l2_data_misses;
-    l2_instr_hits += o.l2_instr_hits;
-    l2_instr_misses += o.l2_instr_misses;
-    l2_data_shared_hits += o.l2_data_shared_hits;
-    l2_instr_shared_hits += o.l2_instr_shared_hits;
-    l2_long_accesses += o.l2_long_accesses;
-    walks += o.walks;
-    pwc_hits += o.pwc_hits;
-    pwc_misses += o.pwc_misses;
-    miss_latency_count += o.miss_latency_count;
-    miss_latency_sum += o.miss_latency_sum;
+    forEachCounter([](const char *, std::uint64_t &sum,
+                      std::uint64_t add) { sum += add; },
+                   *this, o);
     return *this;
 }
 
@@ -673,22 +661,18 @@ struct ReplayEngine::Impl
                   stats::StatGroup *root)
             : p(params), group("core" + std::to_string(id), root),
               mmu("mmu", &group),
-              backend(translate::createBackend(id, p, ts, mmu))
+              backend(translate::createBackend(id, p, ts, mmu)),
+              pwc(backend->pwc())
         {
             mmu.addStat("accesses", &accesses);
-            mmu.addStat("l1_hits", &ts.l1_hits);
-            mmu.addStat("l1_misses", &ts.l1_misses);
-            mmu.addStat("l2_data_hits", &ts.l2_data_hits);
-            mmu.addStat("l2_data_misses", &ts.l2_data_misses);
-            mmu.addStat("l2_instr_hits", &ts.l2_instr_hits);
-            mmu.addStat("l2_instr_misses", &ts.l2_instr_misses);
-            mmu.addStat("l2_data_shared_hits", &ts.l2_data_shared_hits);
-            mmu.addStat("l2_instr_shared_hits", &ts.l2_instr_shared_hits);
-            mmu.addStat("l2_long_accesses", &ts.l2_long_accesses);
+            // No fault service here: only the pipeline block is booked.
+            translate::forEachPipelineStat(
+                ts, [this](const char *name, const auto &stat) {
+                    mmu.addStat(name, &stat);
+                });
             mmu.addStat("walks", &walks);
             mmu.addStat("mem_steps", &mem_steps);
             mmu.addStat("synth_walks", &synth_walks);
-            mmu.addStat("miss_latency", &ts.miss_latency);
         }
 
         /** Replay one access unit: one backend pass, no fault service. */
@@ -717,13 +701,8 @@ struct ReplayEngine::Impl
         void
         resetStats()
         {
-            accesses.reset();
-            walks.reset();
-            mem_steps.reset();
-            synth_walks.reset();
-            ts.resetCounters();
-            backend->resetStats();
-            rec = Counters{};
+            group.resetTree();
+            rec = {};
         }
 
         // ---- The replay WalkSource ---------------------------------------
@@ -841,40 +820,48 @@ struct ReplayEngine::Impl
             return e;
         }
 
+        /**
+         * One walk step at @p level: a level the PWC caches (PMD and up)
+         * hits for the PWC's access time, or misses and fills; a miss or
+         * an uncached level reads memory for mem_level_cycles[@p
+         * mem_level]. Returns whether the PWC hit.
+         */
+        bool
+        walkStep(int level, Addr paddr, unsigned mem_level, Cycles &cycles)
+        {
+            const bool cached = level >= vm::LevelPmd;
+            if (cached && pwc.lookup(level, paddr)) {
+                cycles += pwc.accessCycles();
+                return true;
+            }
+            cycles += p.mem_level_cycles[mem_level];
+            ++mem_steps;
+            if (cached)
+                pwc.fill(level, paddr);
+            return false;
+        }
+
         tlb::WalkResult
         replayRecordedWalk(const WalkInfo &w)
         {
-            tlb::Pwc &pwc = backend->pwc();
             bool concordant = true;
             Cycles cycles = 0;
             for (unsigned si = 0; si < w.num_steps; ++si) {
                 const trace::Record *s = w.steps[si];
                 const auto level =
                     static_cast<int>(trace::walkStepLevel(s->arg));
-                const Addr paddr = trace::walkStepPaddr(s->arg);
+                const bool cached = level >= vm::LevelPmd;
                 const bool rec_pwc_hit =
                     s->type ==
                     static_cast<std::uint8_t>(trace::EventType::PwcHit);
-                if (level >= vm::LevelPmd) {
-                    const bool hit = pwc.lookup(level, paddr);
-                    if (hit) {
-                        cycles += pwc.accessCycles();
-                    } else {
-                        // A step the recording served from its PWC has no
-                        // recorded memory level; assume L2 (tables are hot).
-                        const unsigned ml =
-                            rec_pwc_hit ? 1u
+                // A step the recording served from its PWC has no
+                // recorded memory level; assume L2 (tables are hot).
+                const unsigned ml = cached && rec_pwc_hit
+                                        ? 1u
                                         : std::min<unsigned>(s->flags, 3u);
-                        cycles += p.mem_level_cycles[ml];
-                        ++mem_steps;
-                        pwc.fill(level, paddr);
-                    }
-                    concordant &= hit == rec_pwc_hit;
-                } else {
-                    cycles += p.mem_level_cycles[std::min<unsigned>(s->flags,
-                                                                    3u)];
-                    ++mem_steps;
-                }
+                const bool hit = walkStep(
+                    level, trace::walkStepPaddr(s->arg), ml, cycles);
+                concordant &= !cached || hit == rec_pwc_hit;
             }
             tlb::WalkResult out;
             // When the replayed PWC behaved exactly like the recording the
@@ -926,24 +913,10 @@ struct ReplayEngine::Impl
                     "); replay requires cold-start traces — re-record "
                     "without BF_RESTORE");
 
-            tlb::Pwc &pwc = backend->pwc();
             tlb::WalkResult out;
-            const int leaf = leafLevel(size);
-            for (int level = vm::LevelPgd; level >= leaf; --level) {
-                const Addr paddr = memoPaddr(req.pid, req.ccid, va, level);
-                if (level >= vm::LevelPmd) {
-                    if (pwc.lookup(level, paddr)) {
-                        out.cycles += pwc.accessCycles();
-                    } else {
-                        out.cycles += p.mem_level_cycles[1];
-                        ++mem_steps;
-                        pwc.fill(level, paddr);
-                    }
-                } else {
-                    out.cycles += p.mem_level_cycles[1];
-                    ++mem_steps;
-                }
-            }
+            for (int level = vm::LevelPgd; level >= leafLevel(size); --level)
+                walkStep(level, memoPaddr(req.pid, req.ccid, va, level), 1,
+                         out.cycles);
             // A write that the recording resolved as a CoW fault (or whose
             // leaf is CoW) walks but does not fill; the fault service and
             // retry stream are fixed by the trace.
@@ -961,6 +934,7 @@ struct ReplayEngine::Impl
         stats::StatGroup mmu;
         translate::TranslateStats ts;
         std::unique_ptr<translate::Backend> backend;
+        tlb::Pwc &pwc; //!< The backend's PWC, which walks step through.
 
         stats::Scalar accesses;
         stats::Scalar walks;
@@ -1113,7 +1087,7 @@ struct ReplayEngine::Impl
     replayedOf(const CoreModel &cm) const
     {
         const translate::TranslateStats &ts = cm.ts;
-        const tlb::Pwc &pwc = cm.backend->pwc();
+        const tlb::Pwc &pwc = cm.pwc;
         Counters c;
         c.accesses = cm.accesses.value();
         c.l1_hits = ts.l1_hits.value();
@@ -1244,34 +1218,16 @@ ReplayEngine::validate() const
 {
     std::vector<CounterDiff> diffs;
     for (unsigned c = 0; c < numCores(); ++c) {
-        const Counters rep = replayed(c);
         const Counters rec = recorded(c);
-        auto check = [&](const char *name, std::uint64_t recorded_v,
-                         std::uint64_t replayed_v) {
-            if (recorded_v != replayed_v)
-                diffs.push_back({"core" + std::to_string(c) + "." + name,
-                                 c, recorded_v, replayed_v});
-        };
-        check("l1_hits", rec.l1_hits, rep.l1_hits);
-        check("l1_misses", rec.l1_misses, rep.l1_misses);
-        check("l2_data_hits", rec.l2_data_hits, rep.l2_data_hits);
-        check("l2_data_misses", rec.l2_data_misses, rep.l2_data_misses);
-        check("l2_instr_hits", rec.l2_instr_hits, rep.l2_instr_hits);
-        check("l2_instr_misses", rec.l2_instr_misses,
-              rep.l2_instr_misses);
-        check("l2_data_shared_hits", rec.l2_data_shared_hits,
-              rep.l2_data_shared_hits);
-        check("l2_instr_shared_hits", rec.l2_instr_shared_hits,
-              rep.l2_instr_shared_hits);
-        check("l2_long_accesses", rec.l2_long_accesses,
-              rep.l2_long_accesses);
-        check("walks", rec.walks, rep.walks);
-        check("pwc_hits", rec.pwc_hits, rep.pwc_hits);
-        check("pwc_misses", rec.pwc_misses, rep.pwc_misses);
-        check("miss_latency_count", rec.miss_latency_count,
-              rep.miss_latency_count);
-        check("miss_latency_sum", rec.miss_latency_sum,
-              rep.miss_latency_sum);
+        const Counters rep = replayed(c);
+        forEachCounter(
+            [&](const char *name, const std::uint64_t &recorded_v,
+                std::uint64_t replayed_v) {
+                if (&recorded_v != &rec.accesses && recorded_v != replayed_v)
+                    diffs.push_back({"core" + std::to_string(c) + "." + name,
+                                     c, recorded_v, replayed_v});
+            },
+            rec, rep);
     }
     return diffs;
 }

@@ -21,10 +21,12 @@
 #ifndef BF_REPLAY_REPLAY_HH
 #define BF_REPLAY_REPLAY_HH
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/trace/trace.hh"
@@ -87,7 +89,8 @@ ReplayParams paramsFromTrace(const trace::TraceConfig &config);
  * The counters replay reconstructs, per core. "Recorded" values are
  * tallied from the trace events themselves; "replayed" values come from
  * the replayed backends. At the recording config the two must be equal
- * (that is what bf_replay --validate checks).
+ * (that is what bf_replay --validate checks). Named fields for readers
+ * of one value; forEachCounter for every consumer of them all.
  */
 struct Counters
 {
@@ -109,6 +112,36 @@ struct Counters
 
     Counters &operator+=(const Counters &o);
 };
+
+/**
+ * The one description of Counters: visit(name, c.field...) for every
+ * counter in member order, over one or more Counters in lockstep
+ * (operator+= and ReplayEngine::validate pair two). The names are the
+ * ones bf_replay prints and validate() reports. accesses leads: it
+ * counts access units, which the live Mmu has no counter for, so
+ * validate() and the live comparisons skip it.
+ */
+template <typename Visit, typename... C>
+    requires(std::same_as<std::remove_const_t<C>, Counters> && ...)
+void
+forEachCounter(Visit &&visit, C &...c)
+{
+    visit("accesses", c.accesses...);
+    visit("l1_hits", c.l1_hits...);
+    visit("l1_misses", c.l1_misses...);
+    visit("l2_data_hits", c.l2_data_hits...);
+    visit("l2_data_misses", c.l2_data_misses...);
+    visit("l2_instr_hits", c.l2_instr_hits...);
+    visit("l2_instr_misses", c.l2_instr_misses...);
+    visit("l2_data_shared_hits", c.l2_data_shared_hits...);
+    visit("l2_instr_shared_hits", c.l2_instr_shared_hits...);
+    visit("l2_long_accesses", c.l2_long_accesses...);
+    visit("walks", c.walks...);
+    visit("pwc_hits", c.pwc_hits...);
+    visit("pwc_misses", c.pwc_misses...);
+    visit("miss_latency_count", c.miss_latency_count...);
+    visit("miss_latency_sum", c.miss_latency_sum...);
+}
 
 /** One counter whose replayed value diverged from the recorded one. */
 struct CounterDiff

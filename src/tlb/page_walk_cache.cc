@@ -88,13 +88,6 @@ Pwc::invalidateAll()
         line.valid = false;
 }
 
-void
-Pwc::resetStats()
-{
-    hits.reset();
-    misses.reset();
-}
-
 template <class Ar, class Self>
 void
 Pwc::io(Ar &ar, Self &self)

@@ -69,8 +69,6 @@ class Pwc
     stats::Scalar misses;
     /** @} */
 
-    void resetStats();
-
   private:
     template <class Ar, class Self> static void io(Ar &ar, Self &self);
 

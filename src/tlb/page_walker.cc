@@ -179,15 +179,4 @@ PageWalker::walk(vm::Process &proc, Addr canonical_va, AccessType type,
     bf_panic("page walk fell through all levels");
 }
 
-void
-PageWalker::resetStats()
-{
-    walks.reset();
-    walk_cycles.reset();
-    mem_steps.reset();
-    pwc_steps.reset();
-    mask_fetches.reset();
-    walk_latency.reset();
-}
-
 } // namespace bf::tlb

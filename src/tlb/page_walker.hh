@@ -78,8 +78,6 @@ class PageWalker
     stats::Distribution walk_latency;
     /** @} */
 
-    void resetStats();
-
   private:
     unsigned core_id_;
     mem::CacheHierarchy &hierarchy_;

@@ -348,17 +348,6 @@ Tlb::validCount() const
     return valid_count_;
 }
 
-void
-Tlb::resetStats()
-{
-    hits.reset();
-    misses.reset();
-    shared_hits.reset();
-    bitmask_checks.reset();
-    fills.reset();
-    invalidations.reset();
-}
-
 template <class Ar, class Self>
 void
 Tlb::io(Ar &ar, Self &self)

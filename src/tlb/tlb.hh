@@ -175,8 +175,6 @@ class Tlb
     stats::Scalar invalidations;
     /** @} */
 
-    void resetStats();
-
   private:
     template <class Ar, class Self> static void io(Ar &ar, Self &self);
 

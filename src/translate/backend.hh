@@ -42,6 +42,7 @@
 #include "common/types.hh"
 #include "tlb/page_walker.hh"
 #include "translate/kind.hh"
+#include "translate/stats.hh"
 #include "vm/tlb_hooks.hh"
 
 namespace bf::attrib
@@ -150,43 +151,6 @@ class WalkSource
     virtual void touchMetaLine(std::uint64_t line) = 0;
 };
 
-/**
- * The access-level counters every backend books (the owner — core::Mmu
- * or a replayed core — registers them, so their stats-tree names are
- * identical across backends and to the pre-interface Mmu).
- */
-struct TranslateStats
-{
-    stats::Scalar l1_hits;
-    stats::Scalar l1_misses;
-    stats::Scalar l2_data_hits;
-    stats::Scalar l2_data_misses;
-    stats::Scalar l2_instr_hits;
-    stats::Scalar l2_instr_misses;
-    stats::Scalar l2_data_shared_hits;
-    stats::Scalar l2_instr_shared_hits;
-    stats::Scalar l2_long_accesses;   //!< 12-cycle PC-bitmask lookups.
-    stats::Scalar minor_faults;
-    stats::Scalar major_faults;
-    stats::Scalar cow_faults;
-    stats::Scalar shared_installs;
-    stats::Scalar fault_cycles;
-    /** Full translate() latency of accesses that missed both TLB levels. */
-    stats::Distribution miss_latency;
-
-    void
-    resetCounters()
-    {
-        for (stats::Scalar *s :
-             {&l1_hits, &l1_misses, &l2_data_hits, &l2_data_misses,
-              &l2_instr_hits, &l2_instr_misses, &l2_data_shared_hits,
-              &l2_instr_shared_hits, &l2_long_accesses, &minor_faults,
-              &major_faults, &cow_faults, &shared_installs, &fault_cycles})
-            s->reset();
-        miss_latency.reset();
-    }
-};
-
 /** One core's translation backend. */
 class Backend
 {
@@ -234,9 +198,6 @@ class Backend
 
     /** Drop all cached translation state (tests / phase changes). */
     virtual void flushAll() = 0;
-
-    /** Reset statistics of the owned structures (not TranslateStats). */
-    virtual void resetStats() = 0;
 
     /**
      * @{

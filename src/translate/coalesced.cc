@@ -83,11 +83,4 @@ CoalescedBackend::flushExtra()
     detector_.clear();
 }
 
-void
-CoalescedBackend::resetExtraStats()
-{
-    range_hits_.reset();
-    range_installs_.reset();
-}
-
 } // namespace bf::translate

@@ -54,7 +54,6 @@ class CoalescedBackend : public PipelineBackend
                 WalkSource &src) override;
     void invalidateExtra(const vm::TlbInvalidate &inv) override;
     void flushExtra() override;
-    void resetExtraStats() override;
     void extraIo(snap::ArchiveWriter &ar) const override { io(ar, *this); }
     void extraIo(snap::ArchiveReader &ar) override { io(ar, *this); }
 

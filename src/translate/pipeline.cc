@@ -232,11 +232,6 @@ PipelineBackend::flushExtra()
 }
 
 void
-PipelineBackend::resetExtraStats()
-{
-}
-
-void
 PipelineBackend::installL0(Addr va, Pcid pcid, AccessType type,
                            PageSize size, const tlb::TlbEntry *entry)
 {
@@ -499,18 +494,6 @@ PipelineBackend::flushAll()
     ++l0_gen_;
     l0_.fill(L0Entry{});
     flushExtra();
-}
-
-void
-PipelineBackend::resetStats()
-{
-    l1i_4k_->resetStats();
-    for (auto &tlb : l1d_)
-        tlb->resetStats();
-    for (auto &tlb : l2_)
-        tlb->resetStats();
-    pwc_->resetStats();
-    resetExtraStats();
 }
 
 template <class Ar, class Self>

@@ -51,7 +51,6 @@ class PipelineBackend : public Backend
         sink_ = sink;
     }
     void flushAll() override;
-    void resetStats() override;
     void save(snap::ArchiveWriter &ar) const override;
     void restore(snap::ArchiveReader &ar) override;
 
@@ -97,9 +96,8 @@ class PipelineBackend : public Backend
     /** Extend a shootdown into competitor structures. */
     virtual void invalidateExtra(const vm::TlbInvalidate &inv);
 
-    /** Extend flushAll / resetStats into competitor structures. */
+    /** Extend flushAll into competitor structures. */
     virtual void flushExtra();
-    virtual void resetExtraStats();
 
     /**
      * Extend the checkpoint with competitor structures. The two

@@ -90,12 +90,4 @@ VictimaBackend::flushExtra()
     store_.clear();
 }
 
-void
-VictimaBackend::resetExtraStats()
-{
-    spills_.reset();
-    probes_.reset();
-    store_hits_.reset();
-}
-
 } // namespace bf::translate

@@ -60,7 +60,6 @@ class VictimaBackend : public PipelineBackend
                   Cycles &cycles, tlb::TlbEntry &out) override;
     void invalidateExtra(const vm::TlbInvalidate &inv) override;
     void flushExtra() override;
-    void resetExtraStats() override;
     void extraIo(snap::ArchiveWriter &ar) const override { ar.part(store_); }
     void extraIo(snap::ArchiveReader &ar) override { ar.part(store_); }
 

@@ -1304,6 +1304,8 @@ Kernel::io(Ar &ar, Self &self)
         ar.u64(frame);
         ar.u8(level);
         if constexpr (Ar::loading) {
+            if (level < LevelPte || level > LevelPgd)
+                throw snap::SnapshotError(what("page table level"));
             auto made = self.table_pool_.make(level, frame);
             table = made.get();
             self.tables_[frame] = std::move(made);
@@ -1350,10 +1352,20 @@ Kernel::io(Ar &ar, Self &self)
             ar.u64(vma.object_offset);
         }
 
+        // Process::bitIn binary-searches the regions, and a bit is a
+        // shift into the O-PC mask.
         ar.count32(proc.mask_bits_);
-        for (auto &[region, bit] : proc.mask_bits_) {
+        for (std::size_t i = 0; i < proc.mask_bits_.size(); ++i) {
+            auto &[region, bit] = proc.mask_bits_[i];
             ar.u64(region);
             ar.u32(bit);
+            if constexpr (Ar::loading) {
+                if (i > 0 && region <= proc.mask_bits_[i - 1].first)
+                    throw snap::SnapshotError(what("mask regions order"));
+                if (bit < 0 ||
+                    static_cast<unsigned>(bit) >= params.max_cow_writers)
+                    throw snap::SnapshotError(what("mask bit"));
+            }
         }
         for (auto &offset : proc.aslr_offsets.offset)
             ar.i64(offset);

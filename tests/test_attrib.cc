@@ -17,13 +17,17 @@
 
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/attrib/attrib.hh"
 #include "common/stats_export.hh"
 #include "core/system.hh"
+#include "translate/stats.hh"
 #include "workloads/apps.hh"
 
 using namespace bf;
@@ -53,11 +57,19 @@ mongodbProfile()
     return profile;
 }
 
-/** The bench shape, shrunk: 4 cores x 2 containers, sampling on. */
+/**
+ * The bench shape, shrunk: 4 cores x 2 containers, sampling on. Like
+ * bench_zoo, a competitor @p backend runs on the non-sharing baseline.
+ */
 World
-makeWorld(unsigned workers, bool attrib = true, std::uint64_t seed = 37)
+makeWorld(unsigned workers, bool attrib = true, std::uint64_t seed = 37,
+          translate::BackendKind backend = translate::BackendKind::BabelFish)
 {
-    core::SystemParams params = core::SystemParams::babelfish();
+    core::SystemParams params =
+        backend == translate::BackendKind::BabelFish
+            ? core::SystemParams::babelfish()
+            : core::SystemParams::baseline();
+    params.mmu.backend = backend;
     params.num_cores = 4;
     params.workers = workers;
     params.sync_chunk = 20000;
@@ -96,40 +108,20 @@ expectReconciled(core::System &sys)
 {
     const attrib::Registry &reg = *sys.attrib();
 
-    // The 14 TranslateStats mirrors, summed over the per-core MMUs.
-    struct Pair
-    {
-        attrib::Counter c;
-        stats::Scalar translate::TranslateStats::*global;
-    };
-    const Pair pairs[] = {
-        { attrib::kL1Hits, &translate::TranslateStats::l1_hits },
-        { attrib::kL1Misses, &translate::TranslateStats::l1_misses },
-        { attrib::kL2DataHits, &translate::TranslateStats::l2_data_hits },
-        { attrib::kL2DataMisses,
-          &translate::TranslateStats::l2_data_misses },
-        { attrib::kL2InstrHits, &translate::TranslateStats::l2_instr_hits },
-        { attrib::kL2InstrMisses,
-          &translate::TranslateStats::l2_instr_misses },
-        { attrib::kL2DataSharedHits,
-          &translate::TranslateStats::l2_data_shared_hits },
-        { attrib::kL2InstrSharedHits,
-          &translate::TranslateStats::l2_instr_shared_hits },
-        { attrib::kL2Long, &translate::TranslateStats::l2_long_accesses },
-        { attrib::kMinorFaults, &translate::TranslateStats::minor_faults },
-        { attrib::kMajorFaults, &translate::TranslateStats::major_faults },
-        { attrib::kCowFaults, &translate::TranslateStats::cow_faults },
-        { attrib::kSharedInstalls,
-          &translate::TranslateStats::shared_installs },
-        { attrib::kFaultCycles, &translate::TranslateStats::fault_cycles },
-    };
-    for (const auto &[c, global] : pairs) {
-        std::uint64_t global_sum = 0;
-        for (unsigned i = 0; i < sys.numCores(); ++i)
-            global_sum += (sys.core(i).mmu().*global).value();
-        EXPECT_EQ(tenantSum(reg, c), global_sum)
-            << "counter " << attrib::counterName(c);
+    // The TranslateStats mirrors — attrib::Counter's leading lanes, in
+    // the table's order — summed over the per-core MMUs.
+    std::uint64_t global[translate::kNumScalarStats] = {};
+    for (unsigned i = 0; i < sys.numCores(); ++i) {
+        unsigned lane = 0;
+        translate::forEachScalarStat(
+            static_cast<translate::TranslateStats &>(sys.core(i).mmu()),
+            [&](const char *, const stats::Scalar &stat) {
+                global[lane++] += stat.value();
+            });
     }
+    for (unsigned c = 0; c < translate::kNumScalarStats; ++c)
+        EXPECT_EQ(tenantSum(reg, attrib::Counter(c)), global[c])
+            << "counter " << attrib::counterName(attrib::Counter(c));
 
     std::uint64_t walks = 0;
     for (unsigned i = 0; i < sys.numCores(); ++i)
@@ -184,6 +176,145 @@ TEST(Attrib, PerTenantSumsEqualGlobals)
     expectReconciled(*w.sys);
     EXPECT_GT(tenantSum(*w.sys->attrib(), attrib::kWalks), 0u);
 }
+
+// The named lanes sit where the TranslateStats table puts their
+// counters: renderTable and the tests read lanes by enum name, while
+// the lane order and names come from the table.
+TEST(Attrib, CounterLanesFollowTranslateStats)
+{
+    translate::TranslateStats ts;
+    const std::pair<attrib::Counter, const stats::Scalar *> lanes[] = {
+        { attrib::kL1Hits, &ts.l1_hits },
+        { attrib::kL1Misses, &ts.l1_misses },
+        { attrib::kL2DataHits, &ts.l2_data_hits },
+        { attrib::kL2DataMisses, &ts.l2_data_misses },
+        { attrib::kL2InstrHits, &ts.l2_instr_hits },
+        { attrib::kL2InstrMisses, &ts.l2_instr_misses },
+        { attrib::kL2DataSharedHits, &ts.l2_data_shared_hits },
+        { attrib::kL2InstrSharedHits, &ts.l2_instr_shared_hits },
+        { attrib::kL2Long, &ts.l2_long_accesses },
+        { attrib::kMinorFaults, &ts.minor_faults },
+        { attrib::kMajorFaults, &ts.major_faults },
+        { attrib::kCowFaults, &ts.cow_faults },
+        { attrib::kSharedInstalls, &ts.shared_installs },
+        { attrib::kFaultCycles, &ts.fault_cycles },
+    };
+    ASSERT_EQ(std::size(lanes), translate::kNumScalarStats);
+    for (const auto &[c, counter] : lanes) {
+        unsigned lane = 0, found = translate::kNumScalarStats;
+        translate::forEachScalarStat(
+            ts, [&](const char *, const stats::Scalar &stat) {
+                if (&stat == counter)
+                    found = lane;
+                ++lane;
+            });
+        EXPECT_EQ(found, static_cast<unsigned>(c))
+            << attrib::counterName(c);
+    }
+    EXPECT_STREQ(attrib::counterName(attrib::kWalks), "walks");
+    EXPECT_STREQ(attrib::counterName(attrib::kInstructions),
+                 "instructions");
+}
+
+// ---------------------------------------------------------------------
+// Reset scope
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Every scalar and distribution count of a stats tree, by path. */
+struct FlatStats : stats::StatVisitor
+{
+    std::map<std::string, std::uint64_t> scalars;
+    std::map<std::string, std::uint64_t> dist_counts;
+
+    void
+    visitScalar(const stats::StatGroup &group, const std::string &name,
+                const stats::Scalar &stat) override
+    {
+        scalars[group.path() + "." + name] = stat.value();
+    }
+
+    void
+    visitDistribution(const stats::StatGroup &group,
+                      const std::string &name,
+                      const stats::Distribution &stat) override
+    {
+        dist_counts[group.path() + "." + name] = stat.count();
+    }
+};
+
+bool
+startsWith(const std::string &path, const std::string &prefix)
+{
+    return path.compare(0, prefix.size(), prefix) == 0;
+}
+
+} // namespace
+
+class StatsReset : public ::testing::TestWithParam<translate::BackendKind>
+{};
+
+// System::resetStats (the warm-up boundary) restarts every stat under
+// system.core* and system.caches from zero. system.kernel and each
+// tenant's identity and kernel-sourced stats keep their values.
+TEST_P(StatsReset, ScopeIsCoresAndCaches)
+{
+    World w = makeWorld(1, true, 37, GetParam());
+    w.sys->run(msToCycles(0.5));
+    FlatStats before, after;
+    w.sys->stats().accept(before);
+    w.sys->resetStats();
+    w.sys->stats().accept(after);
+    ASSERT_EQ(before.scalars.size(), after.scalars.size());
+
+    const auto resetScope = [](const std::string &path) {
+        return startsWith(path, "system.core") ||
+               startsWith(path, "system.caches.");
+    };
+    std::uint64_t reset_before = 0, kept = 0;
+    for (const auto &[path, value] : after.scalars) {
+        if (resetScope(path)) {
+            EXPECT_EQ(value, 0u) << path;
+            reset_before += before.scalars.at(path);
+        } else if (startsWith(path, "system.kernel.")) {
+            EXPECT_EQ(value, before.scalars.at(path)) << path;
+            kept += value;
+        }
+    }
+    for (const auto &[path, count] : after.dist_counts) {
+        if (resetScope(path)) {
+            EXPECT_EQ(count, 0u) << path;
+            reset_before += before.dist_counts.at(path);
+        }
+    }
+    EXPECT_GT(reset_before, 0u);
+    EXPECT_GT(kept, 0u);
+
+    const attrib::Registry &reg = *w.sys->attrib();
+    ASSERT_GT(reg.numTenants(), 0u);
+    for (std::size_t t = 0; t < reg.numTenants(); ++t) {
+        const std::string at = "system.attrib.t" + std::to_string(t) + ".";
+        for (const char *name :
+             {"pid", "ccid", "cow_privatizations", "shootdowns_caused",
+              "shootdowns_caused_cross", "shootdowns_received",
+              "shootdowns_received_cross"})
+            EXPECT_EQ(after.scalars.at(at + name),
+                      before.scalars.at(at + name))
+                << at + name;
+        EXPECT_NE(after.scalars.at(at + "pid"), 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, StatsReset,
+    ::testing::Values(translate::BackendKind::BabelFish,
+                      translate::BackendKind::Victima,
+                      translate::BackendKind::Coalesced),
+    [](const ::testing::TestParamInfo<translate::BackendKind> &info) {
+        return std::string(translate::backendName(info.param));
+    });
 
 // ---------------------------------------------------------------------
 // Determinism over the worker matrix

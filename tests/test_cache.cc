@@ -148,11 +148,13 @@ TEST(Cache, ContainsHasNoSideEffects)
 
 TEST(Cache, ResetStats)
 {
-    Cache cache(smallCache());
+    stats::StatGroup root("root");
+    Cache cache(smallCache(), &root);
     bool dirty = false;
     cache.insert(0x1000, false, dirty);
     cache.access(0x1000, false);
-    cache.resetStats();
+    ASSERT_EQ(cache.hits.value(), 1u);
+    root.resetTree();
     EXPECT_EQ(cache.hits.value(), 0u);
     EXPECT_EQ(cache.misses.value(), 0u);
     // Tags survive a stats reset.

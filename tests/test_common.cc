@@ -231,6 +231,42 @@ TEST(Stats, GroupDump)
     EXPECT_EQ(oss.str(), "sys.count 3\n");
 }
 
+// resetTree zeroes every registered stat of every kind, in the group
+// and its children.
+TEST(StatGroup, ResetTreeResetsEveryKind)
+{
+    stats::StatGroup root("system");
+    stats::StatGroup child("core0", &root);
+    stats::Scalar scalar[2];
+    stats::Average average[2];
+    stats::LatencyTracker latency[2];
+    stats::Distribution distribution[2];
+    stats::StatGroup *groups[] = {&root, &child};
+    for (int g = 0; g < 2; ++g) {
+        groups[g]->addStat("scalar", &scalar[g]);
+        groups[g]->addStat("average", &average[g]);
+        groups[g]->addStat("latency", &latency[g]);
+        groups[g]->addStat("distribution", &distribution[g]);
+        scalar[g] += 7;
+        average[g].sample(3.5);
+        latency[g].sample(12.0);
+        distribution[g].sample(300);
+    }
+
+    root.resetTree();
+    for (int g = 0; g < 2; ++g) {
+        SCOPED_TRACE(groups[g]->path());
+        EXPECT_EQ(scalar[g].value(), 0u);
+        EXPECT_EQ(average[g].count(), 0u);
+        EXPECT_EQ(average[g].sum(), 0.0);
+        EXPECT_EQ(latency[g].count(), 0u);
+        EXPECT_EQ(distribution[g].count(), 0u);
+        EXPECT_EQ(distribution[g].sum(), 0u);
+        EXPECT_EQ(distribution[g].max(), 0u);
+        EXPECT_TRUE(distribution[g].buckets().empty());
+    }
+}
+
 TEST(StatsDeath, DuplicateStatPanics)
 {
     stats::StatGroup root("sys");

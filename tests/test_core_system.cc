@@ -252,5 +252,6 @@ TEST(System, AggregateL2Counters)
     f.sys.addThread(0, &t);
     f.sys.runUntilFinished(msToCycles(10));
     // The first touches missed the L2 TLB.
-    EXPECT_GT(f.sys.totalL2TlbMisses(false), 0u);
+    EXPECT_GT(f.sys.totalTranslateStat(
+                  &translate::TranslateStats::l2_data_misses), 0u);
 }

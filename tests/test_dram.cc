@@ -101,9 +101,11 @@ TEST(Dram, ReadWriteCounters)
 
 TEST(Dram, ResetStats)
 {
-    Dram dram(defaults());
+    stats::StatGroup root("root");
+    Dram dram(defaults(), &root);
     dram.access(0, 0, false);
-    dram.resetStats();
+    ASSERT_EQ(dram.reads.value(), 1u);
+    root.resetTree();
     EXPECT_EQ(dram.reads.value(), 0u);
     EXPECT_EQ(dram.row_misses.value(), 0u);
 }

@@ -150,16 +150,19 @@ runHttpd(const SystemParams &base, std::uint64_t seed = 7)
     sys.resetStats();
     sys.run(msToCycles(4));
 
+    using TS = translate::TranslateStats;
     EndToEnd r;
     const double ki = sys.totalInstructions() / 1000.0;
-    r.data_mpki = sys.totalL2TlbMisses(false) / ki;
-    r.instr_mpki = sys.totalL2TlbMisses(true) / ki;
+    r.data_mpki = sys.totalTranslateStat(&TS::l2_data_misses) / ki;
+    r.instr_mpki = sys.totalTranslateStat(&TS::l2_instr_misses) / ki;
     r.faults = sys.kernel().minor_faults.value() +
                sys.kernel().cow_faults.value();
-    const auto hits = sys.totalL2TlbHits(false) + sys.totalL2TlbHits(true);
+    const auto hits = sys.totalTranslateStat(&TS::l2_data_hits) +
+                      sys.totalTranslateStat(&TS::l2_instr_hits);
     r.shared_frac =
-        hits ? static_cast<double>(sys.totalL2TlbSharedHits(false) +
-                                   sys.totalL2TlbSharedHits(true)) /
+        hits ? static_cast<double>(
+                   sys.totalTranslateStat(&TS::l2_data_shared_hits) +
+                   sys.totalTranslateStat(&TS::l2_instr_shared_hits)) /
                    hits
              : 0;
     std::ostringstream oss;

@@ -262,5 +262,6 @@ TEST(Trace, EndToEndOnSystem)
     // the first one's CCID-tagged TLB entries (it may not even need the
     // shared-install, like container C in the paper's Fig. 7).
     EXPECT_EQ(kernel.minor_faults.value(), 64u);
-    EXPECT_GT(sys.totalL2TlbSharedHits(false), 0u);
+    EXPECT_GT(sys.totalTranslateStat(
+                  &translate::TranslateStats::l2_data_shared_hits), 0u);
 }

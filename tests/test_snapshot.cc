@@ -455,6 +455,135 @@ TEST(ComponentSnapshot, HugeCountRejected)
     }
 }
 
+// Restore range-checks the kernel fields that are used as indices: a
+// page table's level byte, a process's O-PC mask bit (a shift) and the
+// order of its mask regions (Process::bitIn binary-searches them). The
+// tests below patch one value of an in-memory payload (the bytes a
+// CRC-valid archive would carry) and expect a SnapshotError.
+namespace
+{
+
+// Two mask bits planted in the first container before the save; the
+// region values are distinctive so the test can find them in the bytes.
+constexpr Addr kMaskRegionA = 0x5eed00c0000000ull;
+constexpr Addr kMaskRegionB = 0x5eed0100000000ull;
+
+/** The HugeCountRejected world: a kernel with two httpd containers. */
+struct KernelWorld
+{
+    vm::KernelParams params = [] {
+        vm::KernelParams p;
+        p.mem_frames = 1 << 22;
+        return p;
+    }();
+    stats::StatGroup stats{"system"};
+    vm::Kernel kernel{params, &stats};
+    workloads::AppInstance app =
+        workloads::buildApp(kernel, workloads::AppProfile::httpd(), 2, 5);
+};
+
+/** The world's kernel payload, with the mask bits planted. */
+std::vector<std::uint8_t>
+savedKernelPayload(Ppn *pgd_frame)
+{
+    KernelWorld w;
+    vm::Process &proc = *w.app.containers.at(0);
+    proc.setBitIn(kMaskRegionA, 5);
+    proc.setBitIn(kMaskRegionB, 6);
+    *pgd_frame = proc.pgd()->frame();
+    snap::ArchiveWriter ar;
+    w.kernel.save(ar);
+    return ar.payload();
+}
+
+/** Offset of the first little-endian @p value in @p bytes (npos if none). */
+std::size_t
+findLe(const std::vector<std::uint8_t> &bytes, std::uint64_t value)
+{
+    for (std::size_t at = 0; at + 8 <= bytes.size(); ++at) {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            v |= std::uint64_t{bytes[at + i]} << (8 * i);
+        if (v == value)
+            return at;
+    }
+    return std::string::npos;
+}
+
+void
+putLe(std::vector<std::uint8_t> &bytes, std::size_t at,
+      std::uint64_t value, unsigned width)
+{
+    for (unsigned i = 0; i < width; ++i)
+        bytes[at + i] = static_cast<std::uint8_t>(value >> (8 * i));
+}
+
+/** Restore @p bytes into a freshly rebuilt twin; true if rejected. */
+bool
+restoreRejected(std::vector<std::uint8_t> bytes)
+{
+    KernelWorld twin;
+    snap::ArchiveReader r(std::move(bytes));
+    try {
+        twin.kernel.restore(r);
+    } catch (const snap::SnapshotError &) {
+        return true;
+    }
+    return false;
+}
+
+} // namespace
+
+TEST(ComponentSnapshot, PageTableLevelRejected)
+{
+    Ppn pgd = 0;
+    const std::vector<std::uint8_t> saved = savedKernelPayload(&pgd);
+    // The table section stores u64 frame, u8 level per table; the PGD's
+    // frame first appears there (the process section names it later).
+    const std::size_t frame_at = findLe(saved, pgd);
+    ASSERT_NE(frame_at, std::string::npos);
+    ASSERT_EQ(saved.at(frame_at + 8), vm::LevelPgd);
+    EXPECT_FALSE(restoreRejected(saved));
+    for (const unsigned level : {0u, vm::LevelPgd + 1u, 255u}) {
+        std::vector<std::uint8_t> bytes = saved;
+        bytes[frame_at + 8] = static_cast<std::uint8_t>(level);
+        EXPECT_TRUE(restoreRejected(std::move(bytes))) << level;
+    }
+}
+
+TEST(ComponentSnapshot, MaskBitOutOfRangeRejected)
+{
+    Ppn pgd = 0;
+    const std::vector<std::uint8_t> saved = savedKernelPayload(&pgd);
+    // Each mask entry is u64 region, u32 bit.
+    const std::size_t region_at = findLe(saved, kMaskRegionA);
+    ASSERT_NE(region_at, std::string::npos);
+    ASSERT_EQ(saved.at(region_at + 8), 5u);
+    EXPECT_FALSE(restoreRejected(saved));
+    for (const std::uint64_t bit :
+         {std::uint64_t{32}, std::uint64_t{0x7fffffff},
+          std::uint64_t{0xffffffff}}) {
+        std::vector<std::uint8_t> bytes = saved;
+        putLe(bytes, region_at + 8, bit, 4);
+        EXPECT_TRUE(restoreRejected(std::move(bytes))) << bit;
+    }
+}
+
+TEST(ComponentSnapshot, MaskRegionsOutOfOrderRejected)
+{
+    Ppn pgd = 0;
+    const std::vector<std::uint8_t> saved = savedKernelPayload(&pgd);
+    const std::size_t b_at = findLe(saved, kMaskRegionB);
+    ASSERT_NE(b_at, std::string::npos);
+    ASSERT_EQ(b_at, findLe(saved, kMaskRegionA) + 12);
+    const Addr below = kMaskRegionA - (1ull << 30);
+    for (const Addr region : {kMaskRegionA, below}) {
+        std::vector<std::uint8_t> bytes = saved;
+        putLe(bytes, b_at, region, 8);
+        EXPECT_TRUE(restoreRejected(std::move(bytes))) << region;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Whole-system resume determinism
 // ---------------------------------------------------------------------

@@ -60,29 +60,11 @@ usage()
 void
 printCounters(const char *label, const bf::replay::Counters &c)
 {
-    std::printf("%s.accesses %" PRIu64 "\n", label, c.accesses);
-    std::printf("%s.l1_hits %" PRIu64 "\n", label, c.l1_hits);
-    std::printf("%s.l1_misses %" PRIu64 "\n", label, c.l1_misses);
-    std::printf("%s.l2_data_hits %" PRIu64 "\n", label, c.l2_data_hits);
-    std::printf("%s.l2_data_misses %" PRIu64 "\n", label,
-                c.l2_data_misses);
-    std::printf("%s.l2_instr_hits %" PRIu64 "\n", label,
-                c.l2_instr_hits);
-    std::printf("%s.l2_instr_misses %" PRIu64 "\n", label,
-                c.l2_instr_misses);
-    std::printf("%s.l2_data_shared_hits %" PRIu64 "\n", label,
-                c.l2_data_shared_hits);
-    std::printf("%s.l2_instr_shared_hits %" PRIu64 "\n", label,
-                c.l2_instr_shared_hits);
-    std::printf("%s.l2_long_accesses %" PRIu64 "\n", label,
-                c.l2_long_accesses);
-    std::printf("%s.walks %" PRIu64 "\n", label, c.walks);
-    std::printf("%s.pwc_hits %" PRIu64 "\n", label, c.pwc_hits);
-    std::printf("%s.pwc_misses %" PRIu64 "\n", label, c.pwc_misses);
-    std::printf("%s.miss_latency_count %" PRIu64 "\n", label,
-                c.miss_latency_count);
-    std::printf("%s.miss_latency_sum %" PRIu64 "\n", label,
-                c.miss_latency_sum);
+    bf::replay::forEachCounter(
+        [label](const char *name, std::uint64_t value) {
+            std::printf("%s.%s %" PRIu64 "\n", label, name, value);
+        },
+        c);
 }
 
 } // namespace
