@@ -69,12 +69,12 @@ main()
     reportConfig(report, cfg);
 
     // ---- Fan every independent cell out across the workers.
-    AppRunResult base, fish, no_orpc, aslr_sw;
+    RunResult base, fish, no_orpc, aslr_sw;
     std::pair<double, RunArtifacts> fleet_base, fleet_full, fleet_nomask;
     double share_fork_k[2];
-    AppRunResult share_run[2];
+    RunResult share_run[2];
     const unsigned densities[] = { 1, 2, 3, 4 };
-    AppRunResult dens_base[4], dens_fish[4];
+    RunResult dens_base[4], dens_fish[4];
     const auto http = workloads::AppProfile::httpd();
 
     std::vector<std::function<void()>> jobs;

@@ -143,7 +143,7 @@ main()
         if (record_cfg.trace_dir.empty())
             record_cfg.trace_dir = "bf-replay-traces";
         const auto t0 = std::chrono::steady_clock::now();
-        const AppRunResult run = runApp(workloads::AppProfile::mongodb(),
+        const RunResult run = runApp(workloads::AppProfile::mongodb(),
                                         core::SystemParams::babelfish(),
                                         record_cfg);
         full_sim_seconds = secondsSince(t0);

@@ -71,7 +71,7 @@ struct FullSimCell
     translate::BackendKind backend;
     workloads::AppProfile profile;
     std::string label;
-    AppRunResult result;
+    RunResult result;
 };
 
 double
@@ -160,7 +160,7 @@ main()
     record_cfg.restore_dir.clear();
     if (record_cfg.trace_dir.empty())
         record_cfg.trace_dir = "bf-replay-traces";
-    const AppRunResult recording_run =
+    const RunResult recording_run =
         runApp(workloads::AppProfile::mongodb(),
                systemFor(translate::BackendKind::BabelFish), record_cfg);
     const std::string trace_path = recording_run.artifacts.trace_path;

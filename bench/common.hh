@@ -464,13 +464,38 @@ captureArtifacts(const core::System &sys)
 }
 
 /**
+ * Metrics extracted from one run: a Data Serving or Compute app
+ * (runApp) or a group of three functions (runFaas). Fields the run's
+ * kind does not produce stay 0.
+ */
+struct RunResult
+{
+    double mean_latency = 0;   //!< Cycles per request (serving).
+    double tail_latency = 0;   //!< 95th percentile (serving).
+    double units_per_ms = 0;   //!< Work-unit throughput (compute).
+    double lead_exec = 0;      //!< Leading function (cold), cycles.
+    double trail_exec = 0;     //!< Mean of the trailing two, cycles.
+    double bringup = 0;        //!< Mean container bring-up, cycles.
+    double fork_work = 0;      //!< Kernel fork cycles per container.
+    double data_mpki = 0;
+    double instr_mpki = 0;
+    double data_shared_frac = 0;
+    double instr_shared_frac = 0;
+    std::uint64_t minor_faults = 0;
+    std::uint64_t cow_faults = 0;      //!< Apps only.
+    std::uint64_t shared_installs = 0; //!< Apps only.
+    std::uint64_t instructions = 0;    //!< Apps only.
+    double l2_long_frac = 0; //!< L2 TLB accesses paying the 12-cycle time.
+    RunArtifacts artifacts;  //!< Final stats + time series, serialized.
+};
+
+/**
  * The Fig. 10 figures of merit of a finished run into @p r: L2-TLB
  * MPKI and the share of L2-TLB hits on shared entries, data and
  * instruction side.
  */
-template <class Result>
-void
-captureL2TlbRates(const core::System &sys, Result &r)
+inline void
+captureL2TlbRates(const core::System &sys, RunResult &r)
 {
     using TS = translate::TranslateStats;
     const auto total = [&sys](auto counter) {
@@ -521,30 +546,12 @@ warmOrRestore(core::System &sys, const RunConfig &cfg,
     }
 }
 
-/** Metrics extracted from one Data Serving / Compute run. */
-struct AppRunResult
-{
-    double mean_latency = 0;   //!< Cycles per request (serving).
-    double tail_latency = 0;   //!< 95th percentile (serving).
-    double units_per_ms = 0;   //!< Work-unit throughput (compute).
-    double data_mpki = 0;
-    double instr_mpki = 0;
-    double data_shared_frac = 0;
-    double instr_shared_frac = 0;
-    std::uint64_t minor_faults = 0;
-    std::uint64_t cow_faults = 0;
-    std::uint64_t shared_installs = 0;
-    std::uint64_t instructions = 0;
-    double l2_long_frac = 0; //!< L2 TLB accesses paying the 12-cycle time.
-    RunArtifacts artifacts;  //!< Final stats + time series, serialized.
-};
-
 /**
  * Run one application at the paper's co-location level: every core
  * multiplexes containers_per_core containers of the same app, each
  * serving a distinct request stream.
  */
-inline AppRunResult
+inline RunResult
 runApp(const workloads::AppProfile &profile,
        core::SystemParams params, const RunConfig &cfg)
 {
@@ -575,7 +582,7 @@ runApp(const workloads::AppProfile &profile,
     }
     sys.run(msToCycles(cfg.measure_ms));
 
-    AppRunResult r;
+    RunResult r;
     std::uint64_t units = 0;
     // Aggregate request latencies: mean of per-container means and
     // tails (each container is driven by its own YCSB client, §VI).
@@ -621,26 +628,11 @@ runApp(const workloads::AppProfile &profile,
     return r;
 }
 
-/** Result of one FaaS group run (per paper: 3 functions per core). */
-struct FaasRunResult
-{
-    double lead_exec = 0;      //!< Leading function (cold), cycles.
-    double trail_exec = 0;     //!< Mean of the trailing two, cycles.
-    double bringup = 0;        //!< Mean container bring-up, cycles.
-    double fork_work = 0;      //!< Kernel fork cycles per container.
-    double data_mpki = 0;
-    double instr_mpki = 0;
-    double data_shared_frac = 0;
-    double instr_shared_frac = 0;
-    std::uint64_t minor_faults = 0;
-    RunArtifacts artifacts;  //!< Final stats + time series, serialized.
-};
-
 /**
  * Run one group of the three functions to completion on one core
  * (multiplexed, as in §VI), with dense or sparse inputs.
  */
-inline FaasRunResult
+inline RunResult
 runFaas(core::SystemParams params, bool sparse, const RunConfig &cfg)
 {
     params.num_cores = 1;
@@ -674,7 +666,7 @@ runFaas(core::SystemParams params, bool sparse, const RunConfig &cfg)
     sys.addThread(0, threads[2].get());
     sys.runUntilFinished(msToCycles(4000));
 
-    FaasRunResult r;
+    RunResult r;
     r.lead_exec = static_cast<double>(threads[0]->execCycles());
     r.trail_exec = (static_cast<double>(threads[1]->execCycles()) +
                     static_cast<double>(threads[2]->execCycles())) /

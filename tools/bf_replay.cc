@@ -25,13 +25,17 @@
  *   --opc-width N                    modeled O-PC bitmask width (<= 32)
  *   --policy lru|fifo|random         replacement policy, every TLB
  *
- * Exit codes: 0 ok; 1 validation mismatch; 2 usage error; 3 trace
- * error (unreadable, wrong version, limit-clipped, unreplayable).
+ * Exit codes: 0 ok; 1 validation mismatch; 2 usage error (among them a
+ * geometry value that is not a positive integer, or an entry count the
+ * structure's associativity does not divide); 3 trace error
+ * (unreadable, wrong version, limit-clipped, unreplayable).
  */
 
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 
 #include "common/trace/trace.hh"
@@ -55,6 +59,32 @@ usage()
         "  --policy lru|fifo|random         TLB replacement policy\n"
         "  --json <file>                    write the stats tree as JSON\n");
     return 2;
+}
+
+/**
+ * Whether an overridden TLB geometry can be built: Tlb treats an
+ * associativity of 0 or at least the entry count as fully associative
+ * and asserts that the associativity divides the entry count.
+ */
+bool
+checkGeometry(const char *flag, unsigned entries, unsigned assoc,
+              std::initializer_list<const bf::tlb::TlbParams *> tlbs)
+{
+    if (!entries && !assoc)
+        return true;
+    for (const bf::tlb::TlbParams *tp : tlbs) {
+        const unsigned ways =
+            tp->assoc == 0 || tp->assoc >= tp->entries ? tp->entries
+                                                       : tp->assoc;
+        if (tp->entries % ways != 0) {
+            std::fprintf(stderr,
+                         "bf_replay: --%s-entries / --%s-assoc: %u "
+                         "entries are not divisible by %u ways (%s)\n",
+                         flag, flag, tp->entries, ways, tp->name.c_str());
+            return false;
+        }
+    }
+    return true;
 }
 
 void
@@ -84,11 +114,19 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        // A geometry value: the whole argument, a positive integer.
         auto numArg = [&](unsigned &out) {
             if (i + 1 >= argc)
                 return false;
-            out = static_cast<unsigned>(std::strtoul(argv[++i], nullptr,
-                                                     10));
+            const char *text = argv[++i];
+            const char *last = text + std::strlen(text);
+            const auto [end, ec] = std::from_chars(text, last, out);
+            if (ec != std::errc() || end != last || out == 0) {
+                std::fprintf(stderr,
+                             "bf_replay: %s %s: not a positive integer\n",
+                             arg.c_str(), text);
+                return false;
+            }
             return true;
         };
         if (arg == "--validate") {
@@ -166,6 +204,22 @@ main(int argc, char **argv)
                   &params.l1d_1g, &params.l2_4k, &params.l2_2m,
                   &params.l2_1g})
                 tp->policy = policy;
+        }
+
+        if (!checkGeometry("l2", ov.l2_entries, ov.l2_assoc,
+                           { &params.l2_4k, &params.l2_2m, &params.l2_1g }) ||
+            !checkGeometry("l1d", ov.l1d_entries, ov.l1d_assoc,
+                           { &params.l1d_4k }) ||
+            !checkGeometry("l1i", ov.l1i_entries, ov.l1i_assoc,
+                           { &params.l1i_4k }))
+            return 2;
+        if (ov.pwc_entries &&
+            params.pwc.entries_per_level % params.pwc.assoc != 0) {
+            std::fprintf(stderr,
+                         "bf_replay: --pwc-entries %u: not divisible by "
+                         "the PWC's %u ways\n",
+                         ov.pwc_entries, params.pwc.assoc);
+            return 2;
         }
 
         bf::replay::ReplayEngine engine(params, reader.header());

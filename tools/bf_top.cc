@@ -16,8 +16,9 @@
  *
  *   bf_top --json <bench.json>
  *       Render the same table from the `tenants` section of a
- *       schema-v3 bench report (bench_fig9/bench_fig11/bench_zoo
- *       --json), for post-hoc inspection of archived runs.
+ *       schema-v3 bench report (e.g. BENCH_fig11_performance.json
+ *       from `bench_paper fig11_performance`, or the bench_fig9 and
+ *       bench_zoo reports), for post-hoc inspection of archived runs.
  *
  * The live file is plain rendered text (attrib::Registry::renderTable),
  * so the watch modes are deliberately dumb: read, clear, print. All the

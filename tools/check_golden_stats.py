@@ -31,12 +31,15 @@ Ignored fields, by design:
                          sides have it)
 
 Usage:
-  check_golden_stats.py --bench PATH --golden GOLDEN.json [--update]
+  check_golden_stats.py --bench PATH [ARG...] --golden GOLDEN.json [--update]
   check_golden_stats.py --json PRODUCED.json --golden GOLDEN.json
-  check_golden_stats.py --bench PATH --reconcile [--golden GOLDEN.json]
+  check_golden_stats.py --bench PATH [ARG...] --reconcile [--golden GOLDEN.json]
   check_golden_stats.py --json PRODUCED.json --reconcile
 
-With --bench the bench is run under the pinned environment
+--bench takes the bench command: the binary and its arguments, e.g.
+--bench build/bench/bench_paper fig11_performance. The run must leave
+exactly one BENCH_*.json. With --bench the bench is run under the
+pinned environment
 (BF_FAST=1 BF_SAMPLE_MS=0 BF_JOBS=1 BF_WORKERS=1 BF_SYNC_CHUNK=20000)
 into a temp directory; the caller's environment is passed through
 underneath, so checkpoint knobs (BF_CKPT / BF_RESTORE) layer onto the
@@ -271,10 +274,10 @@ def run_bench(bench, out_dir, backend=None):
         env["BF_BACKEND"] = backend
     env["BF_JSON_DIR"] = out_dir
     try:
-        subprocess.run([bench], env=env, check=True,
+        subprocess.run(bench, env=env, check=True,
                        stdout=subprocess.DEVNULL)
     except (subprocess.CalledProcessError, OSError) as err:
-        print(f"BENCH FAILED: {bench}: {err}", file=sys.stderr)
+        print(f"BENCH FAILED: {' '.join(bench)}: {err}", file=sys.stderr)
         sys.exit(EXIT_BENCH_FAILED)
     reports = [f for f in os.listdir(out_dir) if f.startswith("BENCH_")]
     if len(reports) != 1:
@@ -286,7 +289,9 @@ def run_bench(bench, out_dir, backend=None):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bench", help="bench binary to run deterministically")
+    ap.add_argument("--bench", nargs="+", metavar="CMD",
+                    help="bench command (binary, then its arguments) to "
+                         "run deterministically")
     ap.add_argument("--json", help="pre-produced BENCH_*.json to check")
     ap.add_argument("--golden",
                     help="committed golden file (required unless the "

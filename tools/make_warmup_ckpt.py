@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Generate warm-up checkpoints for the figure benches.
 
-Runs each given bench binary with BF_CKPT pointed at --out and a tiny
-measurement window: every co-located app configuration the bench touches
-simulates its warm-up once and saves a checkpoint named
+Runs each given bench binary, with no arguments, with BF_CKPT pointed
+at --out and a tiny measurement window: every co-located app
+configuration the bench touches simulates its warm-up once and saves a
+checkpoint named
 "<profile>-<config hash>.ckpt" right after it. A later full-length run
 of the same bench with BF_RESTORE pointed at the same directory then
 skips warm-up entirely and — by the resume-determinism guarantee
@@ -28,8 +29,13 @@ which is why CI regenerates them per run instead of committing them.
 Exit codes match check_golden_stats.py: 0 success, 2 usage error,
 3 a bench crashed or produced no checkpoint.
 
+bench_paper with no arguments runs every cell of Figs. 10a/10b/11,
+Table II and §VII-C, so it warms all 20 co-located app cells (5 apps x
+4 configs) for any later bench_paper figure selection; the function
+groups run to completion and have no warm-up to save.
+
 Usage:
-  make_warmup_ckpt.py --out ckpts/ build/bench/bench_fig11_performance ...
+  make_warmup_ckpt.py --out ckpts/ build/bench/bench_paper ...
 """
 
 import argparse
