@@ -143,6 +143,7 @@ struct SpeedSample
     {
         phases.bound_seconds += other.phases.bound_seconds;
         phases.fault_seconds += other.phases.fault_seconds;
+        phases.fault_service_seconds += other.phases.fault_service_seconds;
         phases.merge_seconds += other.phases.merge_seconds;
         phases.weave_seconds += other.phases.weave_seconds;
     }
@@ -290,9 +291,7 @@ main()
                     s.host_seconds, s.mips(), ph.bound_seconds,
                     ph.fault_seconds, ph.merge_seconds,
                     ph.weave_seconds);
-        report.hostPhases(cell.label, s.host_seconds, s.mips(),
-                          ph.bound_seconds, ph.fault_seconds,
-                          ph.merge_seconds, ph.weave_seconds);
+        report.hostPhases(cell.label, s.host_seconds, s.mips(), ph);
         rows.emplace_back(cell.label, s);
         total.host_seconds += s.host_seconds;
         total.instructions += s.instructions;
@@ -304,9 +303,7 @@ main()
                 "total", total.instructions / 1e6, total.host_seconds,
                 total.mips(), tp.bound_seconds, tp.fault_seconds,
                 tp.merge_seconds, tp.weave_seconds);
-    report.hostPhases("total", total.host_seconds, total.mips(),
-                      tp.bound_seconds, tp.fault_seconds,
-                      tp.merge_seconds, tp.weave_seconds);
+    report.hostPhases("total", total.host_seconds, total.mips(), tp);
     report.metric("sim_mips", total.mips());
     report.metric("host_seconds", total.host_seconds);
 

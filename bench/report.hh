@@ -31,6 +31,7 @@
  *     "host": {
  *       "<label>": { "host_seconds": <number>, "sim_mips": <number>,
  *                    "phases": { "bound": <number>, "fault": <number>,
+ *                                "fault_service": <number>,
  *                                "merge": <number>, "weave": <number> } },
  *       ...
  *     },
@@ -47,7 +48,9 @@
  * unchanged. The optional per-phase host breakdown under each host row
  * ("phases": seconds spent in the bound / fault-service / merge / weave
  * stages of the chunk loop, from System::phaseTimes) is likewise an
- * additive v3 field — absent when the bench did not collect it.
+ * additive v3 field — absent when the bench did not collect it; its
+ * "fault_service" member (the single-threaded part of "fault", added
+ * later) is absent from older reports.
  *
  * BF_JSON=0 disables the file; BF_JSON_DIR=<dir> redirects it (default:
  * the current directory).
@@ -63,6 +66,7 @@
 #include <vector>
 
 #include "common/stats_export.hh"
+#include "core/system.hh"
 
 namespace bfbench
 {
@@ -119,17 +123,16 @@ class BenchReport
      * Record a host-speed measurement: wall-clock seconds of simulation,
      * the resulting simulated MIPS (instructions per host-second / 1e6)
      * and the per-phase breakdown of where those seconds went
-     * (System::phaseTimes — bound / fault-service / merge / weave).
-     * These fields describe the *simulator's* throughput, never the
-     * modeled machine, so they are exempt from golden-stats diffs.
+     * (System::phaseTimes — bound / fault / merge / weave, and the
+     * single-threaded service loops inside fault). These fields
+     * describe the *simulator's* throughput, never the modeled
+     * machine, so they are exempt from golden-stats diffs.
      */
     void
     hostPhases(const std::string &label, double host_seconds,
-               double sim_mips, double bound, double fault, double merge,
-               double weave)
+               double sim_mips, const bf::core::System::PhaseTimes &phases)
     {
-        host_.push_back(
-            { label, host_seconds, sim_mips, bound, fault, merge, weave });
+        host_.push_back({ label, host_seconds, sim_mips, phases });
     }
 
     /** Record a free-form note (e.g.\ baseline_mips, speedup). */
@@ -240,10 +243,16 @@ class BenchReport
                << bf::stats::jsonEscape(h.label) << "\":{\"host_seconds\":"
                << bf::stats::jsonNumber(h.host_seconds) << ",\"sim_mips\":"
                << bf::stats::jsonNumber(h.sim_mips)
-               << ",\"phases\":{\"bound\":" << bf::stats::jsonNumber(h.bound)
-               << ",\"fault\":" << bf::stats::jsonNumber(h.fault)
-               << ",\"merge\":" << bf::stats::jsonNumber(h.merge)
-               << ",\"weave\":" << bf::stats::jsonNumber(h.weave) << "}}";
+               << ",\"phases\":{\"bound\":"
+               << bf::stats::jsonNumber(h.phases.bound_seconds)
+               << ",\"fault\":"
+               << bf::stats::jsonNumber(h.phases.fault_seconds)
+               << ",\"fault_service\":"
+               << bf::stats::jsonNumber(h.phases.fault_service_seconds)
+               << ",\"merge\":"
+               << bf::stats::jsonNumber(h.phases.merge_seconds)
+               << ",\"weave\":"
+               << bf::stats::jsonNumber(h.phases.weave_seconds) << "}}";
             first = false;
         }
         os << "},\"notes\":{";
@@ -271,10 +280,7 @@ class BenchReport
         std::string label;
         double host_seconds = 0;
         double sim_mips = 0;
-        double bound = 0;
-        double fault = 0;
-        double merge = 0;
-        double weave = 0;
+        bf::core::System::PhaseTimes phases;
     };
 
     std::string name_;

@@ -152,6 +152,7 @@ System::runChunk(Cycles barrier)
         }
         if (pending_faults_.empty())
             break;
+        const auto t_service = hostclock::now();
         std::sort(pending_faults_.begin(), pending_faults_.end(),
                   [](const PendingFault &a, const PendingFault &b) {
                       return a.ts != b.ts ? a.ts < b.ts
@@ -167,6 +168,8 @@ System::runChunk(Cycles barrier)
                 cores_[pf.core]->mmu().serviceFault(fault, pf.ts);
             cores_[pf.core]->resolveFault(outcome.cycles);
         }
+        phase_times_.fault_service_seconds +=
+            elapsed(t_service, hostclock::now());
 
         // Resume the unblocked cores in one pool round: like the bound
         // phase, each touches only its own private state (the kernel

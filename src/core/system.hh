@@ -163,17 +163,19 @@ class System
      * accumulated across run()/runUntilFinished() calls (never reset by
      * resetStats — this is host-side observability, not a simulated
      * stat). fault_seconds covers the whole fault-service block,
-     * including the pooled bound re-runs of unblocked cores;
-     * bound_seconds is the bound dispatch; merge_seconds is the
-     * canonical merge inside the weave round and weave_seconds the rest
-     * of that round (L3/DRAM replay, the concurrent per-peer probe
-     * drains, commit and billing). bench_simspeed surfaces these as the
-     * per-phase Amdahl breakdown.
+     * including the pooled bound re-runs of unblocked cores, and
+     * fault_service_seconds only its single-threaded service loops (so
+     * the resume time is the difference); bound_seconds is the bound
+     * dispatch; merge_seconds is the canonical merge inside the weave
+     * round and weave_seconds the rest of that round (L3/DRAM replay,
+     * the concurrent per-peer probe drains, commit and billing).
+     * bench_simspeed surfaces these as the per-phase Amdahl breakdown.
      */
     struct PhaseTimes
     {
         double bound_seconds = 0;
         double fault_seconds = 0;
+        double fault_service_seconds = 0; //!< Part of fault_seconds.
         double merge_seconds = 0;
         double weave_seconds = 0;
     };

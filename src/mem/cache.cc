@@ -1,7 +1,6 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/logging.hh"
 #include "common/snapshot.hh"
@@ -9,15 +8,42 @@
 namespace bf::mem
 {
 
-Cache::Cache(const CacheParams &params, stats::StatGroup *parent)
-    : params_(params), num_sets_(params.numSets()),
-      set_mask_(num_sets_ - 1), stat_group_(params.name, parent)
+namespace
 {
-    bf_assert(num_sets_ > 0, "cache ", params_.name, " has zero sets");
-    bf_assert((num_sets_ & (num_sets_ - 1)) == 0,
-              "cache ", params_.name, " set count not a power of two");
-    lines_.resize(num_sets_ * params_.assoc);
-    key_.resize(num_sets_ * params_.assoc, 0);
+
+/** Padding between consecutive lanes: four 64-byte host lines, in words. */
+constexpr std::size_t laneSkewWords = 4 * 64 / sizeof(std::uint64_t);
+
+/** The set count of @p p, after checking what it is computed from. */
+std::uint64_t
+checkedSets(const CacheParams &p)
+{
+    bf_assert(p.assoc >= 1, "cache ", p.name, " has zero associativity");
+    bf_assert(p.line_bytes == cacheLineBytes, "cache ", p.name,
+              " line_bytes ", p.line_bytes, " is not the modelled ",
+              cacheLineBytes);
+    const std::uint64_t sets = p.numSets();
+    bf_assert(sets > 0, "cache ", p.name, " has zero sets");
+    bf_assert((sets & (sets - 1)) == 0,
+              "cache ", p.name, " set count not a power of two");
+    return sets;
+}
+
+} // namespace
+
+Cache::Cache(const CacheParams &params, stats::StatGroup *parent)
+    : params_(params), num_sets_(checkedSets(params)),
+      set_mask_(num_sets_ - 1), ways_(num_sets_ * params.assoc),
+      stat_group_(params.name, parent)
+{
+    // key_ | skew | lru_ | skew | dirty_ (ways_ bytes, rounded to words)
+    const std::size_t lane = ways_ + laneSkewWords;
+    store_ = std::make_unique<std::uint64_t[]>(
+        2 * lane + (ways_ + sizeof(std::uint64_t) - 1) /
+                       sizeof(std::uint64_t));
+    key_ = store_.get();
+    lru_ = key_ + lane;
+    dirty_ = reinterpret_cast<std::uint8_t *>(lru_ + lane);
 
     stat_group_.addStat("hits", &hits);
     stat_group_.addStat("misses", &misses);
@@ -26,183 +52,90 @@ Cache::Cache(const CacheParams &params, stats::StatGroup *parent)
     stat_group_.addStat("invalidations", &invalidations);
 }
 
-const Cache::Line *
+std::size_t
 Cache::find(Addr line_num) const
 {
     const std::size_t base = setIndex(line_num) * params_.assoc;
     const std::uint64_t want = packKey(line_num);
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (key_[base + way] == want)
-            return &lines_[base + way];
+    for (std::size_t i = base; i < base + params_.assoc; ++i) {
+        if (key_[i] == want)
+            return i;
     }
-    return nullptr;
+    return ways_;
 }
 
-Cache::Line *
-Cache::find(Addr line_num)
-{
-    return const_cast<Line *>(std::as_const(*this).find(line_num));
-}
-
+template <class Counters>
 bool
-Cache::access(Addr line_addr, bool is_write)
+Cache::fill(Addr line_addr, bool is_write, std::uint64_t lru_stamp,
+            Counters &counters, bool &evicted_dirty)
 {
     const Addr line_num = lineOf(line_addr);
-    Line *line = find(line_num);
-    if (line) {
-        line->lru = ++lru_clock_;
-        line->dirty |= is_write;
-        ++hits;
+    const std::size_t base = setIndex(line_num) * params_.assoc;
+    const std::uint64_t want = packKey(line_num);
+    const std::uint64_t *key = key_ + base;
+    std::uint64_t *lru = lru_ + base;
+    const unsigned assoc = params_.assoc;
+
+    for (unsigned way = 0; way < assoc; ++way) {
+        if (key[way] != want)
+            continue;
+        lru[way] = lru_stamp;
+        if (is_write)
+            dirty_[base + way] = 1;
+        ++counters.hits;
+        evicted_dirty = false;
         return true;
     }
-    ++misses;
-    return false;
-}
+    ++counters.misses;
 
-bool
-Cache::insert(Addr line_addr, bool is_write, bool &evicted_dirty)
-{
-    const Addr line_num = lineOf(line_addr);
-    const std::uint64_t set = setIndex(line_num);
-    Line *base = &lines_[set * params_.assoc];
-
-    Line *victim = &base[0];
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        if (!base[way].valid) {
-            victim = &base[way];
+    // Victim: the first invalid way if any, else the first minimum-LRU
+    // way.
+    unsigned victim = 0;
+    for (unsigned way = 0; way < assoc; ++way) {
+        if (!(key[way] & 1u)) {
+            victim = way;
             break;
         }
-        if (base[way].lru < victim->lru)
-            victim = &base[way];
+        if (lru[way] < lru[victim])
+            victim = way;
     }
 
-    const bool had_victim = victim->valid;
-    evicted_dirty = had_victim && victim->dirty;
+    const std::size_t slot = base + victim;
+    const bool had_victim = key_[slot] & 1u;
+    evicted_dirty = had_victim && dirty_[slot];
     if (had_victim) {
-        ++evictions;
+        ++counters.evictions;
         if (evicted_dirty)
-            ++writebacks;
+            ++counters.writebacks;
     }
-
-    victim->tag = line_num;
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->lru = ++lru_clock_;
-    syncKey(static_cast<std::size_t>(victim - lines_.data()));
-    return had_victim;
+    key_[slot] = want;
+    lru_[slot] = lru_stamp;
+    dirty_[slot] = is_write;
+    return false;
 }
 
 bool
 Cache::accessAndFill(Addr line_addr, bool is_write, bool &evicted_dirty)
 {
-    const Addr line_num = lineOf(line_addr);
-    const std::size_t base = setIndex(line_num) * params_.assoc;
-    const std::uint64_t want = packKey(line_num);
-    const unsigned assoc = params_.assoc;
-
-    // Hit scan over the packed shadow tags: the common case touches
-    // one or two cache lines of keys and only the matching Line.
-    for (unsigned way = 0; way < assoc; ++way) {
-        if (key_[base + way] != want)
-            continue;
-        Line &match = lines_[base + way];
-        match.lru = ++lru_clock_;
-        match.dirty |= is_write;
-        ++hits;
-        evicted_dirty = false;
-        return true;
-    }
-    ++misses;
-
-    // Miss: pick the insert() victim — first invalid way if any, else
-    // the minimum-LRU way — exactly as the historical one-pass scan.
-    Line *set_base = &lines_[base];
-    Line *victim = nullptr;
-    Line *lru = &set_base[0];
-    for (unsigned way = 0; way < assoc; ++way) {
-        Line &line = set_base[way];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (line.lru < lru->lru)
-            lru = &line;
-    }
-    if (!victim)
-        victim = lru;
-
-    const bool had_victim = victim->valid;
-    evicted_dirty = had_victim && victim->dirty;
-    if (had_victim) {
-        ++evictions;
-        if (evicted_dirty)
-            ++writebacks;
-    }
-    victim->tag = line_num;
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->lru = ++lru_clock_;
-    syncKey(base + static_cast<std::size_t>(victim - set_base));
-    return false;
+    return fill(line_addr, is_write, ++lru_clock_, *this, evicted_dirty);
 }
 
 bool
 Cache::weaveAccessFill(Addr line_addr, bool is_write,
                        std::uint64_t lru_stamp, CacheTally &tally)
 {
-    const Addr line_num = lineOf(line_addr);
-    const std::size_t base = setIndex(line_num) * params_.assoc;
-    const std::uint64_t want = packKey(line_num);
-    const unsigned assoc = params_.assoc;
-
-    for (unsigned way = 0; way < assoc; ++way) {
-        if (key_[base + way] != want)
-            continue;
-        Line &match = lines_[base + way];
-        match.lru = lru_stamp;
-        match.dirty |= is_write;
-        ++tally.hits;
-        return true;
-    }
-    ++tally.misses;
-
-    Line *set_base = &lines_[base];
-    Line *victim = nullptr;
-    Line *lru = &set_base[0];
-    for (unsigned way = 0; way < assoc; ++way) {
-        Line &line = set_base[way];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (line.lru < lru->lru)
-            lru = &line;
-    }
-    if (!victim)
-        victim = lru;
-
-    if (victim->valid) {
-        ++tally.evictions;
-        if (victim->dirty)
-            ++tally.writebacks;
-    }
-    victim->tag = line_num;
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->lru = lru_stamp;
-    syncKey(base + static_cast<std::size_t>(victim - set_base));
-    return false;
+    bool evicted_dirty = false;
+    return fill(line_addr, is_write, lru_stamp, tally, evicted_dirty);
 }
 
 bool
 Cache::invalidate(Addr line_addr)
 {
-    Line *line = find(lineOf(line_addr));
-    if (!line)
+    const std::size_t i = find(lineOf(line_addr));
+    if (i == ways_)
         return false;
-    line->valid = false;
-    line->dirty = false;
-    key_[static_cast<std::size_t>(line - lines_.data())] = 0;
+    key_[i] &= ~std::uint64_t{1};
+    dirty_[i] = 0;
     ++invalidations;
     return true;
 }
@@ -210,15 +143,15 @@ Cache::invalidate(Addr line_addr)
 bool
 Cache::contains(Addr line_addr) const
 {
-    return find(lineOf(line_addr)) != nullptr;
+    return find(lineOf(line_addr)) != ways_;
 }
 
 void
 Cache::flush()
 {
-    for (auto &line : lines_)
-        line = Line{};
-    std::fill(key_.begin(), key_.end(), 0);
+    std::fill(key_, key_ + ways_, 0);
+    std::fill(lru_, lru_ + ways_, 0);
+    std::fill(dirty_, dirty_ + ways_, 0);
 }
 
 template <class Ar, class Self>
@@ -232,11 +165,21 @@ Cache::io(Ar &ar, Self &self)
     ar.expect(static_cast<std::uint32_t>(self.params_.assoc), what);
     ar.expect(static_cast<std::uint32_t>(self.params_.line_bytes), what);
     ar.u64(self.lru_clock_);
-    for (auto &line : self.lines_) {
-        ar.u64(line.tag);
-        ar.b(line.valid);
-        ar.b(line.dirty);
-        ar.u64(line.lru);
+    for (std::size_t i = 0; i < self.ways_; ++i) {
+        std::uint64_t tag = self.key_[i] >> 1;
+        bool valid = self.key_[i] & 1u;
+        bool dirty = self.dirty_[i];
+        ar.u64(tag);
+        ar.b(valid);
+        ar.b(dirty);
+        ar.u64(self.lru_[i]);
+        if constexpr (Ar::loading) {
+            if (tag >> 63)
+                throw snap::SnapshotError("cache '" + self.params_.name +
+                                          "' checkpoint tag out of range");
+            self.key_[i] = tag << 1 | valid;
+            self.dirty_[i] = dirty;
+        }
     }
 }
 
@@ -250,8 +193,6 @@ void
 Cache::restore(snap::ArchiveReader &ar)
 {
     io(ar, *this);
-    for (std::size_t i = 0; i < lines_.size(); ++i)
-        syncKey(i);
 }
 
 } // namespace bf::mem

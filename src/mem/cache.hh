@@ -4,15 +4,17 @@
  *
  * The model is functional over cache-line tags (no data storage) and is
  * shared by the L1 I/D, L2 and L3 levels. Timing is applied by the
- * CacheHierarchy; this class only answers hit/miss and maintains the tags.
+ * CacheHierarchy; this class only answers hit/miss and maintains the
+ * tags, LRU stamps and dirty bits, each stored once per way.
  */
 
 #ifndef BF_MEM_CACHE_HH
 #define BF_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -26,7 +28,7 @@ struct CacheParams
     std::string name = "cache";
     std::uint64_t size_bytes = 32 * 1024;
     unsigned assoc = 8;
-    unsigned line_bytes = 64;
+    unsigned line_bytes = 64;       //!< Must be cacheLineBytes.
     Cycles access_cycles = 2;       //!< Latency charged on a hit.
     unsigned mshrs = 16;            //!< Outstanding-miss bookkeeping only.
 
@@ -51,43 +53,30 @@ struct CacheTally
     std::uint64_t writebacks = 0;
 };
 
-/** Tag-only set-associative cache with LRU replacement. */
+/**
+ * Tag-only set-associative cache with LRU replacement.
+ *
+ * Each way is stored once, in one allocation of three lanes (see the
+ * private members): a packed key (tag << 1 | valid) that the hit test
+ * compares, an LRU stamp and a dirty byte. That is 17 host bytes per
+ * way; the 8 MiB L3 model takes 2.1 MiB of host memory.
+ */
 class Cache
 {
   public:
     /**
-     * @param params geometry of this level.
+     * @param params geometry of this level; assoc must be at least 1,
+     *     line_bytes the modelled 64 and the set count a power of two.
      * @param parent stat group to register under, may be null.
      */
     explicit Cache(const CacheParams &params,
                    stats::StatGroup *parent = nullptr);
 
     /**
-     * Look up a line and update LRU/dirty state.
-     *
-     * @param line_addr byte address; only the line number is used.
-     * @param is_write whether the access dirties the line.
-     * @return true on hit.
-     */
-    bool access(Addr line_addr, bool is_write);
-
-    /**
-     * Insert a line, evicting the LRU way of its set if needed.
-     *
-     * @param line_addr the line to insert.
-     * @param is_write whether to insert dirty.
-     * @param[out] evicted_dirty true if a dirty victim was written back.
-     * @return true if a valid victim was evicted.
-     */
-    bool insert(Addr line_addr, bool is_write, bool &evicted_dirty);
-
-    /**
-     * Combined access-or-fill: one scan of the set answers the lookup
-     * AND selects the victim, so a miss does not re-walk the ways the
-     * way the historical access()-then-insert() sequence did. Stats,
-     * LRU state and the victim choice are identical to access()
-     * followed (on a miss) by insert() — the equivalence is pinned by
-     * tests/test_perf_fastpath.cc.
+     * Access a line, filling it on a miss: one scan of the set answers
+     * the lookup, and on a miss the victim is the first invalid way,
+     * else the first minimum-LRU way. Every call, hit or fill, stamps
+     * the touched way with the next LRU clock value.
      *
      * @param line_addr byte address; only the line number is used.
      * @param is_write whether the access dirties / inserts dirty.
@@ -113,7 +102,10 @@ class Cache
     bool weaveAccessFill(Addr line_addr, bool is_write,
                          std::uint64_t lru_stamp, CacheTally &tally);
 
-    /** Invalidate a line if present (coherence or TLB-shootdown path). */
+    /**
+     * Invalidate a line if present (coherence or TLB-shootdown path).
+     * The way keeps its tag and LRU stamp; only valid and dirty clear.
+     */
     bool invalidate(Addr line_addr);
 
     /** Fold a weave tally into the stats (single-threaded commit). */
@@ -142,7 +134,10 @@ class Cache
 
     const CacheParams &params() const { return params_; }
 
-    /** @{ @name Checkpointing (geometry-verified tag/LRU/dirty dump) */
+    /**
+     * @{ @name Checkpointing (geometry-verified tag/LRU/dirty dump)
+     * One record per way, set-major: tag, valid, dirty, LRU stamp.
+     */
     void save(snap::ArchiveWriter &ar) const;
     void restore(snap::ArchiveReader &ar);
     /** @} */
@@ -158,26 +153,38 @@ class Cache
   private:
     template <class Ar, class Self> static void io(Ar &ar, Self &self);
 
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lru = 0;      //!< Higher = more recently used.
-    };
+    /**
+     * The one set scan behind accessAndFill (counting into this cache's
+     * stats) and weaveAccessFill (counting into a CacheTally).
+     */
+    template <class Counters>
+    bool fill(Addr line_addr, bool is_write, std::uint64_t lru_stamp,
+              Counters &counters, bool &evicted_dirty);
 
     CacheParams params_;
     std::uint64_t num_sets_;
     std::uint64_t set_mask_;        //!< num_sets_ - 1 (sets are pow2).
-    std::vector<Line> lines_;       //!< num_sets_ * assoc, set-major.
+    std::size_t ways_;              //!< num_sets_ * assoc.
+
     /**
-     * SoA shadow tags: key_[i] = tag << 1 | valid, kept in sync with
-     * lines_ by every mutating path. The hit scans — by far the
-     * hottest loops in the whole simulator — compare one packed word
-     * per way instead of striding Line structs; lines_ stays
-     * authoritative for LRU/dirty payload and checkpointing.
+     * The ways' state, one copy in one allocation, as three set-major
+     * lanes indexed by set * assoc + way:
+     *  - key_: tag << 1 | valid. The hit scan compares one word per
+     *    way. An invalidated way keeps its tag with the valid bit clear.
+     *  - lru_: LRU stamp, higher = more recently used.
+     *  - dirty_: one byte per way.
+     * One allocation, not three vectors: glibc's dynamic mmap
+     * threshold then serves later caches of the same size from the
+     * heap instead of fresh page-faulting mmaps (DESIGN.md §14). Four
+     * host lines of padding separate consecutive lanes: lane sizes are
+     * powers of two, so without it a way's key and its stamp would sit
+     * a multiple of 4 KiB apart and alias in the host's memory
+     * disambiguation.
      */
-    std::vector<std::uint64_t> key_;
+    std::unique_ptr<std::uint64_t[]> store_;
+    std::uint64_t *key_ = nullptr;
+    std::uint64_t *lru_ = nullptr;
+    std::uint8_t *dirty_ = nullptr;
     std::uint64_t lru_clock_ = 0;
     stats::StatGroup stat_group_;
 
@@ -187,20 +194,15 @@ class Cache
         return (line_num << 1) | 1u;
     }
 
-    void
-    syncKey(std::size_t i)
-    {
-        key_[i] = lines_[i].valid ? packKey(lines_[i].tag) : 0;
-    }
-
     /**
      * Set selection. The constructor asserts num_sets_ is a power of
      * two, so the historical modulo reduces to a mask — no integer
      * divide on the per-access hot path.
      */
     std::uint64_t setIndex(Addr line_num) const { return line_num & set_mask_; }
-    const Line *find(Addr line_num) const;
-    Line *find(Addr line_num);
+
+    /** Index of the valid way holding @p line_num, or ways_ if none. */
+    std::size_t find(Addr line_num) const;
 };
 
 } // namespace bf::mem

@@ -1,6 +1,7 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 #include "common/snapshot.hh"
@@ -8,8 +9,30 @@
 namespace bf::mem
 {
 
+namespace
+{
+
+/** log2 of a DRAM organization field, which must be a power of two. */
+unsigned
+log2Exact(std::uint64_t value, const char *field)
+{
+    bf_assert(std::has_single_bit(value), "DRAM ", field, " = ", value,
+              " is not a power of two");
+    return static_cast<unsigned>(std::countr_zero(value));
+}
+
+} // namespace
+
 Dram::Dram(const DramParams &params, stats::StatGroup *parent)
-    : params_(params), stat_group_("dram", parent)
+    : params_(params),
+      channel_bits_(log2Exact(params.channels, "channels")),
+      rank_bits_(log2Exact(params.ranks_per_channel, "ranks_per_channel")),
+      bank_bits_(log2Exact(params.banks_per_rank, "banks_per_rank")),
+      row_shift_(channel_bits_ +
+                 log2Exact(params.row_bytes / cacheLineBytes /
+                               params.channels,
+                           "row_bytes / 64 / channels")),
+      stat_group_("dram", parent)
 {
     banks_.resize(numBanks());
     stat_group_.addStat("reads", &reads);
@@ -32,21 +55,19 @@ Dram::decode(Addr paddr, std::uint64_t &row_out) const
     // Address mapping: lines interleave across channels; within a
     // channel, consecutive lines fill one row of one bank (so streams get
     // row-buffer hits), and successive row-sized chunks interleave across
-    // banks, then ranks, for parallelism.
-    const Addr line = paddr / cacheLineBytes;
-    const unsigned channel = line % params_.channels;
-    const std::uint64_t chan_line = line / params_.channels;
-    const std::uint64_t lines_per_row =
-        params_.row_bytes / cacheLineBytes / params_.channels;
-    const std::uint64_t row_chunk = chan_line / lines_per_row;
-    const unsigned bank = row_chunk % params_.banks_per_rank;
-    const unsigned rank =
-        (row_chunk / params_.banks_per_rank) % params_.ranks_per_channel;
+    // banks, then ranks, for parallelism. Every field is a power of two
+    // (constructor), so each divide and modulo is a shift or a mask.
+    const Addr line = lineOf(paddr);
+    const unsigned channel =
+        static_cast<unsigned>(line & (params_.channels - 1));
+    const std::uint64_t row_chunk = line >> row_shift_;
+    const unsigned bank =
+        static_cast<unsigned>(row_chunk & (params_.banks_per_rank - 1));
+    const unsigned rank = static_cast<unsigned>(
+        (row_chunk >> bank_bits_) & (params_.ranks_per_channel - 1));
     // row_chunk uniquely identifies the open row within its bank.
     row_out = row_chunk;
-    return (channel * params_.ranks_per_channel + rank) *
-               params_.banks_per_rank +
-           bank;
+    return (((channel << rank_bits_) | rank) << bank_bits_) | bank;
 }
 
 Cycles

@@ -21,7 +21,11 @@
 namespace bf::mem
 {
 
-/** Organization and timing parameters of main memory. */
+/**
+ * Organization and timing parameters of main memory. channels,
+ * ranks_per_channel, banks_per_rank and row_bytes / 64 / channels must
+ * be powers of two.
+ */
 struct DramParams
 {
     unsigned channels = 2;
@@ -116,6 +120,12 @@ class Dram
     };
 
     DramParams params_;
+    /** @{ log2 of the power-of-two organization fields (decode) */
+    unsigned channel_bits_;
+    unsigned rank_bits_;
+    unsigned bank_bits_;
+    unsigned row_shift_;       //!< Line to row chunk: channel + row bits.
+    /** @} */
     std::vector<Bank> banks_;  //!< channel-major, then rank, then bank.
     stats::StatGroup stat_group_;
 

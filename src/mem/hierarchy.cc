@@ -40,13 +40,9 @@ CacheHierarchy::access(unsigned core, Addr paddr, AccessType type,
     const bool is_write = type == AccessType::Write;
 
     // Each level uses accessAndFill: one scan of the set answers the
-    // lookup and (on a miss) performs the fill the historical
-    // access()+insert() pair needed a second scan for. The per-cache
-    // operation sequences — and therefore all stats, LRU state and
-    // victim choices — are unchanged; only the interleaving across
-    // *different* caches moves, which is invisible because each cache
-    // owns its own LRU clock and the DRAM timestamp still sees the
-    // accumulated L1+L2+L3 latency.
+    // lookup and (on a miss) performs the fill. Each cache owns its own
+    // LRU clock, and the DRAM timestamp sees the accumulated L1+L2+L3
+    // latency.
     MemAccessResult result;
     Cache *l1 = isIfetch(type) ? l1i_[core].get() : l1d_[core].get();
     bool dirty = false;

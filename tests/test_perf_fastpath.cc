@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hh"
 #include "core/mmu.hh"
 #include "mem/cache.hh"
+#include "mem/dram.hh"
 #include "tlb/tlb.hh"
 #include "vm/kernel.hh"
 
@@ -351,48 +351,8 @@ TEST(L0InlineCache, StatsEquivalentWithL0Disabled)
 }
 
 // ---------------------------------------------------------------------------
-// Cache::accessAndFill must be exactly access() + insert().
-
-TEST(AccessAndFill, EquivalentToAccessThenInsert)
-{
-    mem::CacheParams p;
-    p.name = "eq";
-    p.size_bytes = 4 * 1024; // 16 sets x 4 ways: small enough to churn
-    p.assoc = 4;
-    p.line_bytes = 64;
-    mem::Cache ref(p);
-    mem::Cache fused(p);
-
-    Rng rng(1234);
-    for (int i = 0; i < 20000; ++i) {
-        // ~2x the cache's line capacity so hits, misses, evictions and
-        // dirty writebacks all occur.
-        const Addr addr = rng.below(128) * 64 + rng.below(64);
-        const bool is_write = rng.below(2) == 0;
-
-        bool ref_dirty = false;
-        const bool ref_hit = ref.access(addr, is_write);
-        if (!ref_hit)
-            ref.insert(addr, is_write, ref_dirty);
-
-        bool fused_dirty = false;
-        const bool fused_hit =
-            fused.accessAndFill(addr, is_write, fused_dirty);
-
-        ASSERT_EQ(ref_hit, fused_hit) << "op " << i;
-        ASSERT_EQ(ref_dirty, fused_dirty) << "op " << i;
-    }
-
-    EXPECT_EQ(ref.hits.value(), fused.hits.value());
-    EXPECT_EQ(ref.misses.value(), fused.misses.value());
-    EXPECT_EQ(ref.evictions.value(), fused.evictions.value());
-    EXPECT_EQ(ref.writebacks.value(), fused.writebacks.value());
-
-    // Identical final tag state, not just identical stats.
-    for (Addr line = 0; line < 128; ++line)
-        ASSERT_EQ(ref.contains(line * 64), fused.contains(line * 64))
-            << "line " << line;
-}
+// Cache::accessAndFill edge cases (the full equivalence with the
+// Line-struct reference model is CacheReference in test_cache.cc).
 
 TEST(AccessAndFill, HitDoesNotReportEviction)
 {
@@ -435,6 +395,27 @@ TEST(AccessAndFill, DirtyVictimReportsWriteback)
     EXPECT_FALSE(cache.contains(0));
     EXPECT_TRUE(cache.contains(64));
     EXPECT_TRUE(cache.contains(128));
+}
+
+// ---------------------------------------------------------------------------
+// Dram::decode uses shifts and masks, so every organization field it
+// divides by must be a power of two; the constructor names the one that
+// is not.
+
+TEST(DramDecodeDeathTest, NonPowerOfTwoFieldIsNamed)
+{
+    mem::DramParams banks;
+    banks.banks_per_rank = 6;
+    EXPECT_DEATH(mem::Dram dram(banks), "banks_per_rank = 6");
+    mem::DramParams ranks;
+    ranks.ranks_per_channel = 0;
+    EXPECT_DEATH(mem::Dram dram(ranks), "ranks_per_channel = 0");
+    mem::DramParams channels;
+    channels.channels = 3;
+    EXPECT_DEATH(mem::Dram dram(channels), "DRAM channels = 3");
+    mem::DramParams row;
+    row.row_bytes = 96 * 64;
+    EXPECT_DEATH(mem::Dram dram(row), "row_bytes / 64 / channels = 48");
 }
 
 // ---------------------------------------------------------------------------

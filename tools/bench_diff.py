@@ -4,7 +4,8 @@
 Compares a baseline (committed) report against a freshly produced one
 from the same bench and prints percent deltas for everything that moved:
 headline metrics, host speed (sim-MIPS and the per-phase
-bound/fault/merge/weave breakdown), and the per-container tenant rows
+bound/fault/fault_service/merge/weave breakdown; reports without
+fault_service still compare), and the per-container tenant rows
 (schema v3 "tenants" — walks, miss-latency p99, CoW privatizations,
 shootdowns, DRAM interference extras).
 
@@ -135,7 +136,7 @@ def diff_host(old, new, pr, threshold):
         d = delta_pct(o.get("sim_mips", 0), n.get("sim_mips", 0))
         if d is not None and d < -threshold:
             regressed.append((label, d))
-        for phase in ("bound", "fault", "merge", "weave"):
+        for phase in ("bound", "fault", "fault_service", "merge", "weave"):
             op = o.get("phases", {}).get(phase)
             np = n.get("phases", {}).get(phase)
             if op is not None and np is not None:
