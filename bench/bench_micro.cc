@@ -75,111 +75,16 @@ BM_TlbLookupBabelFish(benchmark::State &state)
 }
 BENCHMARK(BM_TlbLookupBabelFish);
 
-/**
- * AoS replica of the pre-SoA TLB set layout: the whole entry in one
- * struct, sets scanned way by way. Kept here as the "before" model so
- * the SoA win (BM_TlbLookupConventional walks the real split arrays)
- * stays measurable.
- */
-struct AosTlb
-{
-    struct Entry
-    {
-        Vpn vpn = 0;
-        Ppn ppn = 0;
-        Pcid pcid = 0;
-        Ccid ccid = 0;
-        std::uint32_t pc_bitmask = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-        bool orpc = false;
-    };
-
-    unsigned sets, assoc;
-    std::vector<Entry> entries;
-
-    AosTlb(unsigned n, unsigned a)
-        : sets(n / a), assoc(a), entries(n)
-    {}
-
-    const Entry *
-    lookup(Vpn vpn, Pcid pcid)
-    {
-        Entry *base = &entries[(vpn % sets) * assoc];
-        for (unsigned w = 0; w < assoc; ++w) {
-            Entry &e = base[w];
-            if (e.valid && e.vpn == vpn && e.pcid == pcid) {
-                e.lru = ++tick;
-                return &e;
-            }
-        }
-        return nullptr;
-    }
-
-    std::uint64_t tick = 0;
-};
-
-void
-fillAosTlb(AosTlb &tlb)
-{
-    for (Vpn vpn = 0; vpn < tlb.entries.size(); ++vpn) {
-        AosTlb::Entry &e = tlb.entries[(vpn % tlb.sets) * tlb.assoc +
-                                       (vpn / tlb.sets) % tlb.assoc];
-        e.valid = true;
-        e.vpn = vpn;
-        e.ppn = vpn + 100;
-        e.pcid = 1 + (vpn % 3);
-    }
-}
-
-void
-BM_TlbScanAoS(benchmark::State &state)
-{
-    // Single hot instance: the whole structure is cache-resident, so
-    // this measures pure scan arithmetic (where AoS and SoA are close);
-    // the Pressured pair below measures the layout's cache footprint,
-    // which is what the SoA refactor bought end-to-end.
-    AosTlb tlb(1536, 12);
-    fillAosTlb(tlb);
-    Vpn vpn = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tlb.lookup(vpn, 1 + (vpn % 3)));
-        vpn = (vpn + 97) % 1536;
-    }
-}
-BENCHMARK(BM_TlbScanAoS);
-
 constexpr unsigned kPressureTlbs = 48; //!< ~8 cores x 6 structures.
 
 void
-BM_TlbScanAoSPressured(benchmark::State &state)
+BM_TlbLookupPressured(benchmark::State &state)
 {
     // Round-robin over as many instances as a full 8-core system keeps
-    // live, spilling the private caches: every AoS probe drags whole
-    // entries (lru, ppn, bitmask) through them. How much that costs
-    // depends on the host's cache sizes — the authoritative number for
-    // the SoA refactor is the end-to-end A/B in EXPERIMENTS.md; this
-    // pair isolates the layout for profiling.
-    std::vector<std::unique_ptr<AosTlb>> tlbs;
-    for (unsigned i = 0; i < kPressureTlbs; ++i) {
-        tlbs.push_back(std::make_unique<AosTlb>(1536, 12));
-        fillAosTlb(*tlbs.back());
-    }
-    Vpn vpn = 0;
-    unsigned j = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tlbs[j]->lookup(vpn, 1 + (vpn % 3)));
-        vpn = (vpn + 97) % 1536;
-        j = (j + 1) % kPressureTlbs;
-    }
-}
-BENCHMARK(BM_TlbScanAoSPressured);
-
-void
-BM_TlbScanSoAPressured(benchmark::State &state)
-{
-    // The same pressure on the real SoA sets: the probe loop walks only
-    // the packed tag lanes; the payload lanes are touched on hits only.
+    // live, spilling the host's private caches: each probe walks one
+    // set of whole TlbEntry records. How much that costs depends on the
+    // host's cache sizes; the end-to-end A/B in EXPERIMENTS.md is the
+    // authoritative number.
     std::vector<std::unique_ptr<tlb::Tlb>> tlbs;
     for (unsigned i = 0; i < kPressureTlbs; ++i)
         tlbs.push_back(makeFilledTlb(1536));
@@ -192,7 +97,7 @@ BM_TlbScanSoAPressured(benchmark::State &state)
         j = (j + 1) % kPressureTlbs;
     }
 }
-BENCHMARK(BM_TlbScanSoAPressured);
+BENCHMARK(BM_TlbLookupPressured);
 
 /**
  * MMU translate fixture for the L0 inline-cache microbenches: one warm

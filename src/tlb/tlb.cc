@@ -1,7 +1,5 @@
 #include "tlb/tlb.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "common/snapshot.hh"
 
@@ -55,8 +53,6 @@ Tlb::Tlb(const TlbParams &params, stats::StatGroup *parent)
     sets_pow2_ = (num_sets_ & (num_sets_ - 1)) == 0;
     set_mask_ = num_sets_ - 1;
     entries_.resize(params_.entries);
-    key_.resize(params_.entries, 0);
-    id_.resize(params_.entries, 0);
 
     stat_group_.addStat("hits", &hits);
     stat_group_.addStat("misses", &misses);
@@ -70,17 +66,12 @@ TlbLookup
 Tlb::lookupConventional(Vpn vpn, Pcid pcid)
 {
     TlbLookup result;
-    const std::size_t base = setIndex(vpn) * params_.assoc;
-    // Shadow-key scan: valid + VPN in one compare (the owned bit is
-    // masked off — conventional lookups ignore it), PCID from the id
-    // word. The mismatching ways never touch the entry structs.
-    const std::uint64_t want = packKey(vpn, true);
+    TlbEntry *base = setBase(vpn);
     const unsigned assoc = params_.assoc;
     for (unsigned way = 0; way < assoc; ++way) {
-        const std::size_t i = base + way;
-        if ((key_[i] | 2u) != want || (id_[i] >> 16) != pcid)
+        TlbEntry &entry = base[way];
+        if (entry.vpn != vpn || !entry.valid || entry.pcid != pcid)
             continue;
-        TlbEntry &entry = entries_[i];
         if (params_.policy == TlbParams::Policy::Lru)
             entry.lru = ++lru_clock_;
         result.entry = &entry;
@@ -98,18 +89,15 @@ TlbLookup
 Tlb::lookupBabelFish(Vpn vpn, Ccid ccid, Pcid pcid, int process_bit)
 {
     TlbLookup result;
-    const std::size_t base = setIndex(vpn) * params_.assoc;
+    TlbEntry *base = setBase(vpn);
     TlbEntry *match = nullptr;
 
-    const std::uint64_t want = packKey(vpn, true);
     const unsigned assoc = params_.assoc;
     for (unsigned way = 0; way < assoc; ++way) {
-        const std::size_t i = base + way;
-        const std::uint64_t key = key_[i];
-        if ((key | 2u) != want || (id_[i] & 0xffffu) != ccid)
+        TlbEntry &entry = base[way];
+        if (entry.vpn != vpn || !entry.valid || entry.ccid != ccid)
             continue;                                   // step 1 of Fig. 8
-        TlbEntry &entry = entries_[i];
-        if (key & 2u) {                                 // owned
+        if (entry.owned) {
             if (entry.pcid == pcid) {                   // step 9
                 match = &entry;
                 break;                                  // owned hit wins
@@ -200,119 +188,43 @@ Tlb::fill(const TlbEntry &new_entry, bool shared_dedup,
     bool spilled = false;
     if (!victim->valid) {
         ++valid_count_;
-    } else if (!same_identity_refill) {
-        if (!victim->owned)
-            bucketRemove(victim->ccid);
-        if (evicted) {
-            *evicted = *victim;
-            spilled = true;
-        }
-    } else if (!victim->owned) {
-        bucketRemove(victim->ccid);
+    } else if (!same_identity_refill && evicted) {
+        *evicted = *victim;
+        spilled = true;
     }
     *victim = new_entry;
     victim->valid = true;
     victim->lru = ++lru_clock_;
-    if (!victim->owned)
-        bucketAdd(victim->ccid, victim->vpn);
-    syncKeys(static_cast<std::size_t>(victim - entries_.data()));
     ++fills;
     return spilled;
 }
 
 void
-Tlb::invalidatePage(Pcid pcid, Vpn vpn)
+Tlb::shootDown(const vm::TlbInvalidate &inv)
 {
-    if (valid_count_ == 0)
-        return;
-    const std::size_t base = setIndex(vpn) * params_.assoc;
-    const std::uint64_t want = packKey(vpn, true);
-    for (unsigned way = 0; way < params_.assoc; ++way) {
-        const std::size_t i = base + way;
-        const std::uint64_t key = key_[i];
-        if ((key | 2u) == want && (id_[i] >> 16) == pcid) {
-            entries_[i].valid = false;
-            key_[i] = 0;
+    // A page shootdown names one VPN, so only its set can hold it; the
+    // PCID and range kinds scan the whole structure.
+    TlbEntry *first = entries_.data();
+    TlbEntry *last = first + entries_.size();
+    if (inv.kind == vm::TlbInvalidate::Kind::Page) {
+        first = setBase(inv.vpn);
+        last = first + params_.assoc;
+    }
+    for (TlbEntry *entry = first; entry != last; ++entry) {
+        if (shotDownBy(*entry, inv)) {
+            entry->valid = false;
             --valid_count_;
             ++invalidations;
-            if (!(key & 2u))
-                bucketRemove(static_cast<Ccid>(id_[i] & 0xffffu));
         }
-    }
-}
-
-void
-Tlb::invalidateSharedRange(Ccid ccid, Vpn first, std::uint64_t count)
-{
-    // Shootdowns are broadcast to every core; on most of them this
-    // structure holds nothing for the CCID (or nothing in the range),
-    // so the occupancy filter answers without scanning.
-    if (valid_count_ == 0)
-        return;
-    const CcidBucket &b = bucket(ccid);
-    if (b.count == 0 || first > b.vpn_max || first + count <= b.vpn_min)
-        return;
-    // Range shootdowns scan the whole structure — over the packed
-    // shadow keys, not the entry structs.
-    const std::size_t n = key_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t key = key_[i];
-        if ((key & 3u) != 1u)           // valid shared entries only
-            continue;
-        if ((id_[i] & 0xffffu) != ccid)
-            continue;
-        const Vpn vpn = key >> 2;
-        if (vpn < first || vpn >= first + count)
-            continue;
-        entries_[i].valid = false;
-        key_[i] = 0;
-        --valid_count_;
-        ++invalidations;
-        bucketRemove(ccid);
-    }
-}
-
-void
-Tlb::invalidatePcid(Pcid pcid)
-{
-    if (valid_count_ == 0)
-        return;
-    const std::size_t n = key_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t key = key_[i];
-        if (!(key & 1u) || (id_[i] >> 16) != pcid)
-            continue;
-        entries_[i].valid = false;
-        key_[i] = 0;
-        --valid_count_;
-        ++invalidations;
-        if (!(key & 2u))
-            bucketRemove(static_cast<Ccid>(id_[i] & 0xffffu));
     }
 }
 
 void
 Tlb::invalidateAll()
 {
-    if (valid_count_ == 0)
-        return;
     for (auto &entry : entries_)
         entry.valid = false;
-    std::fill(key_.begin(), key_.end(), 0);
-    shared_buckets_.fill(CcidBucket{});
     valid_count_ = 0;
-}
-
-void
-Tlb::rebuildShadow()
-{
-    shared_buckets_.fill(CcidBucket{});
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        syncKeys(i);
-        const TlbEntry &entry = entries_[i];
-        if (entry.valid && !entry.owned)
-            bucketAdd(entry.ccid, entry.vpn);
-    }
 }
 
 const TlbEntry *
@@ -367,6 +279,7 @@ Tlb::io(Ar &ar, Self &self)
     ar.u64(self.lru_clock_);
     ar.u64(self.rng_state_);
     ar.u32(self.valid_count_);
+    unsigned valid = 0;
     for (auto &entry : self.entries_) {
         ar.b(entry.valid);
         ar.u64(entry.vpn);
@@ -379,6 +292,22 @@ Tlb::io(Ar &ar, Self &self)
         ar.u32(entry.pc_bitmask);
         ar.u16(entry.fill_pcid);
         ar.u64(entry.lru);
+        if constexpr (Ar::loading) {
+            // fill() never stores another size; shootdowns match on it.
+            if (entry.valid && entry.size != self.params_.page_size)
+                throw snap::SnapshotError(
+                    what + "valid entry of another page size");
+            valid += entry.valid;
+        }
+    }
+    // A shootdown skips a structure whose count reads zero, so a wrong
+    // count would let stale translations survive.
+    if constexpr (Ar::loading) {
+        if (valid != self.valid_count_)
+            throw snap::SnapshotError(what + "valid count " +
+                                      std::to_string(self.valid_count_) +
+                                      " but " + std::to_string(valid) +
+                                      " valid entries");
     }
 }
 
@@ -392,7 +321,6 @@ void
 Tlb::restore(snap::ArchiveReader &ar)
 {
     io(ar, *this);
-    rebuildShadow();
 }
 
 } // namespace bf::tlb

@@ -8,7 +8,6 @@
 #ifndef BF_TLB_TLB_HH
 #define BF_TLB_TLB_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -111,12 +110,18 @@ class Tlb
               TlbEntry *evicted = nullptr);
 
     /** @{ @name Invalidation */
-    /** Drop the (pcid, vpn) entry if present. */
-    void invalidatePage(Pcid pcid, Vpn vpn);
-    /** Drop shared (Ownership-clear) entries of a CCID in a VPN range. */
-    void invalidateSharedRange(Ccid ccid, Vpn first, std::uint64_t count);
-    /** Drop every entry of a PCID. */
-    void invalidatePcid(Pcid pcid);
+    /**
+     * Apply a kernel shootdown: drop every entry tlb::shotDownBy says
+     * it reaches. The empty-structure exit stays inline: the kernel
+     * broadcasts most shootdowns while containers are set up, before
+     * any core has translated, and each must cost no more than a load.
+     */
+    void
+    invalidate(const vm::TlbInvalidate &inv)
+    {
+        if (valid_count_ != 0)
+            shootDown(inv);
+    }
     /** Drop everything. */
     void invalidateAll();
     /** @} */
@@ -159,8 +164,10 @@ class Tlb
      * @name Checkpointing
      * Full content dump: every way of every set with all tags, O-PC
      * state and LRU stamps, plus the LRU clock. restore() verifies the
-     * geometry fingerprint first and throws snap::SnapshotError on
-     * mismatch. Stats ride the stats tree, not this path.
+     * geometry fingerprint first, then that the valid count matches the
+     * valid ways and every valid way has this structure's page size; it
+     * throws snap::SnapshotError on any mismatch. Stats ride the stats
+     * tree, not this path.
      */
     void save(snap::ArchiveWriter &ar) const;
     void restore(snap::ArchiveReader &ar);
@@ -183,86 +190,20 @@ class Tlb
     std::uint64_t set_mask_ = 0;    //!< num_sets_ - 1 when pow2.
     bool sets_pow2_ = false;
     unsigned valid_count_ = 0;
-    std::vector<TlbEntry> entries_; //!< set-major.
-
     /**
-     * @{
-     * @name SoA shadow keys
-     * One packed word per way, kept in sync with entries_ by every
-     * mutating path. Lookup and invalidation scans — above all the
-     * full-structure range shootdowns, which dominate host time —
-     * touch these dense arrays instead of striding 64-byte TlbEntry
-     * structs. entries_ stays authoritative (probe, save, payload).
+     * Set-major, and the structure's only copy of its entries: lookups,
+     * fills and shootdowns scan it directly, and the Mmu's L0 front
+     * cache points into it.
      */
-    /** key_[i] = vpn << 2 | owned << 1 | valid (0 when invalid). */
-    std::vector<std::uint64_t> key_;
-    /** id_[i] = pcid << 16 | ccid. */
-    std::vector<std::uint32_t> id_;
-    /** @} */
-
-    /**
-     * Occupancy filter for range shootdowns: per CCID hash bucket, the
-     * number of valid shared (Ownership-clear) entries plus a
-     * conservative VPN interval around them. Broadcast shootdowns for
-     * a CCID this structure holds nothing for — the overwhelmingly
-     * common case on remote cores — exit in O(1). The interval only
-     * widens on fill and snaps back when the bucket empties, so the
-     * test can only ever be conservative.
-     */
-    struct CcidBucket
-    {
-        std::uint32_t count = 0;
-        Vpn vpn_min = ~0ull;
-        Vpn vpn_max = 0;
-    };
-    std::array<CcidBucket, 64> shared_buckets_{};
+    std::vector<TlbEntry> entries_;
 
     std::uint64_t lru_clock_ = 0;
     std::uint64_t rng_state_ = 0;   //!< Random-policy xorshift state.
 
     stats::StatGroup stat_group_;
 
-    static std::uint64_t
-    packKey(Vpn vpn, bool owned)
-    {
-        return (vpn << 2) | (owned ? 2u : 0u) | 1u;
-    }
-
-    CcidBucket &bucket(Ccid ccid) { return shared_buckets_[ccid & 63u]; }
-
-    void
-    bucketAdd(Ccid ccid, Vpn vpn)
-    {
-        CcidBucket &b = bucket(ccid);
-        ++b.count;
-        if (vpn < b.vpn_min)
-            b.vpn_min = vpn;
-        if (vpn > b.vpn_max)
-            b.vpn_max = vpn;
-    }
-
-    void
-    bucketRemove(Ccid ccid)
-    {
-        CcidBucket &b = bucket(ccid);
-        --b.count;
-        if (b.count == 0) {
-            b.vpn_min = ~0ull;
-            b.vpn_max = 0;
-        }
-    }
-
-    /** Write the shadow key/id words for entries_[i]. */
-    void
-    syncKeys(std::size_t i)
-    {
-        const TlbEntry &e = entries_[i];
-        key_[i] = e.valid ? packKey(e.vpn, e.owned) : 0;
-        id_[i] = (static_cast<std::uint32_t>(e.pcid) << 16) | e.ccid;
-    }
-
-    /** Rebuild every shadow key and occupancy bucket from entries_. */
-    void rebuildShadow();
+    /** Drop the entries @p inv reaches (non-empty structure). */
+    void shootDown(const vm::TlbInvalidate &inv);
 
     /**
      * Set selection. Unlike the caches, a TLB's set count is not

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "common/types.hh"
+#include "vm/tlb_hooks.hh"
 
 namespace bf::tlb
 {
@@ -56,6 +57,42 @@ struct TlbEntry
     /** LRU timestamp maintained by the Tlb. */
     std::uint64_t lru = 0;
 };
+
+/**
+ * The one reach rule of a kernel shootdown: true when @p e holds a
+ * translation @p inv drops. Every structure that caches TlbEntry copies
+ * (the TLBs, Victima's store) applies it, so they are flushed together.
+ *  - Page: the (PCID, size, VPN) translation.
+ *  - Pcid: every entry of the PCID.
+ *  - SharedRange: the CCID's shared (Ownership-clear) entries in the
+ *    range (paper §III-A). A range given in 4K VPNs also reaches the
+ *    huge entries overlapping it (the mask-overflow region shootdown).
+ */
+inline bool
+shotDownBy(const TlbEntry &e, const vm::TlbInvalidate &inv)
+{
+    using Kind = vm::TlbInvalidate::Kind;
+    if (!e.valid)
+        return false;
+    switch (inv.kind) {
+      case Kind::Page:
+        return e.vpn == inv.vpn && e.pcid == inv.pcid && e.size == inv.size;
+      case Kind::Pcid:
+        return e.pcid == inv.pcid;
+      case Kind::SharedRange:
+        if (e.owned || e.ccid != inv.ccid)
+            return false;
+        if (e.size == inv.size)
+            return e.vpn >= inv.vpn && e.vpn - inv.vpn < inv.num_pages;
+        if (inv.size == PageSize::Size4K) {
+            const int shift = pageShift(e.size) - pageShift(inv.size);
+            return e.vpn >= inv.vpn >> shift &&
+                   e.vpn <= (inv.vpn + inv.num_pages - 1) >> shift;
+        }
+        return false;
+    }
+    return false;
+}
 
 } // namespace bf::tlb
 

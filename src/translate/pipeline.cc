@@ -433,52 +433,21 @@ PipelineBackend::attempt(const Requester &req, Addr va, AccessType type,
 void
 PipelineBackend::applyInvalidate(const vm::TlbInvalidate &inv)
 {
-    using Kind = vm::TlbInvalidate::Kind;
     // Conservative: live-entry re-validation already catches every
     // shot-down slot, but shootdowns are rare enough that retiring the
     // whole L0 generation costs nothing and keeps the argument simple.
     ++l0_gen_;
-    auto forEachTlb = [&](auto &&fn) {
-        fn(*l1i_4k_);
-        for (auto &tlb : l1d_)
-            fn(*tlb);
-        for (auto &tlb : l2_)
-            fn(*tlb);
-    };
-
-    switch (inv.kind) {
-      case Kind::Page:
-        forEachTlb([&](tlb::Tlb &tlb) {
-            if (tlb.params().page_size == inv.size)
-                tlb.invalidatePage(inv.pcid, inv.vpn);
-        });
-        break;
-      case Kind::SharedRange:
-        // Shared (O-clear) entries and their L1 copies: the per-process
-        // L1 copies of shared fills keep owned=false, so the range drop
-        // removes them on every core (conservative, like a remote
-        // shootdown IPI).
-        forEachTlb([&](tlb::Tlb &tlb) {
-            if (tlb.params().page_size == inv.size) {
-                tlb.invalidateSharedRange(inv.ccid, inv.vpn,
-                                          inv.num_pages);
-            } else if (inv.size == PageSize::Size4K) {
-                // Region shootdowns expressed in 4K VPNs also cover any
-                // huge entries overlapping the range.
-                const int shift = pageShift(tlb.params().page_size) -
-                                  pageShift(PageSize::Size4K);
-                const Vpn first = inv.vpn >> shift;
-                const Vpn last = (inv.vpn + inv.num_pages - 1) >> shift;
-                tlb.invalidateSharedRange(inv.ccid, first,
-                                          last - first + 1);
-            }
-        });
-        break;
-      case Kind::Pcid:
-        forEachTlb([&](tlb::Tlb &tlb) { tlb.invalidatePcid(inv.pcid); });
+    // Every structure applies the same reach rule (tlb::shotDownBy). The
+    // per-process L1 copies of shared fills keep owned=false, so a
+    // shared-range drop removes them on every core too (conservative,
+    // like a remote shootdown IPI).
+    l1i_4k_->invalidate(inv);
+    for (auto &tlb : l1d_)
+        tlb->invalidate(inv);
+    for (auto &tlb : l2_)
+        tlb->invalidate(inv);
+    if (inv.kind == vm::TlbInvalidate::Kind::Pcid)
         pwc_->invalidateAll();
-        break;
-    }
     invalidateExtra(inv);
 }
 

@@ -93,44 +93,13 @@ class VictimStore
     /** Drop one slot (entry migrated back into the TLB). */
     void erase(std::size_t slot) { slots_[slot].valid = false; }
 
-    /** Apply a kernel shootdown (same reach rules as the TLBs). */
+    /** Apply a kernel shootdown (tlb::shotDownBy, as the TLBs do). */
     void
     invalidate(const vm::TlbInvalidate &inv)
     {
-        using Kind = vm::TlbInvalidate::Kind;
-        for (auto &e : slots_) {
-            if (!e.valid)
-                continue;
-            switch (inv.kind) {
-              case Kind::Page:
-                if (e.pcid == inv.pcid && e.size == inv.size &&
-                    e.vpn == inv.vpn)
-                    e.valid = false;
-                break;
-              case Kind::SharedRange: {
-                if (e.owned || e.ccid != inv.ccid)
-                    break;
-                // Cover huge entries overlapping a 4K-expressed range.
-                Vpn first = inv.vpn;
-                Vpn last = inv.vpn + inv.num_pages - 1;
-                if (e.size != inv.size) {
-                    if (inv.size != PageSize::Size4K)
-                        break;
-                    const int shift = pageShift(e.size) -
-                                      pageShift(PageSize::Size4K);
-                    first >>= shift;
-                    last >>= shift;
-                }
-                if (e.vpn >= first && e.vpn <= last)
-                    e.valid = false;
-                break;
-              }
-              case Kind::Pcid:
-                if (e.pcid == inv.pcid)
-                    e.valid = false;
-                break;
-            }
-        }
+        for (auto &e : slots_)
+            if (tlb::shotDownBy(e, inv))
+                e.valid = false;
     }
 
     void

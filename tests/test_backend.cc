@@ -443,20 +443,31 @@ TEST(VictimStore, InvalidateKinds)
     store.insert(makeEntry(10, 100, 1, 7, true));
     store.insert(makeEntry(11, 101, 2, 7, false));
     store.insert(makeEntry(12, 102, 2, 7, true));
-    ASSERT_EQ(store.validCount(), 3u);
+    // Shared 2M entries over 4K VPNs [0, 512) and [512, 1024); the
+    // second belongs to another container.
+    tlb::TlbEntry huge = makeEntry(0, 200, 2, 7, false);
+    huge.size = PageSize::Size2M;
+    store.insert(huge);
+    tlb::TlbEntry other = makeEntry(1, 201, 3, 8, false);
+    other.size = PageSize::Size2M;
+    store.insert(other);
+    ASSERT_EQ(store.validCount(), 5u);
 
     // Page: exact {pcid, vpn, size}.
     store.invalidate({vm::TlbInvalidate::Kind::Page, 7, 1, 10, 1,
                       PageSize::Size4K});
-    EXPECT_EQ(store.validCount(), 2u);
-    // SharedRange: only non-owned entries of the CCID in range.
-    store.invalidate({vm::TlbInvalidate::Kind::SharedRange, 7, 0, 8, 8,
+    EXPECT_EQ(store.validCount(), 4u);
+    // SharedRange: only non-owned entries of the CCID in range; a range
+    // in 4K VPNs ([8, 520) here) also reaches the 2M entries it overlaps.
+    store.invalidate({vm::TlbInvalidate::Kind::SharedRange, 7, 0, 8, 512,
                       PageSize::Size4K});
-    EXPECT_EQ(store.validCount(), 1u); // the owned vpn=12 survived
+    EXPECT_EQ(store.validCount(), 2u); // the owned vpn=12, CCID 8's 2M
+    EXPECT_EQ(store.probe(0, PageSize::Size2M, 2, 7, true, -1), nullptr);
+    EXPECT_NE(store.probe(1, PageSize::Size2M, 3, 8, true, -1), nullptr);
     // Pcid: everything of the process.
     store.invalidate({vm::TlbInvalidate::Kind::Pcid, 7, 2, 0, 0,
                       PageSize::Size4K});
-    EXPECT_EQ(store.validCount(), 0u);
+    EXPECT_EQ(store.validCount(), 1u);
 }
 
 TEST(VictimStore, SaveRestoreRoundTripAndSizeGuard)

@@ -20,6 +20,7 @@
 #include "vm/kernel.hh"
 
 using namespace bf;
+using Kind = vm::TlbInvalidate::Kind;
 
 namespace
 {
@@ -493,12 +494,13 @@ TEST(TlbValidCount, CounterTracksFillAndInvalidate)
     tlb.fill(tlbEntry(0x10, 0x9, 1, 1));
     EXPECT_EQ(tlb.validCount(), 3u);
 
-    tlb.invalidatePage(1, 0x10);
+    tlb.invalidate({Kind::Page, invalidCcid, 1, 0x10});
     EXPECT_EQ(tlb.validCount(), 2u);
-    tlb.invalidatePage(1, 0x10); // already gone: no change
+    // Already gone: no change.
+    tlb.invalidate({Kind::Page, invalidCcid, 1, 0x10});
     EXPECT_EQ(tlb.validCount(), 2u);
 
-    tlb.invalidatePcid(1);
+    tlb.invalidate({Kind::Pcid, invalidCcid, 1});
     EXPECT_EQ(tlb.validCount(), 1u);
 
     tlb.invalidateAll();
@@ -517,8 +519,8 @@ TEST(TlbValidCount, SharedRangeInvalidateMaintainsCounter)
     for (Vpn v = 0x20; v < 0x28; ++v)
         tlb.fill(tlbEntry(v, v, 1, 7));
     EXPECT_EQ(tlb.validCount(), 8u);
-    tlb.invalidateSharedRange(7, 0x22, 3);
+    tlb.invalidate({Kind::SharedRange, 7, 0, 0x22, 3});
     EXPECT_EQ(tlb.validCount(), 5u);
-    tlb.invalidateSharedRange(8, 0x20, 8); // wrong CCID: nothing
+    tlb.invalidate({Kind::SharedRange, 8, 0, 0x20, 8}); // wrong CCID
     EXPECT_EQ(tlb.validCount(), 5u);
 }

@@ -11,6 +11,7 @@
 
 using namespace bf;
 using namespace bf::tlb;
+using Kind = bf::vm::TlbInvalidate::Kind;
 
 namespace
 {
@@ -179,7 +180,7 @@ TEST(Tlb, InvalidatePage)
     Tlb tlb(smallTlb());
     tlb.fill(entry(0x10, 0x99, 1, 5));
     tlb.fill(entry(0x10, 0x98, 2, 5));
-    tlb.invalidatePage(1, 0x10);
+    tlb.invalidate({Kind::Page, invalidCcid, 1, 0x10});
     EXPECT_FALSE(tlb.lookupConventional(0x10, 1).hit());
     EXPECT_TRUE(tlb.lookupConventional(0x10, 2).hit());
 }
@@ -190,7 +191,7 @@ TEST(Tlb, InvalidateSharedRangeDropsOnlySharedOfCcid)
     tlb.fill(entry(0x10, 1, 1, 5, /*owned=*/false));
     tlb.fill(entry(0x11, 2, 1, 5, /*owned=*/true));
     tlb.fill(entry(0x12, 3, 1, 6, /*owned=*/false)); // other CCID
-    tlb.invalidateSharedRange(5, 0x10, 0x10);
+    tlb.invalidate({Kind::SharedRange, 5, 0, 0x10, 0x10});
     EXPECT_FALSE(tlb.lookupBabelFish(0x10, 5, 1, -1).hit());
     EXPECT_TRUE(tlb.lookupBabelFish(0x11, 5, 1, -1).hit());
     EXPECT_TRUE(tlb.lookupBabelFish(0x12, 6, 1, -1).hit());
@@ -203,7 +204,7 @@ TEST(Tlb, InvalidateSharedRangeRespectsBounds)
     tlb.fill(entry(0x10, 2, 1, 5));
     tlb.fill(entry(0x13, 3, 1, 5));
     tlb.fill(entry(0x14, 4, 1, 5));
-    tlb.invalidateSharedRange(5, 0x10, 4); // [0x10, 0x14)
+    tlb.invalidate({Kind::SharedRange, 5, 0, 0x10, 4}); // [0x10, 0x14)
     EXPECT_TRUE(tlb.lookupBabelFish(0x0f, 5, 1, -1).hit());
     EXPECT_FALSE(tlb.lookupBabelFish(0x10, 5, 1, -1).hit());
     EXPECT_FALSE(tlb.lookupBabelFish(0x13, 5, 1, -1).hit());
@@ -216,7 +217,7 @@ TEST(Tlb, InvalidatePcid)
     tlb.fill(entry(0x10, 1, 1, 5));
     tlb.fill(entry(0x20, 2, 1, 5));
     tlb.fill(entry(0x30, 3, 2, 5));
-    tlb.invalidatePcid(1);
+    tlb.invalidate({Kind::Pcid, invalidCcid, 1});
     EXPECT_FALSE(tlb.lookupConventional(0x10, 1).hit());
     EXPECT_FALSE(tlb.lookupConventional(0x20, 1).hit());
     EXPECT_TRUE(tlb.lookupConventional(0x30, 2).hit());
