@@ -223,7 +223,6 @@ forEachParam(P &p, Visit &&visit)
         visit(at + ".assoc", c.assoc);
         visit(at + ".line_bytes", c.line_bytes);
         visit(at + ".access_cycles", c.access_cycles);
-        visit(at + ".mshrs", c.mshrs);
     };
     auto &k = p.kernel;
     visit("kernel.babelfish", k.babelfish);

@@ -22,7 +22,7 @@
 namespace bf::mem
 {
 
-/** Geometry and bookkeeping parameters of one cache level. */
+/** Geometry and latency of one cache level. */
 struct CacheParams
 {
     std::string name = "cache";
@@ -30,7 +30,6 @@ struct CacheParams
     unsigned assoc = 8;
     unsigned line_bytes = 64;       //!< Must be cacheLineBytes.
     Cycles access_cycles = 2;       //!< Latency charged on a hit.
-    unsigned mshrs = 16;            //!< Outstanding-miss bookkeeping only.
 
     /** Number of sets implied by the geometry. */
     std::uint64_t

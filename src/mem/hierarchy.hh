@@ -43,10 +43,10 @@ struct MemAccessResult
 /** Parameters of the whole hierarchy (defaults follow Table I). */
 struct HierarchyParams
 {
-    CacheParams l1i{ "l1i", 32 * 1024, 8, 64, 2, 16 };
-    CacheParams l1d{ "l1d", 32 * 1024, 8, 64, 2, 16 };
-    CacheParams l2{ "l2", 256 * 1024, 8, 64, 8, 16 };
-    CacheParams l3{ "l3", 8 * 1024 * 1024, 16, 64, 32, 128 };
+    CacheParams l1i{ "l1i", 32 * 1024, 8, 64, 2 };
+    CacheParams l1d{ "l1d", 32 * 1024, 8, 64, 2 };
+    CacheParams l2{ "l2", 256 * 1024, 8, 64, 8 };
+    CacheParams l3{ "l3", 8 * 1024 * 1024, 16, 64, 32 };
     DramParams dram{};
     bool model_coherence = true; //!< Probe-invalidate peers on writes.
 };
