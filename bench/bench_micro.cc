@@ -16,6 +16,7 @@
 #include "common/object_pool.hh"
 #include "core/epoch.hh"
 #include "core/mmu.hh"
+#include "core/system.hh"
 #include "mem/hierarchy.hh"
 #include "tlb/page_walker.hh"
 #include "tlb/tlb.hh"
@@ -514,6 +515,38 @@ BM_ForkWarmProcess(benchmark::State &state)
         kernel.exitProcess(*prev);
 }
 BENCHMARK(BM_ForkWarmProcess);
+
+/** Pages BM_KernelPrivateWriteFillCold fills, one per iteration. */
+constexpr std::uint64_t kColdFillPages = 1 << 16;
+
+void
+BM_KernelPrivateWriteFillCold(benchmark::State &state)
+{
+    // The unit of the container set-up prefault: one BabelFish private
+    // write fill, whose SharedRange shootdown the kernel bills to each
+    // of the 16 group members and broadcasts to 8 cores that have not
+    // translated yet. Every iteration fills a fresh page of one region,
+    // so the iteration count is fixed at its size.
+    core::SystemParams params = core::SystemParams::babelfish();
+    params.num_cores = 8;
+    params.attrib = true;
+    params.kernel.mem_frames = 1 << 22;
+    core::System sys(params);
+    vm::Kernel &kernel = sys.kernel();
+    const Ccid g = kernel.createGroup("g", 1);
+    vm::Process *proc = kernel.createProcess(g, "p");
+    for (int i = 1; i < 16; ++i)
+        kernel.createProcess(g, "m" + std::to_string(i));
+    kernel.mmapAnon(*proc, kVa, kColdFillPages * basePageBytes, true,
+                    /*allow_huge=*/false);
+    Addr va = kVa;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            kernel.handleFault(*proc, va, AccessType::Write));
+        va += basePageBytes;
+    }
+}
+BENCHMARK(BM_KernelPrivateWriteFillCold)->Iterations(kColdFillPages);
 
 } // namespace
 

@@ -39,6 +39,7 @@ Mmu::translate(vm::Process &proc, Addr canonical_va, AccessType type,
                                    proc.attribSlot()};
     walking_ = &proc;
     process_bit_ = kBitUnasked;
+    translated_ = true;
     Translation result;
     for (int attempt = 0; attempt < 8; ++attempt) {
         const translate::Attempt a = backend_->attempt(
@@ -180,6 +181,7 @@ void
 Mmu::restore(snap::ArchiveReader &ar)
 {
     backend_->restore(ar);
+    translated_ = true;
     // The processBit memo re-warms on first use with no stat side
     // effects, so resuming cold here is invisible to stats.
     pb_cache_.fill(PbCache{});

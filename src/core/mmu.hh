@@ -80,11 +80,16 @@ class Mmu : public translate::TranslateStats, private translate::WalkSource
     vm::FaultOutcome serviceFault(const vm::DeferredFault &fault,
                                   Cycles ts);
 
-    /** Apply a kernel shootdown to every structure of this core. */
+    /**
+     * Apply a kernel shootdown to every structure of this core; a no-op
+     * until the core first translates or is restored (container set-up
+     * issues hundreds of thousands before any core runs).
+     */
     void
     applyInvalidate(const vm::TlbInvalidate &inv)
     {
-        backend_->applyInvalidate(inv);
+        if (translated_)
+            backend_->applyInvalidate(inv);
     }
 
     /**
@@ -177,6 +182,13 @@ class Mmu : public translate::TranslateStats, private translate::WalkSource
     /** @} */
     EpochLog *epoch_log_ = nullptr;
     trace::Tracer *tracer_ = nullptr;
+    /**
+     * Set by translate() and restore(), the only paths that can put an
+     * entry into the backend's TLBs, PWC, L0 or extra store; while it
+     * is clear every structure is empty and applyInvalidate() is a
+     * no-op (the L0 generation it would bump is not checkpointed).
+     */
+    bool translated_ = false;
 
     /**
      * Direct-mapped cache of Kernel::processBit answers keyed by

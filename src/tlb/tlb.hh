@@ -112,9 +112,10 @@ class Tlb
     /** @{ @name Invalidation */
     /**
      * Apply a kernel shootdown: drop every entry tlb::shotDownBy says
-     * it reaches. The empty-structure exit stays inline: the kernel
-     * broadcasts most shootdowns while containers are set up, before
-     * any core has translated, and each must cost no more than a load.
+     * it reaches. The empty-structure exit stays inline: a warm core's
+     * backend hands each shootdown to all seven TLBs, and most of them
+     * hold nothing of the shot-down page size. (Cores that have never
+     * translated are skipped before this, in core::Mmu.)
      */
     void
     invalidate(const vm::TlbInvalidate &inv)

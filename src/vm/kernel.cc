@@ -120,7 +120,7 @@ Kernel::createProcess(Ccid ccid, const std::string &name)
 
     Process *raw = proc.get();
     processes_[pid] = std::move(proc);
-    group.members.push_back(pid);
+    group.members.push_back(raw);
     if (attrib_)
         raw->setAttribSlot(attrib_->registerTenant(pid, ccid, pcid, name));
     return raw;
@@ -133,7 +133,7 @@ Kernel::processByPid(Pid pid)
     return it == processes_.end() ? nullptr : it->second.get();
 }
 
-const std::vector<Pid> &
+const std::vector<Process *> &
 Kernel::groupMembers(Ccid ccid) const
 {
     auto it = groups_.find(ccid);
@@ -504,10 +504,8 @@ Kernel::privatizeLeafTable(Process &proc, Addr va,
 void
 Kernel::propagateOrpc(Group &group, Addr va, int leaf_table_level)
 {
-    for (const Pid pid : group.members) {
-        Process *member = processByPid(pid);
-        if (!member || !member->alive())
-            continue;
+    for (Process *member : group.members) {
+        bf_assert(member->alive(), "dead group member ", member->pid());
         PageTablePage *upper = tableAt(*member, va, leaf_table_level + 1);
         if (!upper)
             continue;
@@ -539,10 +537,9 @@ Kernel::revertMaskRegion(Group &group, Addr mask_region_base)
     for (auto &[key, rec] : victims) {
         PageTablePage *shared = rec.table;
         const int level = shared->level();
-        for (const Pid pid : group.members) {
-            Process *member = processByPid(pid);
-            if (!member || !member->alive())
-                continue;
+        for (Process *member : group.members) {
+            bf_assert(member->alive(), "dead group member ",
+                      member->pid());
             PageTablePage *upper = tableAt(*member, key.region_base,
                                            level + 1);
             if (!upper)
@@ -1061,7 +1058,7 @@ Kernel::exitProcess(Process &proc)
     invalidateTlbs(TlbInvalidate{TlbInvalidate::Kind::Pcid, proc.ccid(),
                                  proc.pcid(), 0, 0, PageSize::Size4K});
     proc.markDead();
-    std::erase(group.members, proc.pid());
+    std::erase(group.members, &proc);
     processes_.erase(proc.pid());
     // Pids are never reused, so stale {pid, region} cache entries can
     // never match a future process — the bump is belt and braces.
@@ -1120,19 +1117,17 @@ Kernel::invalidateTlbs(const TlbInvalidate &inv)
         attrib_->noteShootdownCaused(attrib_causer_slot_,
                                      inv.ccid != attrib_causer_ccid_);
         // Receivers: who loses cached translations. Page/Pcid kinds
-        // target one PCID; SharedRange reaches every live group member
-        // (their shared O-clear entries are the ones dropped).
+        // target one PCID; SharedRange reaches every group member
+        // (their shared O-clear entries are the ones dropped), and every
+        // member carries the group's CCID, so `cross` is the same for
+        // all of them.
         if (inv.kind == TlbInvalidate::Kind::SharedRange) {
             const auto git = groups_.find(inv.ccid);
             if (git != groups_.end()) {
-                for (const Pid pid : git->second.members) {
-                    const Process *member = processByPid(pid);
-                    if (!member || !member->alive())
-                        continue;
-                    attrib_->noteShootdownReceived(
-                        member->attribSlot(),
-                        member->ccid() != attrib_causer_ccid_);
-                }
+                const bool cross = inv.ccid != attrib_causer_ccid_;
+                for (const Process *member : git->second.members)
+                    attrib_->noteShootdownReceived(member->attribSlot(),
+                                                   cross);
             }
         } else {
             const int slot = attrib_->slotOfPcid(inv.pcid);
@@ -1382,8 +1377,8 @@ Kernel::io(Ar &ar, Self &self)
         ar.u64(group.aslr_seed);
         ar.expect(static_cast<std::uint32_t>(group.members.size()),
                   what("group member count"));
-        for (const Pid member : group.members)
-            ar.expect(member, what("group member pid"));
+        for (const Process *member : group.members)
+            ar.expect(member->pid(), what("group member pid"));
         ar.u64(group.mask_generation);
 
         ar.entries32(group.masks, [&](auto &region_base, auto &mask) {

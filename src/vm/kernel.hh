@@ -165,7 +165,8 @@ class Kernel
     void exitProcess(Process &proc);
 
     Process *processByPid(Pid pid);
-    const std::vector<Pid> &groupMembers(Ccid ccid) const;
+    /** A group's live processes, in creation order. */
+    const std::vector<Process *> &groupMembers(Ccid ccid) const;
     /** @} */
 
     /** @{ @name Memory mapping */
@@ -372,7 +373,12 @@ class Kernel
         std::string name;
         AslrOffsets offsets; //!< Canonical (group) layout.
         std::uint64_t aslr_seed = 0;
-        std::vector<Pid> members;
+        /**
+         * Live processes, in creation order: exitProcess erases a
+         * member right after marking it dead, so every pointer here is
+         * alive (the checkpoint writes their pids).
+         */
+        std::vector<Process *> members;
         std::map<SharedTableKey, SharedTableRecord> shared_tables;
         std::map<Addr, PoolPtr<MaskPage>> masks; //!< By region base.
         std::map<Addr, bool> mask_fallback; //!< Regions past 32 writers.

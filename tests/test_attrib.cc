@@ -177,6 +177,76 @@ TEST(Attrib, PerTenantSumsEqualGlobals)
     EXPECT_GT(tenantSum(*w.sys->attrib(), attrib::kWalks), 0u);
 }
 
+// Each tenant receives exactly the shootdowns issued while it was a
+// member: a SharedRange one reaches every member of its group at issue
+// time, a Page or Pcid one the owner of its PCID. The test keeps its
+// own member lists, joined after create/fork returns and left after
+// exitProcess, and counts the receivers of every shootdown the hook
+// sees.
+TEST(Attrib, ShootdownsReachTheMembersOfTheirTime)
+{
+    vm::KernelParams kp = core::SystemParams::babelfish().kernel;
+    kp.mem_frames = 1 << 22;
+    vm::Kernel kernel(kp);
+    attrib::Registry reg(nullptr, 1);
+    kernel.setAttribRegistry(&reg);
+
+    std::map<Ccid, std::vector<vm::Process *>> members;
+    std::map<Pid, std::uint64_t> expected;
+    std::uint64_t shared_range = 0;
+    kernel.setTlbInvalidateHook([&](const vm::TlbInvalidate &inv) {
+        if (inv.kind == vm::TlbInvalidate::Kind::SharedRange) {
+            ++shared_range;
+            for (const vm::Process *p : members[inv.ccid])
+                ++expected[p->pid()];
+            return;
+        }
+        for (const auto &[ccid, group] : members)
+            for (const vm::Process *p : group)
+                if (p->pcid() == inv.pcid)
+                    ++expected[p->pid()];
+    });
+
+    constexpr Addr va = 0x7f00'0000'0000ull;
+    const auto join = [&](vm::Process *p) {
+        members[p->ccid()].push_back(p);
+        return p;
+    };
+    const auto write = [&](vm::Process &p, int first, int pages) {
+        for (int i = first; i < first + pages; ++i)
+            kernel.handleFault(p, va + i * basePageBytes, AccessType::Write);
+    };
+    const Ccid g = kernel.createGroup("g", 1);
+    const Ccid h = kernel.createGroup("h", 2);
+    vm::Process *parent = join(kernel.createProcess(g, "parent"));
+    vm::Process *other = join(kernel.createProcess(h, "other"));
+    kernel.mmapAnon(*parent, va, 1 << 20, true, /*allow_huge=*/false);
+    kernel.mmapAnon(*other, va, 1 << 20, true, /*allow_huge=*/false);
+    write(*parent, 0, 64);
+    write(*other, 0, 8);
+    vm::Process *c1 = join(kernel.fork(*parent, "c1"));
+    write(*c1, 0, 32);
+    vm::Process *c2 = join(kernel.fork(*parent, "c2"));
+    write(*parent, 0, 16);
+    const Pid c1_pid = c1->pid();
+    kernel.exitProcess(*c1);
+    std::erase(members[g], c1);
+    write(*c2, 0, 48);
+    write(*parent, 64, 64);
+
+    ASSERT_GT(shared_range, 0u);
+    std::uint64_t caused = 0;
+    for (const Pid pid : {parent->pid(), other->pid(), c1_pid, c2->pid()}) {
+        const attrib::Tenant &t = reg.tenant(reg.slotOfPid(pid));
+        EXPECT_EQ(t.shootdowns_received.value(), expected[pid])
+            << "pid " << pid;
+        EXPECT_EQ(t.shootdowns_received_cross.value(), 0u);
+        caused += t.shootdowns_caused.value();
+    }
+    EXPECT_GT(expected[c1_pid], 0u);
+    EXPECT_EQ(caused, kernel.shootdowns.value());
+}
+
 // The named lanes sit where the TranslateStats table puts their
 // counters: renderTable and the tests read lanes by enum name, while
 // the lane order and names come from the table.

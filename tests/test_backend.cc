@@ -221,6 +221,90 @@ TEST_P(BackendConformance, CheckpointRoundTrip)
     EXPECT_EQ(w.payload(), w2.payload());
 }
 
+namespace
+{
+
+/** The Mmu's checkpoint bytes: the contents of every structure. */
+std::vector<std::uint8_t>
+mmuBytes(const Mmu &mmu)
+{
+    snap::ArchiveWriter w;
+    mmu.save(w);
+    return w.payload();
+}
+
+} // namespace
+
+TEST_P(BackendConformance, ShootdownOnColdCoreChangesNothing)
+{
+    // A core that has never translated holds nothing a shootdown could
+    // drop, so the Mmu skips it. The skip is exact: driving the same
+    // shootdowns through the backend itself leaves every structure (the
+    // checkpoint bytes) and every stat exactly as they were.
+    Fixture f(GetParam());
+    const auto bytes = mmuBytes(f.mmu);
+    const std::string stats = stats::toJsonString(f.root);
+    const TlbInvalidate shootdowns[] = {
+        {TlbInvalidate::Kind::SharedRange, f.ccid, 0, kVa >> 12, 512,
+         PageSize::Size4K},
+        {TlbInvalidate::Kind::Pcid, f.ccid, f.a->pcid(), 0, 0,
+         PageSize::Size4K},
+    };
+    for (const TlbInvalidate &inv : shootdowns) {
+        f.mmu.applyInvalidate(inv);
+        f.mmu.backend().applyInvalidate(inv);
+        EXPECT_EQ(mmuBytes(f.mmu), bytes);
+        EXPECT_EQ(stats::toJsonString(f.root), stats);
+    }
+    // The kernel's set-up shootdowns (under BabelFish a private write
+    // fill issues a SharedRange one) reach the cold core the same way.
+    const std::uint64_t issued = f.kernel.shootdowns.value();
+    f.kernel.handleFault(*f.a, kVa, AccessType::Write);
+    if (f.params.kernel.babelfish) {
+        EXPECT_GT(f.kernel.shootdowns.value(), issued);
+    }
+    EXPECT_EQ(mmuBytes(f.mmu), bytes);
+    EXPECT_EQ(stats::toJsonString(f.root), stats);
+}
+
+TEST_P(BackendConformance, RestoredCoreStillLosesEntriesToShootdowns)
+{
+    // restore() is the other way entries enter an Mmu: a core resumed
+    // from a checkpoint must lose them to a later shootdown before it
+    // translates anything, exactly as the core that was saved does.
+    Fixture f(Fixture::smallL2For(GetParam()));
+    for (int i = 0; i < 64; ++i) {
+        f.mmu.translate(*f.a, kVa + i * basePageBytes, AccessType::Read,
+                        i * 100);
+        f.mmu.translate(*f.b, kVa + i * basePageBytes, AccessType::Read,
+                        i * 100 + 50);
+    }
+    Fixture g(Fixture::smallL2For(GetParam()));
+    snap::ArchiveReader r(mmuBytes(f.mmu));
+    g.mmu.restore(r);
+    ASSERT_EQ(mmuBytes(g.mmu), mmuBytes(f.mmu));
+
+    // The reads filled shared (Ownership-clear) entries: the baseline
+    // kernel of the competitors sets no Ownership bit at all. The
+    // SharedRange shootdown drops them from the restored core as from
+    // the saved one; a Pcid shootdown then leaves both alike too.
+    const auto restored = mmuBytes(g.mmu);
+    const std::uint64_t dropped =
+        g.mmu.l2(PageSize::Size4K).invalidations.value();
+    const TlbInvalidate shared{TlbInvalidate::Kind::SharedRange, f.ccid,
+                               0, kVa >> 12, 64, PageSize::Size4K};
+    f.mmu.applyInvalidate(shared);
+    g.mmu.applyInvalidate(shared);
+    EXPECT_NE(mmuBytes(g.mmu), restored);
+    EXPECT_GT(g.mmu.l2(PageSize::Size4K).invalidations.value(), dropped);
+    EXPECT_EQ(mmuBytes(g.mmu), mmuBytes(f.mmu));
+    const TlbInvalidate pcid{TlbInvalidate::Kind::Pcid, f.ccid,
+                             f.a->pcid(), 0, 0, PageSize::Size4K};
+    f.mmu.applyInvalidate(pcid);
+    g.mmu.applyInvalidate(pcid);
+    EXPECT_EQ(mmuBytes(g.mmu), mmuBytes(f.mmu));
+}
+
 TEST_P(BackendConformance, StatsTreeShape)
 {
     Fixture f(GetParam());

@@ -56,7 +56,7 @@ TEST(KernelBasic, GroupMembership)
     Process *a = kernel.createProcess(g1, "a");
     kernel.createProcess(g2, "b");
     EXPECT_EQ(kernel.groupMembers(g1).size(), 1u);
-    EXPECT_EQ(kernel.groupMembers(g1)[0], a->pid());
+    EXPECT_EQ(kernel.groupMembers(g1)[0], a);
 }
 
 TEST(KernelBasic, AslrHwGivesDistinctProcessLayouts)

@@ -159,8 +159,7 @@ TEST(ShareLevels, DemandAttachBelowSharedPmdStillWorks)
     const Ppn pte_frame = pte->frame();
     f.kernel.exitProcess(*fresh);
     EXPECT_EQ(pte->sharers, 1u);
-    f.kernel.exitProcess(*f.kernel.processByPid(
-        f.kernel.groupMembers(f.ccid)[1])); // c1
+    f.kernel.exitProcess(*f.kernel.groupMembers(f.ccid)[1]); // c1
     f.kernel.exitProcess(*f.parent);
     EXPECT_EQ(f.kernel.tableByFrame(pte_frame), nullptr);
 }
