@@ -503,7 +503,8 @@ BM_ForkWarmProcess(benchmark::State &state)
     std::uint64_t i = 0;
     vm::Process *prev = nullptr;
     for (auto _ : state) {
-        vm::Process *child = kernel.fork(*proc, "c" + std::to_string(i++));
+        vm::Process *child = kernel.fork(
+            *proc, std::string("c").append(std::to_string(i++)));
         benchmark::DoNotOptimize(child);
         // Retire the previous child so the sharer counters and process
         // table stay bounded however many iterations the harness runs.
@@ -536,7 +537,7 @@ BM_KernelPrivateWriteFillCold(benchmark::State &state)
     const Ccid g = kernel.createGroup("g", 1);
     vm::Process *proc = kernel.createProcess(g, "p");
     for (int i = 1; i < 16; ++i)
-        kernel.createProcess(g, "m" + std::to_string(i));
+        kernel.createProcess(g, std::string("m").append(std::to_string(i)));
     kernel.mmapAnon(*proc, kVa, kColdFillPages * basePageBytes, true,
                     /*allow_huge=*/false);
     Addr va = kVa;

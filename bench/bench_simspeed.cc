@@ -79,15 +79,17 @@ struct Baseline
  * Parse BF_BASELINE. The aggregate is the first "sim_mips" in the file
  * (the metrics section precedes the host rows in the schema); a host
  * row's value follows its '"<label>":{"host_seconds":' opener. A file
- * that cannot be read or has no positive sim_mips exits 2: a named
- * baseline that silently reads as zero would disarm the guards.
+ * that cannot be read, or whose aggregate or any host row's sim_mips is
+ * not a positive number, exits 2 naming it: a baseline that silently
+ * reads as zero would disarm the guards.
  */
 Baseline
 baselineFromFile(const std::string &path,
                  const std::vector<std::string> &labels)
 {
-    const auto fail = [&](const char *why) {
-        std::fprintf(stderr, "BF_BASELINE=%s: %s\n", path.c_str(), why);
+    const auto fail = [&](const std::string &why) {
+        std::fprintf(stderr, "BF_BASELINE=%s: %s\n", path.c_str(),
+                     why.c_str());
         std::exit(2);
     };
     Baseline base;
@@ -101,15 +103,17 @@ baselineFromFile(const std::string &path,
     const auto pos = text.find(key);
     if (pos == std::string::npos)
         fail("no sim_mips in the file");
-    // The report writes numbers right after the key, with no space.
-    const auto number = [&](std::size_t at, double value = 0) {
+    // The report writes numbers right after the key, with no space; a
+    // value that does not parse stays 0 and is rejected with the rest.
+    const auto positive = [&](std::size_t at, const std::string &what) {
+        double value = 0;
         std::from_chars(text.data() + at + key.size(),
                         text.data() + text.size(), value);
+        if (!(value > 0))
+            fail(what + " is not a positive number");
         return value;
     };
-    base.aggregate_mips = number(pos);
-    if (!(base.aggregate_mips > 0))
-        fail("sim_mips is not a positive number");
+    base.aggregate_mips = positive(pos, "sim_mips");
     for (const auto &label : labels) {
         const std::string row_key = "\"" + label + "\":{\"host_seconds\":";
         const auto row = text.find(row_key);
@@ -118,7 +122,8 @@ baselineFromFile(const std::string &path,
         const auto mips = text.find(key, row + row_key.size());
         if (mips == std::string::npos)
             continue;
-        base.row_mips.emplace_back(label, number(mips));
+        base.row_mips.emplace_back(
+            label, positive(mips, "row " + label + " sim_mips"));
     }
     return base;
 }

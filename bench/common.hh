@@ -57,7 +57,8 @@ struct RunConfig
     double sample_ms = 1;      //!< Time-series period; 0 = off.
     unsigned jobs = 0;         //!< Worker threads; 0 = hardware.
     unsigned system_workers = 1; //!< Pool threads per System.
-    unsigned batch = 16;         //!< Core prefetch batch (BF_BATCH).
+    /** References per pull in perfbench's generator pass. */
+    static constexpr unsigned batch = 1;
     Cycles sync_chunk = 20000;   //!< Lockstep chunk length in cycles.
     std::uint64_t seed = 42;
     std::string ckpt_dir;      //!< BF_CKPT: save post-warm-up state here.
@@ -140,7 +141,6 @@ struct RunConfig
     {
         params.workers = system_workers;
         params.sync_chunk = sync_chunk;
-        params.core.batch = batch;
         params.mmu.backend = backend;
         params.attrib = attrib;
     }
@@ -208,8 +208,6 @@ inline const Knob knobs[] = {
       "threads for independent configurations (0: all CPUs)" },
     { "BF_WORKERS", Count, 1, 1024, &RunConfig::system_workers, "workers",
       "host threads inside each System (1; stats identical)" },
-    { "BF_BATCH", Count, 1, 65536, &RunConfig::batch, "batch",
-      "references per Thread::nextBatch call (16; stats identical)" },
     { "BF_SYNC_CHUNK", Count, 1, 1e12, &RunConfig::sync_chunk,
       "sync_chunk", "lockstep sync-chunk length in cycles (20000)" },
     { nullptr, Count, 0, 0, &RunConfig::seed, "seed",
@@ -286,9 +284,9 @@ readKnob(const Knob &row, T &dst)
         std::exit(2);
     };
     if (row.type == Text) {
-        if (row.choices && ("|" + std::string(row.choices) + "|")
-                                   .find("|" + value + "|") ==
-                               std::string::npos)
+        if (row.choices &&
+            std::string("|").append(row.choices).append("|").find(
+                "|" + value + "|") == std::string::npos)
             fail(std::string("not one of ") + row.choices);
         if constexpr (std::is_same_v<T, std::string>)
             dst = value;

@@ -109,7 +109,9 @@ class BenchReport
     config(const std::string &key, const std::string &value)
     {
         config_.emplace_back(
-            key, "\"" + bf::stats::jsonEscape(value) + "\"");
+            key, std::string("\"")
+                     .append(bf::stats::jsonEscape(value))
+                     .append("\""));
     }
 
     /** Record a headline metric (one number the tables also print). */

@@ -62,7 +62,8 @@ replay(const std::vector<core::MemRef> &trace, bool babelfish)
     std::vector<std::unique_ptr<workloads::TraceThread>> threads;
     for (int c = 0; c < 2; ++c) {
         vm::Process *proc =
-            kernel.createProcess(group, "c" + std::to_string(c));
+            kernel.createProcess(
+                group, std::string("c").append(std::to_string(c)));
         kernel.mmapObject(*proc, data, kDataVa, 64ull << 20, 0, false,
                           false, false);
         kernel.mmapAnon(*proc, kScratchVa, 16ull << 20, true, false);

@@ -53,7 +53,9 @@ CoreSink::grow(std::size_t slots)
 Tenant::Tenant(stats::StatGroup *parent, int slot_, Pid pid_, Ccid ccid_,
                Pcid pcid_, const std::string &name_)
     : slot(slot_), pid(pid_), ccid(ccid_), pcid(pcid_), name(name_),
-      group("t" + std::to_string(slot_), parent),
+      // append, not "t" + to_string(): g++ 12 -O3 flags a false
+      // -Wrestrict in the inlined operator+(const char *, string &&).
+      group(std::string("t").append(std::to_string(slot_)), parent),
       evicted_by("evicted_by", &group)
 {
     pid_stat.restoreValue(pid);

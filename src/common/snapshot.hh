@@ -48,9 +48,10 @@ class SnapshotError : public std::runtime_error
  * History: 1 = initial layout; 2 = Distribution stats in the stat tree;
  * 3 = TLB replacement policy + RNG state in the TLB payload; 4 = the
  * manifest covers every core::forEachParam field; 5 = the caches'
- * unused MSHR count left the manifest.
+ * unused MSHR count left the manifest; 6 = the core's prefetch buffers
+ * and finished-thread flags left its payload.
  */
-inline constexpr std::uint32_t formatVersion = 5;
+inline constexpr std::uint32_t formatVersion = 6;
 
 /** CRC32 (IEEE 802.3, reflected) of a byte range. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t len);

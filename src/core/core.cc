@@ -28,33 +28,13 @@ void
 Core::addThread(Thread *thread)
 {
     threads_.push_back(thread);
-    prefetch_.emplace_back();
-    thread_done_.push_back(thread->finished() ? 1 : 0);
-    if (thread_done_.back())
-        ++done_count_;
 }
 
 void
 Core::clearThreads()
 {
     threads_.clear();
-    prefetch_.clear();
-    thread_done_.clear();
-    done_count_ = 0;
     current_ = 0;
-}
-
-bool
-Core::noteFinished(std::size_t idx) const
-{
-    if (thread_done_[idx])
-        return true;
-    if (threads_[idx]->finished()) {
-        thread_done_[idx] = 1;
-        ++done_count_;
-        return true;
-    }
-    return false;
 }
 
 bool
@@ -62,10 +42,8 @@ Core::busy() const
 {
     if (has_pending_)
         return true; // a stalled reference still has to complete
-    if (done_count_ == threads_.size())
-        return false;
-    for (std::size_t i = 0; i < threads_.size(); ++i) {
-        if (!noteFinished(i))
+    for (const Thread *thread : threads_) {
+        if (!thread->finished())
             return true;
     }
     return false;
@@ -81,13 +59,11 @@ Core::syncTo(Cycles target)
 bool
 Core::scheduleNext()
 {
-    if (threads_.empty() || done_count_ == threads_.size())
-        return false;
     const std::size_t start = current_;
     std::size_t candidate = current_;
     for (std::size_t i = 0; i < threads_.size(); ++i) {
         candidate = (start + 1 + i) % threads_.size();
-        if (!noteFinished(candidate)) {
+        if (!threads_[candidate]->finished()) {
             if (candidate != current_) {
                 // CR3 write; with PCID/CCID tags the TLB is not flushed.
                 now_ += params_.context_switch_cycles;
@@ -122,32 +98,16 @@ Core::runUntil(Cycles until)
             // Its base pipeline time was charged when it first issued.
             ref = pending_ref_;
         } else {
-            if (noteFinished(current_) || quantum_left_ == 0) {
+            // A finished thread, an expired quantum, or a thread that
+            // runs to completion on this pull hands the core on.
+            if (thread->finished() || quantum_left_ == 0 ||
+                !thread->next(ref)) {
                 if (!scheduleNext()) {
                     now_ = until; // everyone finished: idle to barrier
                     return;
                 }
                 continue;
             }
-
-            PrefetchBuf &buf = prefetch_[current_];
-            if (buf.empty()) {
-                const unsigned max = params_.batch ? params_.batch : 1;
-                buf.refs.resize(max);
-                buf.head = 0;
-                const unsigned n = thread->nextBatch(buf.refs.data(), max);
-                buf.refs.resize(n);
-                if (n == 0) {
-                    // Thread just ran to completion.
-                    noteFinished(current_);
-                    if (!scheduleNext()) {
-                        now_ = until;
-                        return;
-                    }
-                    continue;
-                }
-            }
-            ref = buf.refs[buf.head++];
 
             // Base pipeline time for the instructions retired with this
             // ref.
@@ -320,20 +280,9 @@ Core::io(Ar &ar, Self &self)
     ar.u64(self.current_);
     ar.expect(static_cast<std::uint32_t>(self.threads_.size()),
               "core checkpoint thread-count mismatch");
-    for (auto &done : self.thread_done_)
-        ar.b(done);
-    ar.u64(self.done_count_);
     ar.b(self.has_pending_);
     MemRef::io(ar, self.pending_ref_);
     ar.u32(self.pending_retries_);
-    // Unconsumed prefetched references: already pulled from their
-    // generators, so they must re-issue from the checkpoint exactly as
-    // the uninterrupted run would have issued them.
-    for (auto &buf : self.prefetch_) {
-        ar.count32(buf.refs, buf.head);
-        for (std::size_t i = buf.head; i < buf.refs.size(); ++i)
-            MemRef::io(ar, buf.refs[i]);
-    }
     ar.part(*self.mmu_);
 }
 

@@ -128,7 +128,7 @@ class Core
     /**
      * @{
      * @name Checkpointing
-     * Clock, scheduler position, quantum, CPI carry, done-cache, and the
+     * Clock, scheduler position, quantum, CPI carry, and the
      * deferred-fault re-issue state, then the MMU (TLBs + PWC). Called
      * at a chunk barrier only, where blocked_ is always false (System's
      * fault loop drains every suspension before the chunk ends) but a
@@ -175,32 +175,6 @@ class Core
     /** @} */
 
     std::vector<Thread *> threads_;
-    /**
-     * Per-thread prefetch buffers, parallel to threads_: references
-     * pulled ahead through Thread::nextBatch and not yet executed. A
-     * buffer survives quantum preemption and yields (its references
-     * were already taken from the generator, so they run — in order —
-     * when the thread is next scheduled), and travels with the
-     * checkpoint so a restored run re-issues the identical stream.
-     */
-    struct PrefetchBuf
-    {
-        std::vector<MemRef> refs;
-        std::size_t head = 0;
-        bool empty() const { return head >= refs.size(); }
-        void clear() { refs.clear(); head = 0; }
-    };
-    std::vector<PrefetchBuf> prefetch_;
-    /**
-     * Cached Thread::finished() observations, parallel to threads_.
-     * finished() is monotone (see thread.hh), so once a thread has been
-     * seen done it stays done and the scheduler never needs to ask it
-     * again — busy() and scheduleNext() skip cached-done threads instead
-     * of rescanning the whole run queue per decision. Mutable so the
-     * const busy() can record what it observes.
-     */
-    mutable std::vector<char> thread_done_;
-    mutable std::size_t done_count_ = 0;
     std::size_t current_ = 0;
     Cycles now_ = 0;
     Cycles quantum_left_ = 0;
@@ -212,9 +186,6 @@ class Core
     bool has_pending_ = false; //!< pending_ref_ must be re-issued.
     unsigned pending_retries_ = 0; //!< Convergence guard per reference.
     /** @} */
-
-    /** finished() of one thread, through (and updating) the cache. */
-    bool noteFinished(std::size_t idx) const;
 
     /** Advance to the next runnable thread; true if one exists. */
     bool scheduleNext();

@@ -62,7 +62,7 @@ struct MmuParams
     /**
      * Host-side execution knob: the L0 inline translation cache in front
      * of the L1 TLBs (DESIGN.md §14). Stats are byte-identical either
-     * way, so like CoreParams::batch it is skipped by forEachParam. Off
+     * way, so like SystemParams::workers it is skipped by forEachParam. Off
      * in replay (paramsFromTrace), the L0 equivalence test and the
      * bench_micro L0-disabled case.
      */
@@ -88,15 +88,6 @@ struct CoreParams
     Cycles quantum = msToCycles(10);
     /** Direct cost of a context switch (CR3 write; no TLB flush). */
     Cycles context_switch_cycles = 1500;
-    /**
-     * Host-side execution knob (like SystemParams::workers): how many
-     * references the core pulls per Thread::nextBatch call into its
-     * per-thread prefetch buffer. Stats are byte-identical at every
-     * value; 1 degenerates to one next() per reference. Benches
-     * override via BF_BATCH. Skipped by forEachParam for the same
-     * reason workers is.
-     */
-    unsigned batch = 16;
 };
 
 /** Whole-machine parameters. */
@@ -202,8 +193,8 @@ paramBits(T value)
  * for every field that shapes simulated state, e.g.
  * ("mmu.l2_4k.entries", p.mmu.l2_4k.entries), by reference (a non-const
  * @p p lets the visitor edit it). The config hash and the checkpoint
- * manifest derive from it. Host-only fields (workers, core.batch,
- * mmu.l0_cache, trace_*) and structure names (stat labels) are skipped.
+ * manifest derive from it. Host-only fields (workers, mmu.l0_cache,
+ * trace_*) and structure names (stat labels) are skipped.
  */
 template <typename P, typename Visit>
     requires std::same_as<std::remove_const_t<P>, SystemParams>

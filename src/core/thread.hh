@@ -74,22 +74,7 @@ class Thread
      */
     virtual bool next(MemRef &ref) = 0;
 
-    /**
-     * Produce up to @p max references into @p out, returning how many
-     * were written (0 = run to completion, like next() returning
-     * false). The core pulls runs through this and buffers them, so a
-     * generator that can hand out several queued references per call
-     * amortizes the virtual dispatch and its own cursor checks.
-     *
-     * Contract: the concatenation of all nextBatch() results must be
-     * the exact reference stream repeated next() calls would produce,
-     * and a batch must never cross a point where the generator's
-     * output could depend on completed() callbacks of references
-     * inside the same batch — the core only delivers completions for
-     * batch k before it asks for batch k+1. Generators whose every
-     * reference may depend on the previous completion keep the
-     * default, which degenerates to one next() per call.
-     */
+    /** One next() into @p out[0] (0 = done); perfbench calls it. */
     virtual unsigned
     nextBatch(MemRef *out, unsigned max)
     {
@@ -103,10 +88,9 @@ class Thread
 
     /**
      * Whether the thread has exited. Must be monotone: once it returns
-     * true it must keep returning true, and transitions happen only
-     * inside next() or completed(). The core's scheduler caches the
-     * observations (Core::noteFinished) and relies on this to avoid
-     * re-polling finished threads.
+     * true it must keep returning true (the scheduler never runs the
+     * thread again), and transitions happen only inside next() or
+     * completed().
      */
     virtual bool finished() const { return false; }
 

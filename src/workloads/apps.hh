@@ -168,28 +168,6 @@ class QueueThread : public core::Thread
         return true;
     }
 
-    /**
-     * Batched pull: refill once if the queue is empty, then drain up to
-     * @p max queued references. Stops at the queue boundary instead of
-     * refilling mid-batch, so the next refill() still runs only after
-     * the core has delivered every completion of this batch — the
-     * refill-vs-completed() ordering (which FunctionThread's phase
-     * machine depends on) is exactly that of repeated next() calls.
-     */
-    unsigned
-    nextBatch(core::MemRef *out, unsigned max) override
-    {
-        if (queue_.empty())
-            refill();
-        unsigned n = 0;
-        while (n < max && !queue_.empty()) {
-            out[n] = queue_.front();
-            queue_.pop_front();
-            ++n;
-        }
-        return n;
-    }
-
   protected:
     /** Subclasses push the next burst of refs. */
     virtual void refill() = 0;

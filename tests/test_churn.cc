@@ -82,7 +82,8 @@ TEST(Churn, SharedTableSurvivesWhileAnySharerLives)
     Process *prev = a;
     PageTablePage *leaf = nullptr;
     for (int i = 0; i < 10; ++i) {
-        Process *next = kernel.createProcess(g, "n" + std::to_string(i));
+        Process *next = kernel.createProcess(
+            g, std::string("n").append(std::to_string(i)));
         kernel.mmapObject(*next, f, kVa, 4 << 20, 0, false, false, false);
         EXPECT_EQ(kernel.handleFault(*next, kVa, AccessType::Read).kind,
                   FaultKind::SharedInstall);

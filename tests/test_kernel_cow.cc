@@ -49,8 +49,8 @@ struct Fixture
         file = kernel.createFile("f", 64 << 20);
         file->preload(kernel.frames());
         for (unsigned i = 0; i < n; ++i) {
-            Process *p = kernel.createProcess(ccid, "p" +
-                                              std::to_string(i));
+            Process *p = kernel.createProcess(
+                ccid, std::string("p").append(std::to_string(i)));
             kernel.mmapObject(*p, file, kVa, 64 << 20, 0,
                               /*writable=*/true, false, /*shared=*/false);
             procs.push_back(p);

@@ -241,7 +241,7 @@ TEST(ParallelSystem, MultiFaultRoundsByteIdentical)
         std::vector<std::unique_ptr<SweepThread>> threads;
         for (unsigned c = 0; c < params.num_cores; ++c) {
             vm::Process *proc = sys.kernel().createProcess(
-                ccid, "p" + std::to_string(c));
+                ccid, std::string("p").append(std::to_string(c)));
             sys.kernel().mmapObject(*proc, file, kSweepVa, 64 << 20, 0,
                                     true, false, true);
             threads.push_back(std::make_unique<SweepThread>(proc, c));

@@ -122,7 +122,6 @@ TEST(ParamVisitor, HostOnlyFieldsLeaveHashAndManifestAlone)
 
     core::SystemParams host = base;
     host.workers = 4;
-    host.core.batch = 1;
     host.mmu.l0_cache = false;
     host.trace_path = "run.trace";
     host.trace_events = 0x3;
@@ -136,7 +135,6 @@ TEST(ParamVisitor, HostOnlyFieldsLeaveHashAndManifestAlone)
     other.measure_ms = 99;
     other.jobs = 3;
     other.system_workers = 4;
-    other.batch = 1;
     EXPECT_EQ(other.configHash(base), cfg.configHash(base));
     for (auto field : { &RunConfig::warm_ms, &RunConfig::sample_ms }) {
         other = cfg;
@@ -169,6 +167,9 @@ TEST(KnobsDeathTest, BadKnobsExit2NamingTheKnob)
                 ::testing::ExitedWithCode(2), "BF_MIPS_GUARD");
     EXPECT_EXIT(fromEnvWith("BF_WROKERS", "4"),
                 ::testing::ExitedWithCode(2), "BF_WROKERS");
+    // A removed knob is an unknown one, not silently ignored.
+    EXPECT_EXIT(fromEnvWith("BF_BATCH", "16"),
+                ::testing::ExitedWithCode(2), "BF_BATCH");
 }
 
 TEST(Knobs, ValidValuesRoundTrip)

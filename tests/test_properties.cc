@@ -81,7 +81,8 @@ TEST_P(FaultSweep, TranslationsAlwaysCorrect)
 
     std::vector<Process *> procs;
     for (unsigned i = 0; i < cfg.processes; ++i) {
-        Process *p = kernel.createProcess(g, "p" + std::to_string(i));
+        Process *p = kernel.createProcess(
+            g, std::string("p").append(std::to_string(i)));
         kernel.mmapObject(*p, file, kVa, 32 << 20, 0, /*writable=*/true,
                           false, /*shared=*/false);
         procs.push_back(p);
@@ -173,7 +174,8 @@ TEST_P(SharerInvariant, CountsMatchPointers)
 
     std::vector<Process *> procs;
     for (unsigned i = 0; i < 6; ++i) {
-        Process *p = kernel.createProcess(g, "p" + std::to_string(i));
+        Process *p = kernel.createProcess(
+            g, std::string("p").append(std::to_string(i)));
         kernel.mmapObject(*p, file, kVa, 32 << 20, 0, true, false, false);
         procs.push_back(p);
     }
@@ -231,7 +233,8 @@ TEST(OpcInvariant, BitSetImpliesOwnedTable)
     file->preload(kernel.frames());
     std::vector<Process *> procs;
     for (unsigned i = 0; i < 8; ++i) {
-        Process *p = kernel.createProcess(g, "p" + std::to_string(i));
+        Process *p = kernel.createProcess(
+            g, std::string("p").append(std::to_string(i)));
         kernel.mmapObject(*p, file, kVa, 32 << 20, 0, true, false, false);
         procs.push_back(p);
     }
@@ -303,7 +306,8 @@ TEST_P(TlbCoherence, MmuMatchesTables)
     file->preload(kernel.frames());
     std::vector<Process *> procs;
     for (unsigned i = 0; i < 3; ++i) {
-        Process *p = kernel.createProcess(g, "p" + std::to_string(i));
+        Process *p = kernel.createProcess(
+            g, std::string("p").append(std::to_string(i)));
         kernel.mmapObject(*p, file, kVa, 16 << 20, 0, true, false, false);
         procs.push_back(p);
     }

@@ -88,7 +88,7 @@ mongodbProfile()
 std::string
 runTracedMix(unsigned workers, const std::string &trace_path,
              std::uint32_t mask = trace::allEvents,
-             std::uint64_t limit = 0, unsigned batch = 0)
+             std::uint64_t limit = 0)
 {
     SystemParams params = SystemParams::babelfish();
     params.num_cores = 4;
@@ -99,8 +99,6 @@ runTracedMix(unsigned workers, const std::string &trace_path,
     params.trace_path = trace_path;
     params.trace_events = mask;
     params.trace_limit = limit;
-    if (batch)
-        params.core.batch = batch;
 
     System sys(params);
     const unsigned n = params.num_cores * 2;
@@ -336,32 +334,6 @@ TEST(TraceSystem, WorkersByteIdentical)
         EXPECT_GT(per_type[static_cast<std::uint8_t>(type)], 0u)
             << "no " << trace::eventTypeName(type) << " events";
     }
-}
-
-// Batched bound-phase fetch (core.batch) is a host-side exec knob: the
-// trace bytes — every event, timestamp and flag — must be identical
-// whether refs are pulled one at a time or in bursts of 16 (or any odd
-// burst size). Pins the batching contract of Thread::nextBatch.
-TEST(TraceSystem, BatchingDoesNotChangeTraceBytes)
-{
-    const std::string pb1 = tmpPath("batch-1.trace");
-    const std::string pb16 = tmpPath("batch-16.trace");
-    const std::string pb7 = tmpPath("batch-7.trace");
-    const std::string s1 =
-        runTracedMix(2, pb1, trace::allEvents, 0, /*batch=*/1);
-    const std::string s16 =
-        runTracedMix(2, pb16, trace::allEvents, 0, /*batch=*/16);
-    const std::string s7 =
-        runTracedMix(2, pb7, trace::allEvents, 0, /*batch=*/7);
-
-    EXPECT_EQ(s1, s16);
-    EXPECT_EQ(s1, s7);
-
-    const auto b1 = slurp(pb1);
-    ASSERT_GT(b1.size(), trace::headerBytes);
-    EXPECT_EQ(b1, slurp(pb16));
-    EXPECT_EQ(b1, slurp(pb7));
-    EXPECT_GT(trace::validateTrace(pb1).records, 0u);
 }
 
 // Tracing is pure observability: the stats tree of a traced run equals

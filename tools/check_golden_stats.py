@@ -16,11 +16,9 @@ Ignored fields, by design:
                          are identical across BF_WORKERS by
                          construction — that is the determinism this
                          check enforces)
-  - config.weave_workers (a removed knob that older reports, the
+  - config.weave_workers, config.batch
+                        (removed knobs that older reports, the
                          committed golden among them, still carry)
-  - config.batch        (core prefetch batching, BF_BATCH; a host-side
-                         pull-ahead of the per-thread reference streams
-                         with stats identical at any value)
   - config.ckpt_dir, config.restore_dir
                         (BF_CKPT / BF_RESTORE paths; the save/restore
                          round-trip gate proves checkpointing changes
