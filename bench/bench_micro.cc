@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "bench/common.hh"
 #include "common/object_pool.hh"
@@ -266,7 +267,7 @@ makeEpochLogs(unsigned cores, std::size_t events_per_core)
     std::vector<std::unique_ptr<core::EpochLog>> logs;
     std::uint64_t rng = 0x2545F4914F6CDD1Dull;
     for (unsigned c = 0; c < cores; ++c) {
-        auto log = std::make_unique<core::EpochLog>();
+        auto log = std::make_unique<core::EpochLog>(c);
         Cycles ts = 1000 + 37 * c;
         for (std::size_t i = 0; i < events_per_core; ++i) {
             rng ^= rng << 13;
@@ -294,7 +295,7 @@ BM_EpochMergeLadder(benchmark::State &state)
     for (auto _ : state) {
         out.clear();
         core::mergeEpochLogs(logs, out);
-        benchmark::DoNotOptimize(out.ts.data());
+        benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * kMergeCores *
                             kMergeEvents);
@@ -304,43 +305,24 @@ BENCHMARK(BM_EpochMergeLadder);
 void
 BM_EpochMergeSort(benchmark::State &state)
 {
-    // The pre-ladder merge this PR replaced: gather every event into one
-    // keyed array, std::sort by (ts, core, seq), then emit. Kept as the
-    // "before" model so the ladder's win stays measurable.
+    // The comparison-sort merge the ladder replaced: gather every
+    // event, then stable-sort by (ts, core) (stability keeps each
+    // core's seq order). Kept as the "before" model so the ladder's win
+    // stays measurable.
     const auto logs = makeEpochLogs(kMergeCores, kMergeEvents);
-    struct Key
-    {
-        Cycles ts;
-        std::uint32_t core;
-        std::uint32_t seq;
-    };
-    std::vector<Key> keys;
     core::WeaveStream out;
     for (auto _ : state) {
-        keys.clear();
-        for (unsigned c = 0; c < kMergeCores; ++c) {
-            for (std::size_t i = 0; i < logs[c]->size(); ++i)
-                keys.push_back({logs[c]->ts(i), c,
-                                static_cast<std::uint32_t>(i)});
-        }
-        std::sort(keys.begin(), keys.end(),
-                  [](const Key &a, const Key &b) {
-                      if (a.ts != b.ts)
-                          return a.ts < b.ts;
-                      if (a.core != b.core)
-                          return a.core < b.core;
-                      return a.seq < b.seq;
-                  });
         out.clear();
-        for (const Key &k : keys) {
-            const core::EpochLog &log = *logs[k.core];
-            out.ts.push_back(k.ts);
-            out.paddr.push_back(log.paddr(k.seq));
-            out.core.push_back(static_cast<std::uint8_t>(k.core));
-            out.flags.push_back(log.flags(k.seq));
-            out.slot.push_back(log.slot(k.seq));
-        }
-        benchmark::DoNotOptimize(out.ts.data());
+        for (const auto &log : logs)
+            out.insert(out.end(), log->events().begin(),
+                       log->events().end());
+        std::stable_sort(out.begin(), out.end(),
+                         [](const core::EpochEvent &a,
+                            const core::EpochEvent &b) {
+                             return std::tie(a.ts, a.core) <
+                                    std::tie(b.ts, b.core);
+                         });
+        benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * kMergeCores *
                             kMergeEvents);
@@ -350,9 +332,9 @@ BENCHMARK(BM_EpochMergeSort);
 void
 BM_EpochLogPooled(benchmark::State &state)
 {
-    // Steady-state chunk loop: clearEvents() keeps the lane capacity, so
+    // Steady-state chunk loop: clearEvents() keeps the capacity, so
     // every append after the first lap is a pure store.
-    core::EpochLog log;
+    core::EpochLog log(0);
     std::uint64_t i = 0;
     for (auto _ : state) {
         log.clearEvents();
@@ -362,7 +344,7 @@ BM_EpochLogPooled(benchmark::State &state)
                                           : AccessType::Read,
                              false);
         }
-        benchmark::DoNotOptimize(log.size());
+        benchmark::DoNotOptimize(log.events().size());
         ++i;
     }
     state.SetItemsProcessed(state.iterations() * kMergeEvents);
@@ -372,18 +354,18 @@ BENCHMARK(BM_EpochLogPooled);
 void
 BM_EpochLogFresh(benchmark::State &state)
 {
-    // The allocation-per-chunk baseline the pooling replaced: fresh lane
-    // vectors every round, growing from empty.
+    // The allocation-per-chunk baseline the pooling replaced: a fresh
+    // event vector every round, growing from empty.
     std::uint64_t i = 0;
     for (auto _ : state) {
-        core::EpochLog log;
+        core::EpochLog log(0);
         for (std::size_t e = 0; e < kMergeEvents; ++e) {
             log.appendAccess(1000 + e, (i + e) * 64,
                              (e & 3) == 0 ? AccessType::Write
                                           : AccessType::Read,
                              false);
         }
-        benchmark::DoNotOptimize(log.size());
+        benchmark::DoNotOptimize(log.events().size());
         ++i;
     }
     state.SetItemsProcessed(state.iterations() * kMergeEvents);

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/stats_export.hh"
 #include "translate/stats.hh"
 
 namespace bf::attrib
@@ -203,21 +204,6 @@ namespace
 {
 
 void
-appendJsonString(std::ostringstream &os, const std::string &s)
-{
-    os << '"';
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            os << '\\' << ch;
-        else if (static_cast<unsigned char>(ch) < 0x20)
-            os << ' ';
-        else
-            os << ch;
-    }
-    os << '"';
-}
-
-void
 appendEdgeMap(std::ostringstream &os,
               const std::deque<stats::Scalar> &cols,
               const stats::Scalar &other)
@@ -252,8 +238,8 @@ Registry::tenantsJson() const
         if (i)
             os << ',';
         os << "{\"slot\":" << t.slot << ",\"pid\":" << t.pid
-           << ",\"ccid\":" << t.ccid << ",\"name\":";
-        appendJsonString(os, t.name);
+           << ",\"ccid\":" << t.ccid << ",\"name\":\""
+           << stats::jsonEscape(t.name) << '"';
         for (unsigned c = 0; c < kNumCounters; ++c)
             os << ",\"" << counterName(static_cast<Counter>(c))
                << "\":" << t.counters[c].value();

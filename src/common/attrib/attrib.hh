@@ -299,7 +299,7 @@ class Registry
      */
     void drain();
 
-    /** @{ @name Single-threaded booking (kernel / weave commit) */
+    /** @{ @name Single-threaded booking (kernel / weave billing) */
     void
     noteCow(int slot)
     {

@@ -78,7 +78,11 @@ void
 ArchiveWriter::beginSection(std::string_view tag)
 {
     bf_assert(tag.size() == 4, "section tag must be 4 chars: ", tag);
-    buf_.insert(buf_.end(), tag.begin(), tag.end());
+    // Byte pushes, not a range insert: g++ 12 with LTO misreads a range
+    // insert into the still-empty buffer as an overflow
+    // (-Wstringop-overflow).
+    for (const char c : tag)
+        buf_.push_back(static_cast<std::uint8_t>(c));
     open_sections_.push_back(buf_.size());
     u32(0); // Placeholder, patched by endSection.
 }

@@ -20,18 +20,6 @@ spinUntil(Cond cond)
     }
 }
 
-/** Append event @p i of @p log (issued by @p core) to @p out. */
-void
-emitEvent(const EpochLog &log, std::size_t i, unsigned core,
-          WeaveStream &out)
-{
-    out.ts.push_back(log.ts(i));
-    out.paddr.push_back(log.paddr(i));
-    out.core.push_back(static_cast<std::uint8_t>(core));
-    out.flags.push_back(log.flags(i));
-    out.slot.push_back(log.slot(i));
-}
-
 } // namespace
 
 void
@@ -39,35 +27,30 @@ mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
                WeaveStream &out)
 {
     out.clear();
-    bf_assert(logs.size() <= 256, "WeaveStream packs core ids in a byte");
+    bf_assert(logs.size() <= 256, "EpochEvent packs core ids in a byte");
 
     // One merge head per non-empty log. ts is cached so the min-scan
     // below reads a dense local array, not the logs.
     struct Head
     {
         Cycles ts;
-        unsigned core;
-        const EpochLog *log;
-        std::size_t idx;
+        const EpochEvent *next;
+        const EpochEvent *end;
     };
     Head heads[256];
     unsigned live = 0;
     std::size_t total = 0;
-    for (unsigned c = 0; c < logs.size(); ++c) {
-        const EpochLog &log = *logs[c];
-        if (log.empty())
+    for (const auto &log : logs) {
+        const std::vector<EpochEvent> &events = log->events();
+        if (events.empty())
             continue;
-        heads[live++] = {log.ts(0), c, &log, 0};
-        total += log.size();
+        heads[live++] = {events.front().ts, events.data(),
+                         events.data() + events.size()};
+        total += events.size();
     }
     if (live == 0)
         return;
-
-    out.ts.reserve(total);
-    out.paddr.reserve(total);
-    out.core.reserve(total);
-    out.flags.reserve(total);
-    out.slot.reserve(total);
+    out.reserve(total);
 
     // k-way ladder: repeatedly emit the (ts, core)-minimal head. Heads
     // are kept in core order, so the strict `<` scan resolves timestamp
@@ -82,13 +65,12 @@ mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
                 min = h;
         }
         Head &head = heads[min];
-        emitEvent(*head.log, head.idx, head.core, out);
-        if (++head.idx < head.log->size()) {
-            const Cycles next = head.log->ts(head.idx);
-            bf_assert(next >= head.ts,
+        out.push_back(*head.next);
+        if (++head.next != head.end) {
+            bf_assert(head.next->ts >= head.ts,
                       "epoch log not timestamp-ordered on core ",
-                      head.core);
-            head.ts = next;
+                      unsigned(head.next->core));
+            head.ts = head.next->ts;
         } else {
             // Drop the exhausted head; shifting keeps core order.
             for (unsigned h = min; h + 1 < live; ++h)
@@ -96,9 +78,7 @@ mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
             --live;
         }
     }
-    const Head &last = heads[0];
-    for (std::size_t i = last.idx; i < last.log->size(); ++i)
-        emitEvent(*last.log, i, last.core, out);
+    out.insert(out.end(), heads[0].next, heads[0].end);
 }
 
 BoundPool::BoundPool(unsigned extra_workers)

@@ -41,14 +41,45 @@ namespace bf::core
 {
 
 /**
+ * One L2-miss access deferred to the shared levels. The issuing core's
+ * EpochLog appends it during the bound phase; the merge copies it
+ * unchanged into the chunk's canonical WeaveStream.
+ */
+struct EpochEvent
+{
+    /** @{ @name flags bits */
+    static constexpr std::uint8_t write = 1;  //!< Dirties the line.
+    static constexpr std::uint8_t walker = 2; //!< Walk step: the DRAM
+                                              //!< excess bills translation.
+    /** @} */
+
+    /** slot value: not attributed to any tenant. */
+    static constexpr std::uint16_t noSlot = 0xffff;
+
+    Cycles ts;          //!< Cycle the access reaches the L3.
+    Addr paddr;
+    std::uint16_t slot; //!< Issuing tenant's attribution slot.
+    std::uint8_t flags;
+    std::uint8_t core;  //!< Issuing core.
+
+    bool operator==(const EpochEvent &) const = default;
+};
+
+/**
+ * The merged canonical access stream of one chunk, pooled across
+ * chunks: every L2-miss access of every core in (ts, core, seq) order,
+ * replayed against L3/DRAM by CacheHierarchy::weaveSerial.
+ */
+using WeaveStream = std::vector<EpochEvent>;
+
+/**
  * Per-core event log of one sync chunk. The owning core appends during
  * its bound execution; the weave drains all cores' logs in canonical
  * order. While inactive (outside System::run) the hierarchy and MMU
  * take their historical immediate paths, so direct calls from tests are
  * unchanged.
  *
- * Storage is structure-of-arrays: parallel timestamp / address / flag
- * vectors whose capacity persists across chunks (clearEvents() never
+ * The events' capacity persists across chunks (clearEvents() never
  * shrinks), so steady-state bound phases append without allocating.
  * The per-core issue order — the `seq` tiebreak of the canonical merge
  * key — is the append index itself and is never materialized.
@@ -63,18 +94,15 @@ namespace bf::core
 class EpochLog
 {
   public:
-    /** @{ @name Event flag bits (packed per event) */
-    static constexpr std::uint8_t flagWrite = 1;  //!< Dirties the line.
-    static constexpr std::uint8_t flagWalker = 2; //!< Walk step: excess
-                                                  //!< bills translation.
-    /** @} */
+    /** @param core the issuing core every event is stamped with. */
+    explicit EpochLog(unsigned core) : core_(static_cast<std::uint8_t>(core))
+    {
+        bf_assert(core < 256, "EpochEvent packs core ids in a byte");
+    }
 
     bool active() const { return active_; }
     void activate() { active_ = true; }
     void deactivate() { active_ = false; }
-
-    /** Sentinel slot value: event not attributed to any tenant. */
-    static constexpr std::uint16_t noSlot = 0xffff;
 
     /**
      * Stamp the attribution slot of the issuing container; every event
@@ -85,8 +113,8 @@ class EpochLog
     void
     setSlot(int slot)
     {
-        cur_slot_ = (slot < 0 || slot >= noSlot)
-                        ? noSlot
+        cur_slot_ = (slot < 0 || slot >= EpochEvent::noSlot)
+                        ? EpochEvent::noSlot
                         : static_cast<std::uint16_t>(slot);
     }
 
@@ -95,13 +123,10 @@ class EpochLog
     appendAccess(Cycles ts, Addr paddr, AccessType type, bool from_walker)
     {
         std::uint8_t flags =
-            type == AccessType::Write ? flagWrite : std::uint8_t(0);
+            type == AccessType::Write ? EpochEvent::write : std::uint8_t(0);
         if (from_walker)
-            flags |= flagWalker;
-        ts_.push_back(ts);
-        paddr_.push_back(paddr);
-        flags_.push_back(flags);
-        slot_.push_back(cur_slot_);
+            flags |= EpochEvent::walker;
+        events_.push_back({ts, paddr, cur_slot_, flags, core_});
     }
 
     /** Record a write the peers' private caches must be probed for. */
@@ -124,80 +149,29 @@ class EpochLog
     void clearFault() { fault_pending_ = false; }
     /** @} */
 
-    /** @{ @name Event access (index = per-core issue order / seq) */
-    std::size_t size() const { return ts_.size(); }
-    bool empty() const { return ts_.empty(); }
-    Cycles ts(std::size_t i) const { return ts_[i]; }
-    Addr paddr(std::size_t i) const { return paddr_[i]; }
-    std::uint8_t flags(std::size_t i) const { return flags_[i]; }
-    std::uint16_t slot(std::size_t i) const { return slot_[i]; }
-    /** @} */
+    /** The chunk's events, in issue (= seq) order. */
+    const std::vector<EpochEvent> &events() const { return events_; }
 
     /** Write lane: paddr of every write of the chunk, in issue order. */
     const std::vector<Addr> &writes() const { return writes_; }
 
-    /** Pre-size the pooled buffers (tests / capacity-boundary checks). */
-    void
-    reserve(std::size_t n)
-    {
-        ts_.reserve(n);
-        paddr_.reserve(n);
-        flags_.reserve(n);
-        slot_.reserve(n);
-    }
-
-    /** Pooled capacity currently held (timestamps lane). */
-    std::size_t capacity() const { return ts_.capacity(); }
-
-    /** Drop drained events; keeps capacity for the next chunk. */
+    /** Drop drained events and writes; keeps capacity for the next chunk. */
     void
     clearEvents()
     {
-        ts_.clear();
-        paddr_.clear();
-        flags_.clear();
-        slot_.clear();
+        events_.clear();
         writes_.clear();
     }
 
   private:
-    std::vector<Cycles> ts_;
-    std::vector<Addr> paddr_;
-    std::vector<std::uint8_t> flags_;
-    std::vector<std::uint16_t> slot_; //!< Issuing tenant per event.
+    std::vector<EpochEvent> events_;
     std::vector<Addr> writes_;        //!< Write lane (not events).
-    std::uint16_t cur_slot_ = noSlot;
+    std::uint16_t cur_slot_ = EpochEvent::noSlot;
+    std::uint8_t core_;
     vm::DeferredFault fault_{};
     Cycles fault_ts_ = 0;
     bool fault_pending_ = false;
     bool active_ = false;
-};
-
-/**
- * The merged canonical access stream of one chunk, pooled across
- * chunks: every L2-miss access of every core in (ts, core, seq) order,
- * replayed against L3/DRAM by CacheHierarchy::weaveSerial.
- */
-struct WeaveStream
-{
-    std::vector<Cycles> ts;
-    std::vector<Addr> paddr;
-    std::vector<std::uint8_t> core;
-    std::vector<std::uint8_t> flags; //!< EpochLog::flagWrite/flagWalker.
-    std::vector<std::uint16_t> slot; //!< Issuing tenant (EpochLog::noSlot
-                                     //!< = unattributed).
-
-    std::size_t accesses() const { return ts.size(); }
-
-    void
-    clear()
-    {
-        ts.clear();
-        paddr.clear();
-        core.clear();
-        flags.clear();
-        slot.clear();
-    }
 };
 
 /**
@@ -212,7 +186,7 @@ struct WeaveStream
  * head per core, ties broken by core id; seq ties cannot occur across
  * the merge because a head advances sequentially) therefore reproduces
  * the historical global sort exactly, in O(events × cores) with no
- * comparator calls or record copies. Write lanes are not merged.
+ * comparator calls. Write lanes are not merged.
  */
 void mergeEpochLogs(const std::vector<std::unique_ptr<EpochLog>> &logs,
                     WeaveStream &out);

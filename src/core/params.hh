@@ -98,7 +98,6 @@ struct SystemParams
     MmuParams mmu{};
     mem::HierarchyParams mem{};
     vm::KernelParams kernel{};
-    std::uint64_t seed = 42;
 
     /**
      * Lockstep sync-chunk length in cycles: cores run bound phases of
@@ -271,7 +270,6 @@ forEachParam(P &p, Visit &&visit)
 
     visit("num_cores", p.num_cores);
     visit("sync_chunk", p.sync_chunk);
-    visit("seed", p.seed);
     // Attribution leaves simulated state alone, but it shapes the
     // checkpoint (attrib stats subtree), so it is part of the config.
     visit("attrib", p.attrib);

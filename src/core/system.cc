@@ -73,7 +73,7 @@ System::System(const SystemParams &params)
         cores_.push_back(std::make_unique<Core>(
             i, params_.core, params_.mmu, *hierarchy_, *kernel_,
             &stat_group_));
-        epoch_logs_.push_back(std::make_unique<EpochLog>());
+        epoch_logs_.push_back(std::make_unique<EpochLog>(i));
         cores_[i]->setEpochLog(epoch_logs_[i].get());
         hierarchy_->setEpochLog(i, epoch_logs_[i].get());
     }
@@ -220,14 +220,15 @@ System::weave()
     const unsigned nslots =
         attrib_ ? static_cast<unsigned>(attrib_->numTenants()) : 0;
     weave_scratch_.reset(numCores(), nslots);
-    const std::uint64_t lru_base = hierarchy_->l3().lruClock();
 
     // One pool round (DESIGN.md §15). Item 0 merges the logs and replays
     // the access stream against L3/DRAM; item 1 + p drains the
     // coherence probes owed to peer p's private caches. The items touch
-    // disjoint simulated state and only read the logs, and a peer's
-    // probe outcome is order-independent, so the round is
-    // state-identical to the serial drain at any worker count.
+    // disjoint simulated state and stats (the replay bumps the L3/DRAM
+    // counters in place; a drain only its peer's private caches) and
+    // only read the logs, and a peer's probe outcome is
+    // order-independent, so the round is state-identical to the serial
+    // drain at any worker count.
     //
     // Merge: the per-core logs are already (ts, seq)-sorted, so a
     // linear k-way ladder reproduces the canonical (ts, core, seq)
@@ -247,11 +248,10 @@ System::weave()
         merge_seconds =
             std::chrono::duration<double>(hostclock::now() - t_merge)
                 .count();
-        hierarchy_->weaveSerial(weave_stream_, lru_base, weave_scratch_);
+        hierarchy_->weaveSerial(weave_stream_, weave_scratch_);
     });
     for (auto &log : epoch_logs_)
         log->clearEvents();
-    hierarchy_->weaveCommit(weave_scratch_, weave_stream_.accesses());
 
     // Bill the DRAM excess per core, then per issuing tenant, in fixed
     // order.
@@ -269,7 +269,7 @@ System::weave()
     }
 
     // merge is the merge item's own time; weave is the rest of the
-    // round (replay, concurrent probe drains, commit), so the phases
+    // round (replay, concurrent probe drains, billing), so the phases
     // still add up to no more than the host time of the run.
     const double round_seconds =
         std::chrono::duration<double>(hostclock::now() - t_round).count();

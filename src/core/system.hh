@@ -168,7 +168,7 @@ class System
      * the resume time is the difference); bound_seconds is the bound
      * dispatch; merge_seconds is the canonical merge inside the weave
      * round and weave_seconds the rest of that round (L3/DRAM replay,
-     * the concurrent per-peer probe drains, commit and billing).
+     * the concurrent per-peer probe drains and billing).
      * bench_simspeed surfaces these as the per-phase Amdahl breakdown.
      */
     struct PhaseTimes

@@ -64,10 +64,8 @@ Cache::find(Addr line_num) const
     return ways_;
 }
 
-template <class Counters>
 bool
-Cache::fill(Addr line_addr, bool is_write, std::uint64_t lru_stamp,
-            Counters &counters, bool &evicted_dirty)
+Cache::accessAndFill(Addr line_addr, bool is_write, bool &evicted_dirty)
 {
     const Addr line_num = lineOf(line_addr);
     const std::size_t base = setIndex(line_num) * params_.assoc;
@@ -75,6 +73,7 @@ Cache::fill(Addr line_addr, bool is_write, std::uint64_t lru_stamp,
     const std::uint64_t *key = key_ + base;
     std::uint64_t *lru = lru_ + base;
     const unsigned assoc = params_.assoc;
+    const std::uint64_t lru_stamp = ++lru_clock_;
 
     for (unsigned way = 0; way < assoc; ++way) {
         if (key[way] != want)
@@ -82,11 +81,11 @@ Cache::fill(Addr line_addr, bool is_write, std::uint64_t lru_stamp,
         lru[way] = lru_stamp;
         if (is_write)
             dirty_[base + way] = 1;
-        ++counters.hits;
+        ++hits;
         evicted_dirty = false;
         return true;
     }
-    ++counters.misses;
+    ++misses;
 
     // Victim: the first invalid way if any, else the first minimum-LRU
     // way.
@@ -104,28 +103,14 @@ Cache::fill(Addr line_addr, bool is_write, std::uint64_t lru_stamp,
     const bool had_victim = key_[slot] & 1u;
     evicted_dirty = had_victim && dirty_[slot];
     if (had_victim) {
-        ++counters.evictions;
+        ++evictions;
         if (evicted_dirty)
-            ++counters.writebacks;
+            ++writebacks;
     }
     key_[slot] = want;
     lru_[slot] = lru_stamp;
     dirty_[slot] = is_write;
     return false;
-}
-
-bool
-Cache::accessAndFill(Addr line_addr, bool is_write, bool &evicted_dirty)
-{
-    return fill(line_addr, is_write, ++lru_clock_, *this, evicted_dirty);
-}
-
-bool
-Cache::weaveAccessFill(Addr line_addr, bool is_write,
-                       std::uint64_t lru_stamp, CacheTally &tally)
-{
-    bool evicted_dirty = false;
-    return fill(line_addr, is_write, lru_stamp, tally, evicted_dirty);
 }
 
 bool

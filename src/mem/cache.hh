@@ -40,19 +40,6 @@ struct CacheParams
 };
 
 /**
- * Externally accumulated cache statistics of one weave replay: the
- * replay tallies here, and the commit folds the tally into the
- * stats::Scalar counters once per chunk.
- */
-struct CacheTally
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t writebacks = 0;
-};
-
-/**
  * Tag-only set-associative cache with LRU replacement.
  *
  * Each way is stored once, in one allocation of three lanes (see the
@@ -85,42 +72,10 @@ class Cache
     bool accessAndFill(Addr line_addr, bool is_write, bool &evicted_dirty);
 
     /**
-     * Weave-phase accessAndFill: identical lookup/victim/dirty
-     * semantics, but the touched line's LRU stamp is supplied by the
-     * caller and the counters land in @p tally instead of the stats.
-     *
-     * The weave pre-computes each access's stamp as
-     * lruClock() + 1 + its canonical index (every access bumps the
-     * clock exactly once, hit or fill), replays the stream, and then
-     * commitTally()s and advanceLruClock()s once. The resulting
-     * tag/LRU/dirty bytes and stat totals are exactly those of an
-     * accessAndFill drain; checkpoints cannot tell the difference.
-     *
-     * @return true on hit.
-     */
-    bool weaveAccessFill(Addr line_addr, bool is_write,
-                         std::uint64_t lru_stamp, CacheTally &tally);
-
-    /**
      * Invalidate a line if present (coherence or TLB-shootdown path).
      * The way keeps its tag and LRU stamp; only valid and dirty clear.
      */
     bool invalidate(Addr line_addr);
-
-    /** Fold a weave tally into the stats (single-threaded commit). */
-    void
-    commitTally(const CacheTally &tally)
-    {
-        hits += tally.hits;
-        misses += tally.misses;
-        evictions += tally.evictions;
-        writebacks += tally.writebacks;
-    }
-
-    /** @{ @name LRU clock (weave pre-stamping; see weaveAccessFill) */
-    std::uint64_t lruClock() const { return lru_clock_; }
-    void advanceLruClock(std::uint64_t n) { lru_clock_ += n; }
-    /** @} */
 
     /** Whether a line is present, with no LRU side effects. */
     bool contains(Addr line_addr) const;
@@ -151,14 +106,6 @@ class Cache
 
   private:
     template <class Ar, class Self> static void io(Ar &ar, Self &self);
-
-    /**
-     * The one set scan behind accessAndFill (counting into this cache's
-     * stats) and weaveAccessFill (counting into a CacheTally).
-     */
-    template <class Counters>
-    bool fill(Addr line_addr, bool is_write, std::uint64_t lru_stamp,
-              Counters &counters, bool &evicted_dirty);
 
     CacheParams params_;
     std::uint64_t num_sets_;

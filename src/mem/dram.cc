@@ -71,12 +71,12 @@ Dram::decode(Addr paddr, std::uint64_t &row_out) const
 }
 
 Cycles
-Dram::weaveAccess(Addr paddr, Cycles now, bool is_write, DramTally &tally)
+Dram::access(Addr paddr, Cycles now, bool is_write)
 {
     if (is_write)
-        ++tally.writes;
+        ++writes;
     else
-        ++tally.reads;
+        ++reads;
 
     std::uint64_t row = 0;
     Bank &bank = banks_[decode(paddr, row)];
@@ -86,13 +86,13 @@ Dram::weaveAccess(Addr paddr, Cycles now, bool is_write, DramTally &tally)
 
     Cycles service = params_.t_cas;
     if (!bank.row_open) {
-        ++tally.row_misses;
+        ++row_misses;
         service += params_.t_rcd;
     } else if (bank.open_row != row) {
-        ++tally.row_conflicts;
+        ++row_conflicts;
         service += params_.t_rp + params_.t_rcd;
     } else {
-        ++tally.row_hits;
+        ++row_hits;
     }
 
     bank.row_open = true;
@@ -100,15 +100,6 @@ Dram::weaveAccess(Addr paddr, Cycles now, bool is_write, DramTally &tally)
     bank.ready_at = start + service + params_.t_burst;
 
     return queue + service + params_.t_burst + params_.channel_latency;
-}
-
-Cycles
-Dram::access(Addr paddr, Cycles now, bool is_write)
-{
-    DramTally tally;
-    const Cycles latency = weaveAccess(paddr, now, is_write, tally);
-    commitTally(tally);
-    return latency;
 }
 
 template <class Ar, class Self>

@@ -42,19 +42,6 @@ struct DramParams
     Cycles channel_latency = 20; //!< Controller + bus overhead per access.
 };
 
-/**
- * Externally accumulated DRAM statistics of one weave replay (folded
- * into the stats::Scalar counters by commitTally once per chunk).
- */
-struct DramTally
-{
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t row_hits = 0;
-    std::uint64_t row_misses = 0;
-    std::uint64_t row_conflicts = 0;
-};
-
 /** Multi-bank main-memory timing model with open-page policy. */
 class Dram
 {
@@ -75,21 +62,6 @@ class Dram
      * @return total latency in cycles including queueing.
      */
     Cycles access(Addr paddr, Cycles now, bool is_write);
-
-    /** access() with the counters in @p tally instead of the stats. */
-    Cycles weaveAccess(Addr paddr, Cycles now, bool is_write,
-                       DramTally &tally);
-
-    /** Fold a weave tally into the stats (single-threaded commit). */
-    void
-    commitTally(const DramTally &tally)
-    {
-        reads += tally.reads;
-        writes += tally.writes;
-        row_hits += tally.row_hits;
-        row_misses += tally.row_misses;
-        row_conflicts += tally.row_conflicts;
-    }
 
     /** Total banks across channels and ranks. */
     unsigned numBanks() const;

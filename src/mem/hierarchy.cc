@@ -73,22 +73,21 @@ CacheHierarchy::access(unsigned core, Addr paddr, AccessType type,
     result.latency += l2->accessCycles();
     if (l2->accessAndFill(paddr, is_write, dirty)) {
         result.served_by = MemLevel::L2;
-    } else if (log) {
-        // Deferred: charge the deterministic L3 access time now (the
-        // DRAM excess, if any, is billed by the weave) and record the
-        // access. served_by is provisional; the weave owns the L3/DRAM
-        // stats.
-        result.latency += l3_->accessCycles();
-        result.served_by = MemLevel::L3;
-        log->appendAccess(now + result.latency, paddr, type, start_at_l2);
     } else {
         result.latency += l3_->accessCycles();
-        if (l3_->accessAndFill(paddr, is_write, dirty)) {
+        if (log) {
+            // Deferred: charge the deterministic L3 access time now
+            // (the weave replays the access through sharedAccess and
+            // bills the DRAM excess, if any). served_by is provisional.
             result.served_by = MemLevel::L3;
+            log->appendAccess(now + result.latency, paddr, type,
+                              start_at_l2);
         } else {
-            result.served_by = MemLevel::Memory;
-            result.latency += dram_->access(paddr, now + result.latency,
-                                            is_write);
+            Cycles dram_cycles = 0;
+            result.served_by = sharedAccess(paddr, is_write,
+                                            now + result.latency,
+                                            dram_cycles);
+            result.latency += dram_cycles;
         }
     }
 
@@ -101,33 +100,37 @@ CacheHierarchy::access(unsigned core, Addr paddr, AccessType type,
     return result;
 }
 
-void
-CacheHierarchy::weaveSerial(const core::WeaveStream &ws,
-                            std::uint64_t lru_base, WeaveScratch &sc)
+MemLevel
+CacheHierarchy::sharedAccess(Addr paddr, bool is_write, Cycles at,
+                             Cycles &dram_cycles)
 {
-    // Fused drain: the L3 probe+fill and the DRAM billing of a miss
-    // happen in one pass over the canonical access stream (the way the
-    // bound side fuses access+insert).
-    const std::size_t n = ws.accesses();
-    for (std::size_t i = 0; i < n; ++i) {
-        const Addr paddr = ws.paddr[i];
-        const std::uint8_t flags = ws.flags[i];
-        const bool is_write = flags & core::EpochLog::flagWrite;
-        if (!l3_->weaveAccessFill(paddr, is_write, lru_base + 1 + i,
-                                  sc.l3)) {
-            const Cycles extra =
-                dram_->weaveAccess(paddr, ws.ts[i], is_write, sc.dram);
-            const unsigned core = ws.core[i];
-            const std::uint16_t slot = ws.slot[i];
-            if (flags & core::EpochLog::flagWalker) {
-                sc.walk_extra[core] += extra;
-                if (slot < sc.slot_walk_extra.size())
-                    sc.slot_walk_extra[slot] += extra;
-            } else {
-                sc.data_extra[core] += extra;
-                if (slot < sc.slot_data_extra.size())
-                    sc.slot_data_extra[slot] += extra;
-            }
+    bool dirty = false;
+    if (l3_->accessAndFill(paddr, is_write, dirty))
+        return MemLevel::L3;
+    dram_cycles = dram_->access(paddr, at, is_write);
+    return MemLevel::Memory;
+}
+
+void
+CacheHierarchy::weaveSerial(const core::WeaveStream &ws, WeaveScratch &sc)
+{
+    // Each deferred miss takes the shared levels exactly as the
+    // immediate path would have at its timestamp; only the DRAM excess
+    // is left to bill, since the bound phase already charged the L3
+    // access time.
+    for (const core::EpochEvent &ev : ws) {
+        Cycles extra = 0;
+        if (sharedAccess(ev.paddr, ev.flags & core::EpochEvent::write,
+                         ev.ts, extra) == MemLevel::L3)
+            continue;
+        if (ev.flags & core::EpochEvent::walker) {
+            sc.walk_extra[ev.core] += extra;
+            if (ev.slot < sc.slot_walk_extra.size())
+                sc.slot_walk_extra[ev.slot] += extra;
+        } else {
+            sc.data_extra[ev.core] += extra;
+            if (ev.slot < sc.slot_data_extra.size())
+                sc.slot_data_extra[ev.slot] += extra;
         }
     }
 }
@@ -149,18 +152,6 @@ CacheHierarchy::drainProbes(unsigned peer)
             l2.invalidate(paddr);
         }
     }
-}
-
-void
-CacheHierarchy::weaveCommit(const WeaveScratch &sc,
-                            std::uint64_t num_accesses)
-{
-    l3_->commitTally(sc.l3);
-    dram_->commitTally(sc.dram);
-    // Every access bumped the clock exactly once in the historical
-    // replay; the pre-stamped scan reproduces those values, so one
-    // batched advance lands the identical (checkpointed) clock.
-    l3_->advanceLruClock(num_accesses);
 }
 
 void

@@ -92,22 +92,19 @@ class CacheHierarchy
     }
 
     /**
-     * Scratch state of the weave replay (DESIGN.md §15): stat tallies
-     * for the shared levels plus the per-core latency bills the System
-     * applies after the commit. Pooled by the System and reset() per
-     * chunk.
+     * Per-core and per-tenant DRAM-excess bills of one weave replay,
+     * applied by the System after the round. Pooled by the System and
+     * reset() per chunk.
      */
     struct WeaveScratch
     {
-        CacheTally l3;
-        DramTally dram;
         std::vector<Cycles> data_extra;          //!< Per core.
         std::vector<Cycles> walk_extra;          //!< Per core.
         /**
-         * Per-tenant DRAM-excess bills, parallel to data_extra /
-         * walk_extra but keyed by the attribution slot the event
-         * carries (core/epoch.hh). Sized by reset()'s num_slots (0
-         * when attribution is off — the replay loop skips the lanes).
+         * Per-tenant bills, parallel to data_extra / walk_extra but
+         * keyed by the attribution slot the event carries. Sized by
+         * reset()'s num_slots (0 when attribution is off: the replay
+         * then skips them).
          */
         std::vector<Cycles> slot_data_extra;
         std::vector<Cycles> slot_walk_extra;
@@ -115,8 +112,6 @@ class CacheHierarchy
         void
         reset(unsigned num_cores, unsigned num_slots = 0)
         {
-            l3 = CacheTally{};
-            dram = DramTally{};
             data_extra.assign(num_cores, 0);
             walk_extra.assign(num_cores, 0);
             slot_data_extra.assign(num_slots, 0);
@@ -128,30 +123,27 @@ class CacheHierarchy
      * @{
      * @name Weave replay (DESIGN.md §15)
      *
-     * weaveSerial() drains the canonical access stream the merge
-     * produced in one fused scan: L3 probe+fill, and the DRAM billing
-     * of a miss. Access i's LRU stamp is @p lru_base + 1 + i, where
-     * @p lru_base is the L3's lruClock() at weave start; weaveCommit()
-     * then folds the tallies into the stats and advances the clock by
-     * the access count.
+     * weaveSerial() replays the canonical access stream the merge
+     * produced, one event at a time, through sharedAccess(): the same
+     * L3 probe+fill and DRAM access an unlogged access() performs, with
+     * the event's timestamp as the DRAM arrival cycle. The L3/DRAM
+     * stats and LRU clock therefore move exactly as if every logged
+     * miss had been served immediately in canonical order. It adds each
+     * DRAM latency to the issuing core's and tenant's bill in @p sc.
      *
      * drainProbes() invalidates one peer's L1i, L1d and L2 against the
      * write lanes of every other core's attached epoch log. It touches
      * only that peer's private caches, so the System runs one call per
      * peer on the pool, concurrently with each other and with
-     * weaveSerial() (which touches only L3, DRAM and the scratch). The
+     * weaveSerial() (which touches only L3, DRAM and the bills). The
      * outcome is the serial canonical probe drain's: invalidation only
      * moves a line present -> absent, nothing in the weave refills a
      * private level, and an invalidate bumps no LRU state, so whether a
      * peer line dies — and the one count it adds — does not depend on
      * the order its probes arrive in.
      */
-    void weaveSerial(const core::WeaveStream &ws, std::uint64_t lru_base,
-                     WeaveScratch &sc);
+    void weaveSerial(const core::WeaveStream &ws, WeaveScratch &sc);
     void drainProbes(unsigned peer);
-
-    /** Fold the scratch tallies into the stats; advance the L3 clock. */
-    void weaveCommit(const WeaveScratch &sc, std::uint64_t num_accesses);
     /** @} */
 
     /** Drop every line in every cache. */
@@ -199,6 +191,17 @@ class CacheHierarchy
     std::vector<core::EpochLog *> epoch_logs_; //!< Per core; may be null.
 
     void probeInvalidate(unsigned writer_core, Addr paddr);
+
+    /**
+     * The shared levels of one L2 miss: L3 probe+fill and, on an L3
+     * miss, the DRAM access arriving at cycle @p at. Both access() and
+     * weaveSerial() go through here.
+     *
+     * @param[out] dram_cycles the DRAM latency, set on an L3 miss only.
+     * @return MemLevel::L3 on an L3 hit, else MemLevel::Memory.
+     */
+    MemLevel sharedAccess(Addr paddr, bool is_write, Cycles at,
+                          Cycles &dram_cycles);
 };
 
 } // namespace bf::mem

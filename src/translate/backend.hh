@@ -41,7 +41,6 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "tlb/page_walker.hh"
-#include "translate/kind.hh"
 #include "translate/stats.hh"
 #include "vm/tlb_hooks.hh"
 
@@ -156,8 +155,6 @@ class Backend
 {
   public:
     virtual ~Backend() = default;
-
-    virtual BackendKind kind() const = 0;
 
     /**
      * One pass of the lookup pipeline for @p req at canonical @p va.

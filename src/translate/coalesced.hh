@@ -39,8 +39,6 @@ class CoalescedBackend : public PipelineBackend
     CoalescedBackend(unsigned core_id, const core::MmuParams &params,
                      TranslateStats &stats, stats::StatGroup &group);
 
-    BackendKind kind() const override { return BackendKind::Coalesced; }
-
     /** Range entries in the coalesced structure. */
     static constexpr std::size_t kRangeEntries = 64;
 

@@ -37,8 +37,6 @@ class PipelineBackend : public Backend
     PipelineBackend(unsigned core_id, const core::MmuParams &params,
                     TranslateStats &stats, stats::StatGroup &group);
 
-    BackendKind kind() const override { return BackendKind::BabelFish; }
-
     Attempt attempt(const Requester &req, Addr va, AccessType type,
                     Cycles now, WalkSource &src,
                     Translation &out) override;

@@ -44,8 +44,6 @@ class VictimaBackend : public PipelineBackend
     VictimaBackend(unsigned core_id, const core::MmuParams &params,
                    TranslateStats &stats, stats::StatGroup &group);
 
-    BackendKind kind() const override { return BackendKind::Victima; }
-
     /** Spilled-entry slots in the backing store. */
     static constexpr std::size_t kStoreEntries = 8192;
 

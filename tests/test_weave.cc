@@ -1,12 +1,13 @@
 /**
  * @file
  * Adversarial determinism tests for the weave machinery (DESIGN.md §15):
- * the ladder merge, the write lane, and byte-identity of the concurrent
- * per-peer probe drain against the serial canonical drain.
+ * the ladder merge, the write lane, byte-identity of the concurrent
+ * per-peer probe drain against the serial canonical drain, and of the
+ * L3/DRAM replay against the immediate path.
  *
- *  - merge fidelity: the k-way ladder reproduces the reference
- *    (ts, core, seq) comparison sort exactly, including on a log filled
- *    exactly to its pooled capacity;
+ *  - merge fidelity: the k-way ladder reproduces a stable sort by
+ *    (ts, core) exactly, including on a log filled exactly to its
+ *    pooled capacity;
  *  - write lane: every write the bound path issues (L1 hit, L2 hit or
  *    deferred miss) lands in the issuing core's write lane, and only
  *    while probes are modeled;
@@ -16,7 +17,9 @@
  *    the L3/DRAM replay runs leaves every tag, LRU stamp, dirty bit and
  *    invalidation counter equal to the serial canonical drain's;
  *  - zero-event round: empty streams and lanes leave the hierarchy
- *    untouched.
+ *    untouched;
+ *  - replay: logging L2 misses and replaying them lands the immediate
+ *    path's L3/DRAM state and stats, and bills its DRAM latency.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "common/snapshot.hh"
+#include "common/stats_export.hh"
 #include "core/epoch.hh"
 #include "mem/hierarchy.hh"
 
@@ -98,49 +102,21 @@ invalidations(mem::CacheHierarchy &h)
     return out;
 }
 
-/** Reference merge: the comparison sort the ladder replaced. */
-void
-referenceMerge(const std::vector<std::unique_ptr<core::EpochLog>> &logs,
-               core::WeaveStream &out)
+/** Reference merge: every event, stable-sorted by (ts, core); the
+ *  stable sort keeps each core's append (= seq) order. */
+core::WeaveStream
+referenceMerge(const std::vector<std::unique_ptr<core::EpochLog>> &logs)
 {
-    struct Key
-    {
-        Cycles ts;
-        std::uint32_t core;
-        std::uint32_t seq;
-    };
-    std::vector<Key> keys;
-    for (unsigned c = 0; c < logs.size(); ++c) {
-        for (std::size_t i = 0; i < logs[c]->size(); ++i)
-            keys.push_back(
-                {logs[c]->ts(i), c, static_cast<std::uint32_t>(i)});
-    }
-    std::sort(keys.begin(), keys.end(), [](const Key &a, const Key &b) {
-        if (a.ts != b.ts)
-            return a.ts < b.ts;
-        if (a.core != b.core)
-            return a.core < b.core;
-        return a.seq < b.seq;
-    });
-    out.clear();
-    for (const Key &k : keys) {
-        const core::EpochLog &log = *logs[k.core];
-        out.ts.push_back(k.ts);
-        out.paddr.push_back(log.paddr(k.seq));
-        out.core.push_back(static_cast<std::uint8_t>(k.core));
-        out.flags.push_back(log.flags(k.seq));
-        out.slot.push_back(log.slot(k.seq));
-    }
-}
-
-void
-expectStreamsEqual(const core::WeaveStream &a, const core::WeaveStream &b)
-{
-    EXPECT_EQ(a.ts, b.ts);
-    EXPECT_EQ(a.paddr, b.paddr);
-    EXPECT_EQ(a.core, b.core);
-    EXPECT_EQ(a.flags, b.flags);
-    EXPECT_EQ(a.slot, b.slot);
+    core::WeaveStream out;
+    for (const auto &log : logs)
+        out.insert(out.end(), log->events().begin(), log->events().end());
+    std::stable_sort(out.begin(), out.end(),
+                     [](const core::EpochEvent &a,
+                        const core::EpochEvent &b) {
+                         return std::tie(a.ts, a.core) <
+                                std::tie(b.ts, b.core);
+                     });
+    return out;
 }
 
 /** One write of a hand-built chunk, keyed like the historical probe. */
@@ -167,7 +143,7 @@ makeLogs(std::size_t events_per_core, bool probe_pools = false,
     std::vector<std::unique_ptr<core::EpochLog>> logs;
     std::uint64_t rng = 0x9E3779B97F4A7C15ull;
     for (unsigned c = 0; c < kCores; ++c) {
-        auto log = std::make_unique<core::EpochLog>();
+        auto log = std::make_unique<core::EpochLog>(c);
         Cycles ts = 100 + 7 * c;
         std::size_t seq = 0;
         for (std::size_t i = 0; i < events_per_core; ++i) {
@@ -226,8 +202,7 @@ serialWeave(mem::CacheHierarchy &h,
     core::mergeEpochLogs(logs, ws);
     mem::CacheHierarchy::WeaveScratch sc;
     sc.reset(kCores);
-    h.weaveSerial(ws, h.l3().lruClock(), sc);
-    h.weaveCommit(sc, ws.accesses());
+    h.weaveSerial(ws, sc);
     std::sort(writes.begin(), writes.end(),
               [](const Write &a, const Write &b) {
                   return std::tie(a.ts, a.core, a.seq) <
@@ -254,7 +229,6 @@ pooledWeave(mem::CacheHierarchy &h,
     core::WeaveStream ws;
     mem::CacheHierarchy::WeaveScratch sc;
     sc.reset(kCores);
-    const std::uint64_t lru_base = h.l3().lruClock();
     attach(h, logs);
     pool.run(1 + kCores, [&](unsigned i) {
         if (i > 0) {
@@ -262,9 +236,8 @@ pooledWeave(mem::CacheHierarchy &h,
             return;
         }
         core::mergeEpochLogs(logs, ws);
-        h.weaveSerial(ws, lru_base, sc);
+        h.weaveSerial(ws, sc);
     });
-    h.weaveCommit(sc, ws.accesses());
 }
 
 } // namespace
@@ -279,17 +252,16 @@ pooledWeave(mem::CacheHierarchy &h,
 TEST(WeaveMerge, LadderMatchesReferenceSort)
 {
     const auto logs = makeLogs(2000);
-    core::WeaveStream ladder, reference;
+    core::WeaveStream ladder;
     core::mergeEpochLogs(logs, ladder);
-    referenceMerge(logs, reference);
-    expectStreamsEqual(ladder, reference);
+    EXPECT_EQ(ladder, referenceMerge(logs));
 
     std::size_t logged = 0, written = 0;
     for (const auto &log : logs) {
-        logged += log->size();
+        logged += log->events().size();
         written += log->writes().size();
     }
-    EXPECT_EQ(ladder.accesses(), logged);
+    EXPECT_EQ(ladder.size(), logged);
     EXPECT_GT(written, 0u);
 }
 
@@ -301,19 +273,18 @@ TEST(WeaveMerge, ExactlyFullPooledLog)
     // Refill log 0 to exactly its pooled capacity.
     logs[0]->clearEvents();
     EXPECT_TRUE(logs[0]->writes().empty());
-    const std::size_t cap = logs[0]->capacity();
+    const std::size_t cap = logs[0]->events().capacity();
     ASSERT_GT(cap, 0u);
     for (std::size_t i = 0; i < cap; ++i)
         logs[0]->appendAccess(200 + 3 * i, (i * 64) & ~Addr{63},
                               (i & 1) ? AccessType::Write
                                       : AccessType::Read,
                               false);
-    ASSERT_EQ(logs[0]->size(), logs[0]->capacity());
+    ASSERT_EQ(logs[0]->events().size(), logs[0]->events().capacity());
 
-    core::WeaveStream ladder, reference;
+    core::WeaveStream ladder;
     core::mergeEpochLogs(logs, ladder);
-    referenceMerge(logs, reference);
-    expectStreamsEqual(ladder, reference);
+    EXPECT_EQ(ladder, referenceMerge(logs));
 }
 
 // One live log among several (the FaaS shape: a 1-core group issues
@@ -323,19 +294,18 @@ TEST(WeaveMerge, SingleLiveLog)
 {
     std::vector<std::unique_ptr<core::EpochLog>> logs;
     for (unsigned c = 0; c < kCores; ++c)
-        logs.push_back(std::make_unique<core::EpochLog>());
+        logs.push_back(std::make_unique<core::EpochLog>(c));
     for (std::size_t i = 0; i < 100; ++i)
         logs[3]->appendAccess(10 + i / 2, i * 64,
                               (i % 3) ? AccessType::Read
                                       : AccessType::Write,
                               false);
-    core::WeaveStream ladder, reference;
+    core::WeaveStream ladder;
     core::mergeEpochLogs(logs, ladder);
-    referenceMerge(logs, reference);
-    expectStreamsEqual(ladder, reference);
-    EXPECT_EQ(ladder.accesses(), 100u);
-    for (const std::uint8_t core : ladder.core)
-        EXPECT_EQ(core, 3u);
+    EXPECT_EQ(ladder, referenceMerge(logs));
+    EXPECT_EQ(ladder.size(), 100u);
+    for (const core::EpochEvent &ev : ladder)
+        EXPECT_EQ(ev.core, 3u);
 }
 
 // The bound path logs every write into the issuing core's write lane —
@@ -350,7 +320,7 @@ TEST(WeaveMerge, WriteLaneHoldsEveryWrite)
         auto h = makeHierarchy(&root, cores);
         std::vector<std::unique_ptr<core::EpochLog>> logs;
         for (unsigned c = 0; c < cores; ++c) {
-            logs.push_back(std::make_unique<core::EpochLog>());
+            logs.push_back(std::make_unique<core::EpochLog>(c));
             logs[c]->activate();
         }
         attach(*h, logs);
@@ -372,18 +342,18 @@ TEST(WeaveMerge, WriteLaneHoldsEveryWrite)
                                     : kind == 1 ? AccessType::Ifetch
                                                 : AccessType::Read;
             const bool walker = ((rng >> 44) & 7) == 0;
-            const std::size_t logged = logs[c]->size();
+            const std::size_t logged = logs[c]->events().size();
             const auto r = h->access(c, paddr, type, now += 5, walker);
-            if (logs[c]->size() != logged)
+            if (logs[c]->events().size() != logged)
                 ++misses[c];
-            EXPECT_EQ(logs[c]->size() != logged,
+            EXPECT_EQ(logs[c]->events().size() != logged,
                       r.served_by == mem::MemLevel::L3);
             if (type == AccessType::Write && cores > 1)
                 want[c].push_back(paddr);
         }
         for (unsigned c = 0; c < cores; ++c) {
             EXPECT_EQ(logs[c]->writes(), want[c]) << "core " << c;
-            EXPECT_EQ(logs[c]->size(), misses[c]) << "core " << c;
+            EXPECT_EQ(logs[c]->events().size(), misses[c]) << "core " << c;
             if (cores > 1) {
                 EXPECT_GT(logs[c]->writes().size(), 0u);
                 EXPECT_GT(misses[c], 0u);
@@ -423,7 +393,6 @@ TEST(WeaveProbes, PerPeerDrainMatchesSerialDrain)
 
     EXPECT_EQ(stateBytes(*serial), stateBytes(*pooled));
     EXPECT_EQ(invalidations(*serial), invalidations(*pooled));
-    EXPECT_EQ(serial->l3().lruClock(), pooled->l3().lruClock());
     EXPECT_EQ(serial->l3().misses.value(), pooled->l3().misses.value());
     EXPECT_EQ(serial->dram().reads.value(), pooled->dram().reads.value());
 
@@ -439,25 +408,118 @@ TEST(WeaveProbes, PerPeerDrainMatchesSerialDrain)
 }
 
 // A round with no shared-level events at all: empty streams and lanes
-// leave the hierarchy byte-identical to its pre-weave state (and the
-// LRU clock unmoved), inline and on the pool.
+// leave the hierarchy byte-identical to its pre-weave state (LRU clocks
+// included), inline and on the pool.
 TEST(WeaveProbes, ZeroEventRoundIsNoOp)
 {
     std::vector<std::unique_ptr<core::EpochLog>> empty;
     for (unsigned c = 0; c < kCores; ++c)
-        empty.push_back(std::make_unique<core::EpochLog>());
+        empty.push_back(std::make_unique<core::EpochLog>(c));
     stats::StatGroup root("mem_z");
     auto h = makeHierarchy(&root);
     warm(*h);
     const auto before = stateBytes(*h);
     const auto inval_before = invalidations(*h);
-    const auto clock_before = h->l3().lruClock();
 
     for (const unsigned workers : {1u, kCores}) {
         core::BoundPool pool(workers - 1);
         pooledWeave(*h, empty, pool);
         EXPECT_EQ(before, stateBytes(*h));
         EXPECT_EQ(inval_before, invalidations(*h));
-        EXPECT_EQ(clock_before, h->l3().lruClock());
+    }
+}
+
+// ---------------------------------------------------------------------
+// Weave replay vs the immediate path
+// ---------------------------------------------------------------------
+
+// One L2-miss sequence, served once by the immediate access() path and
+// once logged and replayed by weaveSerial(), lands the same L3/DRAM
+// state and stats, and the DRAM excess the weave bills each core and
+// tenant is exactly the extra latency the immediate path charged. A
+// small L3 makes the sequence hit, miss, evict, and meet open, closed
+// and conflicting DRAM rows. Coherence is off so both runs' private
+// caches see the same accesses, and now strides wider than the
+// walker's skipped L1 time, so the canonical order is the issue order.
+TEST(WeaveReplay, MatchesImmediatePath)
+{
+    mem::HierarchyParams params;
+    params.l1i.size_bytes = params.l1d.size_bytes = 4 * 1024;
+    params.l2.size_bytes = 32 * 1024;
+    params.l3.size_bytes = 256 * 1024;
+    params.model_coherence = false;
+    constexpr unsigned kSlots = 3;
+
+    stats::StatGroup root_a("mem"), root_b("mem");
+    mem::CacheHierarchy immediate(params, kCores, &root_a);
+    mem::CacheHierarchy logged(params, kCores, &root_b);
+    std::vector<std::unique_ptr<core::EpochLog>> logs;
+    for (unsigned c = 0; c < kCores; ++c) {
+        logs.push_back(std::make_unique<core::EpochLog>(c));
+        logs[c]->activate();
+    }
+    attach(logged, logs);
+
+    mem::CacheHierarchy::WeaveScratch want;
+    want.reset(kCores, kSlots);
+    std::uint64_t rng = 0xD1B54A32D192ED03ull;
+    Cycles now = 0;
+    for (unsigned i = 0; i < 40000; ++i) {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        const unsigned c = static_cast<unsigned>(rng % kCores);
+        // A hot 64 KiB region among a 1 MiB footprint.
+        const Addr span = (rng & 256) ? 64 * 1024 : 1024 * 1024;
+        const Addr paddr = ((rng >> 8) % span) & ~Addr{63};
+        const unsigned kind = (rng >> 40) % 4;
+        const AccessType type = kind == 0   ? AccessType::Write
+                                : kind == 1 ? AccessType::Ifetch
+                                            : AccessType::Read;
+        const bool walker = ((rng >> 44) & 7) == 0;
+        const int slot = static_cast<int>((rng >> 48) % (kSlots + 1)) - 1;
+        logs[c]->setSlot(slot);
+        now += 5;
+
+        const auto a = immediate.access(c, paddr, type, now, walker);
+        const auto b = logged.access(c, paddr, type, now, walker);
+        ASSERT_LE(b.latency, a.latency) << "access " << i;
+        const Cycles extra = a.latency - b.latency;
+        if (walker) {
+            want.walk_extra[c] += extra;
+            if (slot >= 0)
+                want.slot_walk_extra[slot] += extra;
+        } else {
+            want.data_extra[c] += extra;
+            if (slot >= 0)
+                want.slot_data_extra[slot] += extra;
+        }
+    }
+
+    core::WeaveStream ws;
+    core::mergeEpochLogs(logs, ws);
+    mem::CacheHierarchy::WeaveScratch got;
+    got.reset(kCores, kSlots);
+    logged.weaveSerial(ws, got);
+
+    EXPECT_EQ(stateBytes(immediate), stateBytes(logged));
+    EXPECT_EQ(stats::toJsonString(root_a), stats::toJsonString(root_b));
+    EXPECT_EQ(got.data_extra, want.data_extra);
+    EXPECT_EQ(got.walk_extra, want.walk_extra);
+    EXPECT_EQ(got.slot_data_extra, want.slot_data_extra);
+    EXPECT_EQ(got.slot_walk_extra, want.slot_walk_extra);
+
+    // Non-vacuous: the replay saw every outcome it must reproduce.
+    mem::Cache &l3 = logged.l3();
+    mem::Dram &dram = logged.dram();
+    EXPECT_GT(l3.hits.value(), 0u);
+    EXPECT_GT(l3.evictions.value(), 0u);
+    EXPECT_GT(dram.writes.value(), 0u);
+    EXPECT_GT(dram.row_hits.value(), 0u);
+    EXPECT_GT(dram.row_misses.value(), 0u);
+    EXPECT_GT(dram.row_conflicts.value(), 0u);
+    for (unsigned c = 0; c < kCores; ++c) {
+        EXPECT_GT(got.data_extra[c], 0u) << "core " << c;
+        EXPECT_GT(got.walk_extra[c], 0u) << "core " << c;
     }
 }
