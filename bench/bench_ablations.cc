@@ -29,16 +29,14 @@ fleetBringup(core::SystemParams params, const RunConfig &cfg)
     params.num_cores = 1;
     // Fine-grained interleaving: the fleet's bring-ups overlap.
     params.core.quantum = msToCycles(0.1);
-    core::System sys(params);
-    if (cfg.sampleInterval())
-        sys.enableSampling(cfg.sampleInterval());
+    const auto sys = makeSystem(params, cfg, "functions-fleet");
     std::vector<workloads::FunctionProfile> profiles(
         8, workloads::FunctionProfile::parse());
     for (auto &p : profiles) {
         p.input_bytes = 1 << 20;   // bring-up dominated
         p.bringup_cow_pages = 128; // config-heavy runtime init
     }
-    auto group = workloads::buildFaasGroup(sys.kernel(), profiles,
+    auto group = workloads::buildFaasGroup(sys->kernel(), profiles,
                                            cfg.seed);
     std::vector<std::unique_ptr<workloads::FunctionThread>> th;
     for (unsigned i = 0; i < profiles.size(); ++i) {
@@ -48,14 +46,14 @@ fleetBringup(core::SystemParams params, const RunConfig &cfg)
         // Containers launch staggered, as a scale-out burst does:
         // early ones are already CoW-ing their config while late ones
         // are still reading it.
-        sys.addThread(0, th.back().get());
-        sys.run(msToCycles(1));
+        sys->addThread(0, th.back().get());
+        sys->run(msToCycles(1));
     }
-    sys.runUntilFinished(msToCycles(4000));
+    sys->runUntilFinished(msToCycles(4000));
     double total = static_cast<double>(group.bringup_work);
     for (auto &t : th)
         total += static_cast<double>(t->bringupCycles());
-    return { total, captureArtifacts(sys) };
+    return { total, captureArtifacts(*sys) };
 }
 
 } // namespace
@@ -71,7 +69,6 @@ main()
     // ---- Fan every independent cell out across the workers.
     RunResult base, fish, no_orpc, aslr_sw;
     std::pair<double, RunArtifacts> fleet_base, fleet_full, fleet_nomask;
-    double share_fork_k[2];
     RunResult share_run[2];
     const unsigned densities[] = { 1, 2, 3, 4 };
     RunResult dens_base[4], dens_fish[4];
@@ -110,13 +107,6 @@ main()
         jobs.push_back([&, level] {
             auto params = core::SystemParams::babelfish();
             params.kernel.max_share_level = level;
-            params.num_cores = cfg.num_cores;
-            core::System sys(params);
-            auto app = workloads::buildApp(sys.kernel(), http,
-                                           cfg.num_cores * 2, cfg.seed);
-            share_fork_k[level - 1] =
-                static_cast<double>(app.bringup_work) / 1e3 /
-                (cfg.num_cores * 2);
             share_run[level - 1] = runApp(http, params, cfg);
         });
     }
@@ -204,11 +194,11 @@ main()
                 "mean latency");
     for (int level = 1; level <= 2; ++level) {
         std::printf("%-10d %16.1f %14.0f\n", level,
-                    share_fork_k[level - 1],
+                    share_run[level - 1].fork_work / 1e3,
                     share_run[level - 1].mean_latency);
         report.metric("share_level" + std::to_string(level) +
                           ".fork_kcycles",
-                      share_fork_k[level - 1]);
+                      share_run[level - 1].fork_work / 1e3);
     }
     rule();
 

@@ -52,29 +52,25 @@ printRow(const char *name, const analysis::PagemapStats &s)
 
 /** Steady-state scan of one containerized app (baseline kernel). */
 ScanResult
-scanApp(const workloads::AppProfile &profile, const RunConfig &cfg)
+scanApp(const workloads::AppProfile &profile, RunConfig cfg)
 {
-    core::SystemParams params = core::SystemParams::baseline();
-    params.num_cores = 2;
-    core::System sys(params);
-    if (cfg.sampleInterval())
-        sys.enableSampling(cfg.sampleInterval());
-
-    // Two containers of the app (paper: pairs of containers).
-    auto app = workloads::buildApp(sys.kernel(), profile, 2, cfg.seed);
-    auto threads = workloads::makeAppThreads(app, cfg.seed);
-    sys.addThread(0, threads[0].get());
-    sys.addThread(1, threads[1].get());
+    // Two containers of the app (paper: pairs of containers), one per
+    // core.
+    cfg.num_cores = 2;
+    cfg.containers_per_core = 1;
+    AppWorld w =
+        buildAppWorld(profile, core::SystemParams::baseline(), cfg);
+    core::System &sys = *w.sys;
 
     // Reach steady state (or restore the warm-up checkpoint), then age
     // the LRU (clear accessed bits) and run one more window so 'active'
     // reflects recent touches.
-    warmOrRestore(sys, cfg, profile.name, params);
+    warmOrRestore(sys, cfg, profile.name);
     sys.kernel().clearAccessedBits();
     sys.run(msToCycles(cfg.measure_ms));
 
-    std::vector<const vm::Process *> procs(app.containers.begin(),
-                                           app.containers.end());
+    std::vector<const vm::Process *> procs(w.app->containers.begin(),
+                                           w.app->containers.end());
     return { analysis::scanGroup(sys.kernel(), procs),
              captureArtifacts(sys) };
 }
@@ -86,25 +82,23 @@ scanFunctions(const RunConfig &cfg)
     core::SystemParams params = core::SystemParams::baseline();
     params.num_cores = 1;
     params.core.quantum = msToCycles(1);
-    core::System sys(params);
-    if (cfg.sampleInterval())
-        sys.enableSampling(cfg.sampleInterval());
+    const auto sys = makeSystem(params, cfg, "functions-dense");
 
     auto group = workloads::buildFaasGroup(
-        sys.kernel(), workloads::FunctionProfile::all(), cfg.seed);
+        sys->kernel(), workloads::FunctionProfile::all(), cfg.seed);
     std::vector<std::unique_ptr<workloads::FunctionThread>> threads;
     for (unsigned i = 0; i < 3; ++i) {
         threads.push_back(std::make_unique<workloads::FunctionThread>(
             group.profiles[i], group.containers[i], /*sparse=*/false,
             cfg.seed + i));
-        sys.addThread(0, threads[i].get());
+        sys->addThread(0, threads[i].get());
     }
-    sys.runUntilFinished(msToCycles(4000));
+    sys->runUntilFinished(msToCycles(4000));
 
     std::vector<const vm::Process *> procs(group.containers.begin(),
                                            group.containers.end());
-    return { analysis::scanGroup(sys.kernel(), procs),
-             captureArtifacts(sys) };
+    return { analysis::scanGroup(sys->kernel(), procs),
+             captureArtifacts(*sys) };
 }
 
 } // namespace

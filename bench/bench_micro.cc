@@ -514,8 +514,9 @@ BM_KernelPrivateWriteFillCold(benchmark::State &state)
     params.num_cores = 8;
     params.attrib = true;
     params.kernel.mem_frames = 1 << 22;
-    core::System sys(params);
-    vm::Kernel &kernel = sys.kernel();
+    const auto sys = bfbench::makeSystem(params, bfbench::RunConfig{},
+                                         "private-write-fill");
+    vm::Kernel &kernel = sys->kernel();
     const Ccid g = kernel.createGroup("g", 1);
     vm::Process *proc = kernel.createProcess(g, "p");
     for (int i = 1; i < 16; ++i)

@@ -27,18 +27,10 @@ main()
     reportConfig(report, cfg);
 
     // Run a fault-heavy mixed workload so MaskPages actually appear.
-    core::SystemParams params = core::SystemParams::babelfish();
-    params.num_cores = cfg.num_cores;
-    core::System sys(params);
-    if (cfg.sampleInterval())
-        sys.enableSampling(cfg.sampleInterval());
-
-    auto profile = workloads::AppProfile::mongodb();
     const unsigned n = cfg.num_cores * cfg.containers_per_core;
-    auto app = workloads::buildApp(sys.kernel(), profile, n, cfg.seed);
-    auto threads = workloads::makeAppThreads(app, cfg.seed);
-    for (unsigned i = 0; i < n; ++i)
-        sys.addThread(i % cfg.num_cores, threads[i].get());
+    AppWorld w = buildAppWorld(workloads::AppProfile::mongodb(),
+                               core::SystemParams::babelfish(), cfg);
+    core::System &sys = *w.sys;
     sys.run(msToCycles(cfg.warm_ms + cfg.measure_ms));
 
     // Count mapped leaf translations and page-table pages.

@@ -63,7 +63,6 @@ struct RunConfig
     std::uint64_t seed = 42;
     std::string ckpt_dir;      //!< BF_CKPT: save post-warm-up state here.
     std::string restore_dir;   //!< BF_RESTORE: load warm-up state from here.
-    double ckpt_every_ms = 0;  //!< BF_CKPT_EVERY_MS: periodic autosave.
     std::string trace_dir;     //!< BF_TRACE: event-trace output directory.
     std::uint32_t trace_events = 0xffffffffu; //!< BF_TRACE_EVENTS mask.
     std::uint64_t trace_limit = 0;            //!< BF_TRACE_LIMIT cap.
@@ -216,8 +215,6 @@ inline const Knob knobs[] = {
       "save each app run's post-warm-up checkpoint into this dir" },
     { "BF_RESTORE", Text, 0, 0, &RunConfig::restore_dir, "restore_dir",
       "restore warm-up checkpoints from this dir (else cold start)" },
-    { "BF_CKPT_EVERY_MS", Real, 0, 1e6, &RunConfig::ckpt_every_ms,
-      "ckpt_every_ms", "also re-save every N simulated ms (0 = off)" },
     { "BF_TRACE", Text, 0, 0, &RunConfig::trace_dir, "trace",
       "write <profile>-<hash>.trace event traces into this dir" },
     { "BF_TRACE_EVENTS", Count, 0, 0xffffffffu, &RunConfig::trace_events,
@@ -240,12 +237,6 @@ inline const Knob knobs[] = {
       /*hashed=*/false, /*report_if_changed=*/false, "quiet|warn|info" },
     { "BF_REPEAT", Count, 1, 1000, {}, nullptr,
       "bench_simspeed: best of n timings per workload (1)" },
-    { "BF_BASELINE", Text, 0, 0, {}, nullptr,
-      "bench_simspeed: prior BENCH_simspeed.json to compare to" },
-    { "BF_MIPS_GUARD", Real, 0, 1, {}, nullptr,
-      "bench_simspeed: aggregate floor, fraction of baseline" },
-    { "BF_MIPS_GUARD_ROW", Real, 0, 1, {}, nullptr,
-      "bench_simspeed: per-row floor under BF_MIPS_GUARD (0.8)" },
     { "BF_REPLAY_TRACE", Text, 0, 0, {}, nullptr,
       "bench_replay_sweep: replay this trace, don't record one" },
     { "BF_REPLAY_GRID", Count, 1, 1e6, {}, nullptr,
@@ -512,6 +503,105 @@ captureL2TlbRates(const core::System &sys, RunResult &r)
 }
 
 /**
+ * The one place a bench constructs a System. Stamps the execution knobs
+ * and, under BF_TRACE, the trace file "<name>-<hash>.trace" into
+ * @p params, then turns on the time-series sampler (BF_SAMPLE_MS) and
+ * the live per-tenant table (BF_TOP), so every knob a report records
+ * reaches every run. Callers set num_cores and the other model fields
+ * first: the trace tag hashes the final set.
+ */
+inline std::unique_ptr<core::System>
+makeSystem(core::SystemParams params, const RunConfig &cfg,
+           const std::string &name)
+{
+    cfg.applyExecKnobs(params);
+    cfg.applyTraceKnobs(params, name);
+    auto sys = std::make_unique<core::System>(params);
+    if (cfg.sampleInterval())
+        sys->enableSampling(cfg.sampleInterval());
+    if (!cfg.top_path.empty())
+        sys->enableTopFile(cfg.top_path);
+    return sys;
+}
+
+/** A co-located application world, ready to run. */
+struct AppWorld
+{
+    std::unique_ptr<core::System> sys;
+    /** Boxed: the threads hold a reference to its profile. */
+    std::unique_ptr<workloads::AppInstance> app;
+    std::vector<std::unique_ptr<core::Thread>> threads;
+};
+
+/**
+ * Build one application at the paper's co-location level: every core
+ * multiplexes containers_per_core containers of the same app, each
+ * serving a distinct request stream (container i on core i mod cores).
+ */
+inline AppWorld
+buildAppWorld(const workloads::AppProfile &profile,
+              core::SystemParams params, const RunConfig &cfg)
+{
+    params.num_cores = cfg.num_cores;
+    AppWorld w;
+    w.sys = makeSystem(params, cfg, profile.name);
+    const unsigned n = cfg.num_cores * cfg.containers_per_core;
+    w.app = std::make_unique<workloads::AppInstance>(
+        workloads::buildApp(w.sys->kernel(), profile, n, cfg.seed));
+    w.threads = workloads::makeAppThreads(*w.app, cfg.seed);
+    for (unsigned i = 0; i < n; ++i)
+        w.sys->addThread(i % cfg.num_cores, w.threads[i].get());
+    return w;
+}
+
+/** A group of the three functions on one core, not yet launched. */
+struct FaasWorld
+{
+    std::unique_ptr<core::System> sys;
+    /** The threads reference its profiles, which a move keeps in place. */
+    workloads::FaasGroup group;
+    std::vector<std::unique_ptr<workloads::FunctionThread>> threads;
+};
+
+/** Build one group of the three functions with dense or sparse inputs. */
+inline FaasWorld
+buildFaasWorld(core::SystemParams params, bool sparse, const RunConfig &cfg)
+{
+    params.num_cores = 1;
+    // Functions are latency-sensitive; a fine quantum interleaves the
+    // three short-lived containers as the FaaS runtime does (their
+    // bring-ups genuinely overlap in time).
+    params.core.quantum = msToCycles(0.5);
+    FaasWorld w;
+    w.sys = makeSystem(params, cfg,
+                       sparse ? "functions-sparse" : "functions-dense");
+    w.group = workloads::buildFaasGroup(
+        w.sys->kernel(), workloads::FunctionProfile::all(), cfg.seed);
+    for (unsigned i = 0; i < 3; ++i) {
+        w.threads.push_back(std::make_unique<workloads::FunctionThread>(
+            w.group.profiles[i], w.group.containers[i], sparse,
+            cfg.seed + 17 * i));
+    }
+    return w;
+}
+
+/**
+ * Launch a FaaS group and run it to completion. The triggering event
+ * reaches the leading function first (paper: the leader behaves the
+ * same in Baseline and BabelFish due to cold start; the trailing two
+ * are measured).
+ */
+inline void
+launchFaas(FaasWorld &w)
+{
+    w.sys->addThread(0, w.threads[0].get());
+    w.sys->run(msToCycles(3));
+    w.sys->addThread(0, w.threads[1].get());
+    w.sys->addThread(0, w.threads[2].get());
+    w.sys->runUntilFinished(msToCycles(4000));
+}
+
+/**
  * Warm a freshly-built System, or restore its warm-up checkpoint.
  *
  * The caller has just rebuilt the world deterministically from the same
@@ -519,13 +609,13 @@ captureL2TlbRates(const core::System &sys, RunResult &r)
  * hashes every state-shaping knob) drops the system into the identical
  * post-warm-up state — stats included — without re-simulating it. A
  * missing or rejected checkpoint falls back to simulating the warm-up,
- * and BF_CKPT / BF_CKPT_EVERY_MS save checkpoints for later runs.
+ * and BF_CKPT saves the post-warm-up checkpoint for later runs.
  */
 inline void
 warmOrRestore(core::System &sys, const RunConfig &cfg,
-              const std::string &name, const core::SystemParams &params)
+              const std::string &name)
 {
-    const std::string tag = cfg.checkpointTag(name, params);
+    const std::string tag = cfg.checkpointTag(name, sys.params());
     bool restored = false;
     if (!cfg.restore_dir.empty())
         restored = sys.restoreCheckpoint(cfg.restore_dir + "/" + tag);
@@ -536,41 +626,22 @@ warmOrRestore(core::System &sys, const RunConfig &cfg,
         std::filesystem::create_directories(cfg.ckpt_dir, ec);
         sys.saveCheckpoint(cfg.ckpt_dir + "/" + tag);
     }
-    if (cfg.ckpt_every_ms > 0) {
-        const std::string dir =
-            cfg.ckpt_dir.empty() ? std::string(".") : cfg.ckpt_dir;
-        sys.enableAutoCheckpoint(dir + "/autosave-" + tag,
-                                 msToCycles(cfg.ckpt_every_ms));
-    }
 }
 
 /**
- * Run one application at the paper's co-location level: every core
- * multiplexes containers_per_core containers of the same app, each
- * serving a distinct request stream.
+ * Run one application (buildAppWorld): warm up or restore, then measure
+ * request latency or work-unit throughput over cfg.measure_ms.
  */
 inline RunResult
 runApp(const workloads::AppProfile &profile,
        core::SystemParams params, const RunConfig &cfg)
 {
-    params.num_cores = cfg.num_cores;
-    cfg.applyExecKnobs(params);
-    cfg.applyTraceKnobs(params, profile.name);
-    core::System sys(params);
-    if (cfg.sampleInterval())
-        sys.enableSampling(cfg.sampleInterval());
-    if (!cfg.top_path.empty())
-        sys.enableTopFile(cfg.top_path);
+    AppWorld w = buildAppWorld(profile, std::move(params), cfg);
+    core::System &sys = *w.sys;
 
-    const unsigned n = cfg.num_cores * cfg.containers_per_core;
-    auto app = workloads::buildApp(sys.kernel(), profile, n, cfg.seed);
-    auto threads = workloads::makeAppThreads(app, cfg.seed);
-    for (unsigned i = 0; i < n; ++i)
-        sys.addThread(i % cfg.num_cores, threads[i].get());
-
-    warmOrRestore(sys, cfg, profile.name, params);
+    warmOrRestore(sys, cfg, profile.name);
     sys.resetStats();
-    for (auto &thread : threads) {
+    for (auto &thread : w.threads) {
         if (auto *ds =
                 dynamic_cast<workloads::DataServingThread *>(thread.get()))
             ds->resetMeasurement();
@@ -586,7 +657,7 @@ runApp(const workloads::AppProfile &profile,
     // tails (each container is driven by its own YCSB client, §VI).
     double mean_sum = 0, tail_sum = 0;
     unsigned serving_threads = 0;
-    for (auto &thread : threads) {
+    for (auto &thread : w.threads) {
         if (auto *ds = dynamic_cast<workloads::DataServingThread *>(
                 thread.get())) {
             if (ds->latency().count() == 0)
@@ -604,6 +675,8 @@ runApp(const workloads::AppProfile &profile,
         r.tail_latency = tail_sum / serving_threads;
     }
     r.units_per_ms = static_cast<double>(units) / cfg.measure_ms;
+    r.fork_work = static_cast<double>(w.app->bringup_work) /
+                  static_cast<double>(w.threads.size());
 
     r.instructions = sys.totalInstructions();
     captureL2TlbRates(sys, r);
@@ -633,37 +706,11 @@ runApp(const workloads::AppProfile &profile,
 inline RunResult
 runFaas(core::SystemParams params, bool sparse, const RunConfig &cfg)
 {
-    params.num_cores = 1;
-    cfg.applyExecKnobs(params);
-    // Functions are latency-sensitive; a fine quantum interleaves the
-    // three short-lived containers as the FaaS runtime does (their
-    // bring-ups genuinely overlap in time).
-    params.core.quantum = msToCycles(0.5);
-    cfg.applyTraceKnobs(params,
-                        sparse ? "functions-sparse" : "functions-dense");
-    core::System sys(params);
-    if (cfg.sampleInterval())
-        sys.enableSampling(cfg.sampleInterval());
-    if (!cfg.top_path.empty())
-        sys.enableTopFile(cfg.top_path);
+    FaasWorld w = buildFaasWorld(std::move(params), sparse, cfg);
+    launchFaas(w);
 
-    auto group = workloads::buildFaasGroup(
-        sys.kernel(), workloads::FunctionProfile::all(), cfg.seed);
-    std::vector<std::unique_ptr<workloads::FunctionThread>> threads;
-    for (unsigned i = 0; i < 3; ++i) {
-        threads.push_back(std::make_unique<workloads::FunctionThread>(
-            group.profiles[i], group.containers[i], sparse,
-            cfg.seed + 17 * i));
-    }
-    // The triggering event reaches the leading function first (paper:
-    // the leader behaves the same in Baseline and BabelFish due to cold
-    // start; the trailing two are measured).
-    sys.addThread(0, threads[0].get());
-    sys.run(msToCycles(3));
-    sys.addThread(0, threads[1].get());
-    sys.addThread(0, threads[2].get());
-    sys.runUntilFinished(msToCycles(4000));
-
+    const auto &threads = w.threads;
+    const double bringup_work = static_cast<double>(w.group.bringup_work);
     RunResult r;
     r.lead_exec = static_cast<double>(threads[0]->execCycles());
     r.trail_exec = (static_cast<double>(threads[1]->execCycles()) +
@@ -673,11 +720,11 @@ runFaas(core::SystemParams params, bool sparse, const RunConfig &cfg)
                  static_cast<double>(threads[1]->bringupCycles()) +
                  static_cast<double>(threads[2]->bringupCycles())) /
                     3.0 +
-                static_cast<double>(group.bringup_work) / 3.0;
-    r.fork_work = static_cast<double>(group.bringup_work) / 3.0;
-    captureL2TlbRates(sys, r);
-    r.minor_faults = sys.kernel().minor_faults.value();
-    r.artifacts = captureArtifacts(sys);
+                bringup_work / 3.0;
+    r.fork_work = bringup_work / 3.0;
+    captureL2TlbRates(*w.sys, r);
+    r.minor_faults = w.sys->kernel().minor_faults.value();
+    r.artifacts = captureArtifacts(*w.sys);
     return r;
 }
 

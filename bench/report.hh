@@ -40,7 +40,8 @@
  *
  * Version 2 added the host-speed section ("host": wall-clock seconds and
  * simulated MIPS per workload, written by bench_simspeed) and free-form
- * "notes" (e.g. baseline_mips / speedup bookkeeping). Version 3 records
+ * "notes" (host-side bookkeeping such as bench_replay_sweep's
+ * fullsim_point_seconds). Version 3 records
  * external artifact paths per run ("trace_file": the BF_TRACE event
  * trace; the time series stays embedded under "timeseries") and the
  * effective values of every BF_* execution knob under "config". All
@@ -137,7 +138,7 @@ class BenchReport
         host_.push_back({ label, host_seconds, sim_mips, phases });
     }
 
-    /** Record a free-form note (e.g.\ baseline_mips, speedup). */
+    /** Record a free-form note (e.g.\ fullsim_point_seconds). */
     void
     note(const std::string &key, double value)
     {

@@ -200,8 +200,12 @@ Tracer::Tracer(std::string path, unsigned num_cores,
         warn("trace: cannot open ", path_, " for writing; tracing off");
         return;
     }
+    // Byte pushes, not a range insert: g++ 12 with LTO misreads a range
+    // insert into the still-empty buffer as an overflow
+    // (-Wstringop-overflow), as in ArchiveWriter::beginSection.
     std::vector<std::uint8_t> header;
-    header.insert(header.end(), traceMagic, traceMagic + sizeof(traceMagic));
+    for (const char c : traceMagic)
+        header.push_back(static_cast<std::uint8_t>(c));
     putU32(header, traceFormatVersion);
     putU32(header, recordBytes);
     putU32(header, num_cores);

@@ -359,7 +359,6 @@ System::run(Cycles duration)
         barrier = std::min(barrier + params_.sync_chunk, end);
         runChunk(barrier);
         sampler_.observe(barrier);
-        maybeAutosave(barrier);
     }
 }
 
@@ -385,7 +384,6 @@ System::runUntilFinished(Cycles max_cycles)
         barrier = std::min(barrier + params_.sync_chunk, end);
         runChunk(barrier);
         sampler_.observe(barrier);
-        maybeAutosave(barrier);
     }
     ++run_capped;
     warn("runUntilFinished hit the cycle cap");
@@ -500,17 +498,6 @@ System::restoreCheckpoint(const std::string &path)
 }
 
 void
-System::enableAutoCheckpoint(std::string path, Cycles interval)
-{
-    autosave_path_ = std::move(path);
-    autosave_interval_ = interval;
-    Cycles start = 0;
-    for (const auto &core : cores_)
-        start = std::max(start, core->now());
-    autosave_next_ = start + interval;
-}
-
-void
 System::enableTopFile(std::string path, double min_interval_seconds)
 {
     if (!attrib_)
@@ -552,16 +539,6 @@ System::maybeWriteTop()
     out.close();
     if (out)
         std::rename(tmp.c_str(), top_path_.c_str());
-}
-
-void
-System::maybeAutosave(Cycles barrier)
-{
-    if (autosave_interval_ == 0 || barrier < autosave_next_)
-        return;
-    saveCheckpoint(autosave_path_);
-    while (autosave_next_ <= barrier)
-        autosave_next_ += autosave_interval_;
 }
 
 void

@@ -141,14 +141,9 @@ class System
      * caller then falls back to a cold start. A corruption discovered
      * after mutation began (valid CRC but internally inconsistent) is
      * fatal with a diagnostic, never a silently wrong run.
-     *
-     * enableAutoCheckpoint() re-saves to @p path every @p interval
-     * cycles from the driver loop (BF_CKPT_EVERY_MS), making long runs
-     * crash-recoverable.
      */
     bool saveCheckpoint(const std::string &path) const;
     bool restoreCheckpoint(const std::string &path);
-    void enableAutoCheckpoint(std::string path, Cycles interval);
     /** @} */
 
     /** @{ @name Aggregate counters across cores */
@@ -225,13 +220,6 @@ class System
     std::vector<PendingFault> pending_faults_; //!< Reused across chunks.
 
     PhaseTimes phase_times_;
-
-    /** @{ @name Periodic autosave (enableAutoCheckpoint) */
-    std::string autosave_path_;
-    Cycles autosave_interval_ = 0;
-    Cycles autosave_next_ = 0;
-    void maybeAutosave(Cycles barrier);
-    /** @} */
 
     /** Advance every core to @p barrier: bound, fault service, weave. */
     void runChunk(Cycles barrier);

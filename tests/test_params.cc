@@ -163,8 +163,8 @@ TEST(KnobsDeathTest, BadKnobsExit2NamingTheKnob)
                 ::testing::ExitedWithCode(2), "BF_WORKERS");
     EXPECT_EXIT(fromEnvWith("BF_TRACE_EVENTS", "0xZZ"),
                 ::testing::ExitedWithCode(2), "BF_TRACE_EVENTS");
-    EXPECT_EXIT(fromEnvWith("BF_MIPS_GUARD", "abc"),
-                ::testing::ExitedWithCode(2), "BF_MIPS_GUARD");
+    EXPECT_EXIT(fromEnvWith("BF_MEASURE_MS", "abc"),
+                ::testing::ExitedWithCode(2), "BF_MEASURE_MS");
     EXPECT_EXIT(fromEnvWith("BF_WROKERS", "4"),
                 ::testing::ExitedWithCode(2), "BF_WROKERS");
     // A removed knob is an unknown one, not silently ignored.
@@ -179,19 +179,19 @@ TEST(Knobs, ValidValuesRoundTrip)
         { "BF_WORKERS", "2" },       { "BF_TRACE_EVENTS", "0x1f" },
         { "BF_TRACE_LIMIT", "500" }, { "BF_SAMPLE_MS", "0.25" },
         { "BF_BACKEND", "victima" }, { "BF_ATTRIB", "0" },
-        { "BF_CKPT", "ckpts" },      { "BF_MIPS_GUARD", "0.85" },
+        { "BF_CKPT", "ckpts" },      { "BF_MEASURE_MS", "0.85" },
     };
     for (const auto &[name, value] : env)
         setenv(name, value, 1);
     const RunConfig cfg = RunConfig::fromEnv();
-    const double guard = bfbench::knob("BF_MIPS_GUARD", 0.0);
+    const double measure = bfbench::knob("BF_MEASURE_MS", 0.0);
     const unsigned grid = bfbench::knob("BF_ZOO_GRID", 9u);
     for (const auto &[name, value] : env)
         unsetenv(name);
 
     EXPECT_EQ(cfg.num_cores, 3u); // BF_CORES wins over BF_FAST's 4
     EXPECT_DOUBLE_EQ(cfg.warm_ms, 6);
-    EXPECT_DOUBLE_EQ(cfg.measure_ms, 12);
+    EXPECT_DOUBLE_EQ(cfg.measure_ms, 0.85); // BF_MEASURE_MS wins too
     EXPECT_EQ(cfg.system_workers, 2u);
     EXPECT_EQ(cfg.trace_events, 0x1fu);
     EXPECT_EQ(cfg.trace_limit, 500u);
@@ -200,6 +200,6 @@ TEST(Knobs, ValidValuesRoundTrip)
     EXPECT_FALSE(cfg.attrib);
     EXPECT_EQ(cfg.ckpt_dir, "ckpts");
     EXPECT_EQ(cfg.jobs, defaultWorkers()); // unset resolves to hardware
-    EXPECT_DOUBLE_EQ(guard, 0.85);
+    EXPECT_DOUBLE_EQ(measure, 0.85);
     EXPECT_EQ(grid, 9u); // unset: the fallback
 }

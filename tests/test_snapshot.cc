@@ -776,24 +776,6 @@ TEST(SystemSnapshot, WarmupCheckpointMatchesColdWarm)
     EXPECT_EQ(golden.series, c.series);
 }
 
-// Periodic autosave: the last interval boundary coincides with the end
-// of the run, so restoring the autosave file reproduces the final state.
-TEST(SystemSnapshot, AutosavePeriodic)
-{
-    const std::string path = tmpPath("autosave.ckpt");
-
-    World a = makeWorld(1);
-    a.sys->enableAutoCheckpoint(path, msToCycles(0.5));
-    a.sys->run(msToCycles(1.5));
-    const Capture end = capture(a);
-
-    World b = makeWorld(1);
-    ASSERT_TRUE(b.sys->restoreCheckpoint(path));
-    const Capture restored = capture(b);
-    EXPECT_EQ(end.stats, restored.stats);
-    EXPECT_EQ(end.series, restored.series);
-}
-
 // Regression: after a restore the sampler's clock grid resumes where it
 // left off — recorded time-series rows continue strictly monotonically
 // in cycle across the boundary, with no duplicated or reset rows.

@@ -15,15 +15,19 @@
  *       Exits 1 if the file does not exist yet.
  *
  *   bf_top --json <bench.json>
- *       Render the same table from the `tenants` section of a
- *       schema-v3 bench report (e.g. BENCH_fig11_performance.json
- *       from `bench_paper fig11_performance`, or the bench_fig9 and
- *       bench_zoo reports), for post-hoc inspection of archived runs.
+ *       Print a per-container table from the `tenants` rows of the
+ *       first run that has them in a schema-v3 bench report (e.g.
+ *       BENCH_fig11_performance.json from `bench_paper
+ *       fig11_performance`, or the bench_fig9 and bench_zoo reports),
+ *       for post-hoc inspection of archived runs. It is a subset of
+ *       the live table: no sim-MIPS line and no missp99 or xevict
+ *       columns, and it computes the l1hit/l2hit/shr percentages and
+ *       the dram_xs sum itself from the row's counters, with the
+ *       formulas of Registry::renderTable.
  *
  * The live file is plain rendered text (attrib::Registry::renderTable),
- * so the watch modes are deliberately dumb: read, clear, print. All the
- * attribution math stays in the simulator where it is tested; this tool
- * only presents it.
+ * so the watch modes are deliberately dumb: read, clear, print; they
+ * re-derive nothing.
  */
 
 #include <chrono>

@@ -16,7 +16,7 @@ Ignored fields, by design:
                          are identical across BF_WORKERS by
                          construction — that is the determinism this
                          check enforces)
-  - config.weave_workers, config.batch
+  - config.weave_workers, config.batch, config.ckpt_every_ms
                         (removed knobs that older reports, the
                          committed golden among them, still carry)
   - config.ckpt_dir, config.restore_dir
@@ -92,7 +92,7 @@ import tempfile
 # Top-level keys that describe the host, not the modeled machine.
 IGNORED_TOP_LEVEL = ("schema_version", "host", "notes")
 IGNORED_CONFIG_KEYS = ("jobs", "workers", "weave_workers", "batch",
-                       "ckpt_dir", "restore_dir")
+                       "ckpt_every_ms", "ckpt_dir", "restore_dir")
 
 PINNED_ENV = {
     "BF_FAST": "1",
