@@ -512,7 +512,6 @@ BM_KernelPrivateWriteFillCold(benchmark::State &state)
     // so the iteration count is fixed at its size.
     core::SystemParams params = core::SystemParams::babelfish();
     params.num_cores = 8;
-    params.attrib = true;
     params.kernel.mem_frames = 1 << 22;
     const auto sys = bfbench::makeSystem(params, bfbench::RunConfig{},
                                          "private-write-fill");

@@ -64,9 +64,7 @@ struct RunConfig
     std::string ckpt_dir;      //!< BF_CKPT: save post-warm-up state here.
     std::string restore_dir;   //!< BF_RESTORE: load warm-up state from here.
     std::string trace_dir;     //!< BF_TRACE: event-trace output directory.
-    std::uint32_t trace_events = 0xffffffffu; //!< BF_TRACE_EVENTS mask.
-    std::uint64_t trace_limit = 0;            //!< BF_TRACE_LIMIT cap.
-    bool attrib = true;        //!< BF_ATTRIB: per-container attribution.
+    std::uint64_t trace_limit = 0; //!< BF_TRACE_LIMIT cap.
     std::string top_path;      //!< BF_TOP: live per-tenant table file.
     /** BF_BACKEND, stamped by applyExecKnobs into every System. */
     translate::BackendKind backend = translate::BackendKind::BabelFish;
@@ -130,7 +128,6 @@ struct RunConfig
         std::error_code ec;
         std::filesystem::create_directories(trace_dir, ec);
         params.trace_path = trace_dir + "/" + traceTag(name, params);
-        params.trace_events = trace_events;
         params.trace_limit = trace_limit;
     }
 
@@ -141,7 +138,6 @@ struct RunConfig
         params.workers = system_workers;
         params.sync_chunk = sync_chunk;
         params.mmu.backend = backend;
-        params.attrib = attrib;
     }
 
     /** Sampling period in cycles (0 = sampling off). */
@@ -166,7 +162,7 @@ using enum KnobType;
 
 /** The RunConfig field a knob sets (none for the per-bench knobs). */
 using KnobTarget =
-    std::variant<std::monostate, bool RunConfig::*, unsigned RunConfig::*,
+    std::variant<std::monostate, unsigned RunConfig::*,
                  std::uint64_t RunConfig::*, double RunConfig::*,
                  std::string RunConfig::*,
                  translate::BackendKind RunConfig::*>;
@@ -217,16 +213,11 @@ inline const Knob knobs[] = {
       "restore warm-up checkpoints from this dir (else cold start)" },
     { "BF_TRACE", Text, 0, 0, &RunConfig::trace_dir, "trace",
       "write <profile>-<hash>.trace event traces into this dir" },
-    { "BF_TRACE_EVENTS", Count, 0, 0xffffffffu, &RunConfig::trace_events,
-      "trace_events", "traced event-type bit mask (all; common/trace)" },
     { "BF_TRACE_LIMIT", Count, 0, 0x1p53, &RunConfig::trace_limit,
       "trace_limit", "cap on records per trace (0 = unlimited)" },
     { "BF_BACKEND", Text, 0, 0, &RunConfig::backend, "backend",
       "translation backend (DESIGN.md §16)", /*hashed=*/false,
       /*report_if_changed=*/true, "babelfish|victima|coalesced" },
-    { "BF_ATTRIB", Count, 0, 1, &RunConfig::attrib, "attrib",
-      "0 = no per-container attribution (DESIGN.md §17)",
-      /*hashed=*/false, /*report_if_changed=*/true },
     { "BF_TOP", Text, 0, 0, &RunConfig::top_path, nullptr,
       "publish the live per-tenant table into this file" },
     { "BF_JSON", Count, 0, 1, {}, nullptr,
@@ -412,8 +403,8 @@ runJobs(const RunConfig &cfg, std::vector<std::function<void()>> jobs)
 /**
  * Stamp the harness configuration into a bench report: every `knobs`
  * row with a report key, in table order. Rows marked report_if_changed
- * (backend, attrib) appear only off their default, so reference runs
- * keep the pre-zoo, pre-attribution golden config block.
+ * (backend) appear only off their default, so reference runs keep
+ * the pre-zoo golden config block.
  */
 inline void
 reportConfig(BenchReport &report, const RunConfig &cfg)
@@ -447,8 +438,7 @@ captureArtifacts(const core::System &sys)
     artifacts.trace_path = sys.params().trace_path;
     // Sinks are drained at every chunk barrier, so outside run() the
     // registry already holds the canonical totals.
-    if (const auto *attrib = sys.attrib())
-        artifacts.tenants_json = attrib->tenantsJson();
+    artifacts.tenants_json = sys.attrib().tenantsJson();
     return artifacts;
 }
 

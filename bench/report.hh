@@ -21,7 +21,7 @@
  *         "tenants": [ <attrib::Registry::tenantsJson rows: one object
  *                       per container with the per-tenant counters,
  *                       miss-latency percentiles, interference scalars
- *                       and evicted-by maps; [] when BF_ATTRIB=0> ]
+ *                       and evicted-by maps> ]
  *       }, ...
  *     },
  *     "series": {

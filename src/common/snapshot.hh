@@ -50,9 +50,10 @@ class SnapshotError : public std::runtime_error
  * manifest covers every core::forEachParam field; 5 = the caches'
  * unused MSHR count left the manifest; 6 = the core's prefetch buffers
  * and finished-thread flags left its payload; 7 = the unused
- * SystemParams seed left the manifest.
+ * SystemParams seed left the manifest; 8 = the attribution flag left
+ * the manifest (attribution is always on).
  */
-inline constexpr std::uint32_t formatVersion = 7;
+inline constexpr std::uint32_t formatVersion = 8;
 
 /** CRC32 (IEEE 802.3, reflected) of a byte range. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t len);

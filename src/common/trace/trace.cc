@@ -189,10 +189,9 @@ eventTypeName(EventType type)
     return "?";
 }
 
-Tracer::Tracer(std::string path, unsigned num_cores,
-               std::uint32_t event_mask, std::uint64_t limit,
+Tracer::Tracer(std::string path, unsigned num_cores, std::uint64_t limit,
                const TraceConfig &config)
-    : path_(std::move(path)), mask_(event_mask & allEvents), limit_(limit),
+    : path_(std::move(path)), limit_(limit),
       bufs_(num_cores), next_seq_(num_cores, 0)
 {
     file_ = std::fopen(path_.c_str(), "wb");
@@ -209,7 +208,7 @@ Tracer::Tracer(std::string path, unsigned num_cores,
     putU32(header, traceFormatVersion);
     putU32(header, recordBytes);
     putU32(header, num_cores);
-    putU32(header, mask_);
+    putU32(header, allEvents);
     putU64(header, 0); // record count, patched by finish()
     putU64(header, 0); // dropped count, patched by finish()
     putU64(header, 0); // reserved

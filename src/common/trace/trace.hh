@@ -28,7 +28,7 @@
  *     u32       trace format version
  *     u32       record size in bytes (40)
  *     u32       number of simulated cores
- *     u32       event mask the trace was captured with
+ *     u32       event mask the trace was captured with (allEvents)
  *     u64       record count   (patched on finish)
  *     u64       dropped count  (records beyond BF_TRACE_LIMIT)
  *     u64       reserved (0)
@@ -106,7 +106,7 @@ enum class EventType : std::uint8_t
 /** Number of event types (mask width). */
 inline constexpr unsigned numEventTypes = 13;
 
-/** Mask with every event enabled (BF_TRACE_EVENTS default). */
+/** Mask with every event type; a Tracer records all of them. */
 inline constexpr std::uint32_t allEvents = (1u << numEventTypes) - 1;
 
 /** Human-readable event name ("?" for unknown types). */
@@ -338,7 +338,9 @@ class Tracer
      * leaves the tracer disabled (ok() == false) with a warning —
      * tracing is observability, never a reason to kill a run.
      *
-     * @param event_mask bit i enables EventType i (BF_TRACE_EVENTS).
+     * Every EventType is recorded; the header's event mask is
+     * allEvents.
+     *
      * @param limit maximum records written to the file; 0 = unlimited.
      *        Applied in canonical merge order at flush time, so the
      *        truncation point is deterministic too. Excess records are
@@ -346,8 +348,7 @@ class Tracer
      * @param config recording-time machine configuration, embedded in
      *        the header so the trace is self-describing for replay.
      */
-    Tracer(std::string path, unsigned num_cores,
-           std::uint32_t event_mask = allEvents, std::uint64_t limit = 0,
+    Tracer(std::string path, unsigned num_cores, std::uint64_t limit = 0,
            const TraceConfig &config = {});
     ~Tracer();
 
@@ -356,13 +357,6 @@ class Tracer
 
     /** Whether the output file is open and healthy. */
     bool ok() const { return file_ != nullptr; }
-
-    /** Whether @p type passes the event mask. */
-    bool
-    wants(EventType type) const
-    {
-        return (mask_ >> static_cast<unsigned>(type)) & 1;
-    }
 
     /**
      * Attach the pid → attribution-slot resolver (System wires the
@@ -387,7 +381,7 @@ class Tracer
            std::uint32_t pid, Addr vaddr, std::uint64_t arg = 0,
            std::uint8_t flags = 0)
     {
-        if (!file_ || !wants(type))
+        if (!file_)
             return;
         Record rec;
         rec.ts = ts;
@@ -459,7 +453,6 @@ class Tracer
   private:
     std::string path_;
     std::FILE *file_ = nullptr;
-    std::uint32_t mask_ = allEvents;
     std::uint64_t limit_ = 0;
     std::uint64_t written_ = 0;
     std::uint64_t dropped_ = 0;

@@ -123,7 +123,7 @@ Core::runUntil(Cycles until)
         // different container on the core: everything the global
         // counters gained since the last flush belongs to the previous
         // tenant. The common case is one predicted compare.
-        if (sink_ && proc->attribSlot() != attrib_slot_) {
+        if (proc->attribSlot() != attrib_slot_) {
             flushAttribWindow();
             attrib_slot_ = proc->attribSlot();
         }
@@ -230,8 +230,6 @@ Core::readAttribCounters(std::uint64_t out[attrib::kNumCounters]) const
 void
 Core::flushAttribWindow()
 {
-    if (!sink_)
-        return;
     std::uint64_t cur[attrib::kNumCounters];
     readAttribCounters(cur);
     for (unsigned c = 0; c < attrib::kNumCounters; ++c) {

@@ -92,8 +92,8 @@ class Core
 
     /**
      * Attach the per-container attribution registry and this core's
-     * sink (System wires them; nulls detach). Forwards to the MMU and
-     * keeps the sink for the window-delta booking below.
+     * sink (System wires them before the first run). Forwards to the
+     * MMU and keeps the sink for the window-delta booking below.
      */
     void
     setAttrib(attrib::Registry *registry, attrib::CoreSink *sink)

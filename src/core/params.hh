@@ -117,28 +117,14 @@ struct SystemParams
     /**
      * @{
      * @name Event tracing (DESIGN.md §12)
-     * When trace_path is non-empty the System records translation-
-     * pipeline events into that file (benches wire BF_TRACE).
-     * trace_events is the EventType bit mask (BF_TRACE_EVENTS) and
-     * trace_limit caps the records written (BF_TRACE_LIMIT, 0 =
-     * unlimited). Tracing never changes stats or timing, so forEachParam
-     * skips it.
+     * When trace_path is non-empty the System records every translation-
+     * pipeline event into that file (benches wire BF_TRACE). trace_limit
+     * caps the records written (BF_TRACE_LIMIT, 0 = unlimited). Tracing
+     * never changes stats or timing, so forEachParam skips it.
      */
     std::string trace_path;
-    std::uint32_t trace_events = 0xffffffffu;
     std::uint64_t trace_limit = 0;
     /** @} */
-
-    /**
-     * Per-container attribution (common/attrib, DESIGN.md §17): tag
-     * every translation/memory event with its issuing container and
-     * accumulate a per-tenant stats subtree plus interference edges
-     * (TLB evictions, shootdowns, weave DRAM excess). Deterministic and
-     * exact — the sum over tenants equals the global counters
-     * bit-for-bit — so it defaults on; BF_ATTRIB=0 disables it (the
-     * golden stats are recorded with it on).
-     */
-    bool attrib = true;
 
     /** A fully wired Baseline configuration (no BabelFish anywhere). */
     static SystemParams
@@ -270,9 +256,6 @@ forEachParam(P &p, Visit &&visit)
 
     visit("num_cores", p.num_cores);
     visit("sync_chunk", p.sync_chunk);
-    // Attribution leaves simulated state alone, but it shapes the
-    // checkpoint (attrib stats subtree), so it is part of the config.
-    visit("attrib", p.attrib);
 }
 
 /**

@@ -15,6 +15,9 @@ namespace bf::core
 namespace
 {
 
+/** Minimum host seconds between two writes of the live bf_top table. */
+constexpr double topIntervalSeconds = 0.5;
+
 /**
  * Capture the translation-relevant machine configuration into the trace
  * header so the file is self-describing for replay (DESIGN.md §13).
@@ -78,13 +81,11 @@ System::System(const SystemParams &params)
         hierarchy_->setEpochLog(i, epoch_logs_[i].get());
     }
 
-    if (params_.attrib) {
-        attrib_ = std::make_unique<attrib::Registry>(&stat_group_,
-                                                     params_.num_cores);
-        kernel_->setAttribRegistry(attrib_.get());
-        for (unsigned i = 0; i < params_.num_cores; ++i)
-            cores_[i]->setAttrib(attrib_.get(), attrib_->sink(i));
-    }
+    attrib_ = std::make_unique<attrib::Registry>(&stat_group_,
+                                                 params_.num_cores);
+    kernel_->setAttribRegistry(attrib_.get());
+    for (unsigned i = 0; i < params_.num_cores; ++i)
+        cores_[i]->setAttrib(attrib_.get(), attrib_->sink(i));
 
     // More workers than cores cannot help: every pool round has at
     // most one item per core (plus the weave item).
@@ -99,16 +100,15 @@ System::System(const SystemParams &params)
 
     if (!params_.trace_path.empty()) {
         tracer_ = std::make_unique<trace::Tracer>(
-            params_.trace_path, params_.num_cores, params_.trace_events,
-            params_.trace_limit, traceConfig(params_));
+            params_.trace_path, params_.num_cores, params_.trace_limit,
+            traceConfig(params_));
         if (tracer_->ok()) {
             kernel_->setTracer(tracer_.get());
             for (auto &core : cores_)
                 core->mmu().setTracer(tracer_.get());
-            if (attrib_)
-                tracer_->setSlotLookup([this](std::uint32_t pid) {
-                    return attrib_->slotOfPid(pid);
-                });
+            tracer_->setSlotLookup([this](std::uint32_t pid) {
+                return attrib_->slotOfPid(pid);
+            });
         } else {
             tracer_.reset();
         }
@@ -201,8 +201,6 @@ System::runChunk(Cycles barrier)
 void
 System::drainAttrib() const
 {
-    if (!attrib_)
-        return;
     for (auto &core : cores_)
         core->flushAttribWindow();
     attrib_->drain();
@@ -217,8 +215,7 @@ System::weave()
     // Per-tenant DRAM-excess lanes: sized at weave time, after every
     // fault window of the chunk, so any slot a logged event can carry
     // already exists.
-    const unsigned nslots =
-        attrib_ ? static_cast<unsigned>(attrib_->numTenants()) : 0;
+    const auto nslots = static_cast<unsigned>(attrib_->numTenants());
     weave_scratch_.reset(numCores(), nslots);
 
     // One pool round (DESIGN.md §15). Item 0 merges the logs and replays
@@ -328,13 +325,11 @@ System::enableSampling(Cycles interval)
         sampler_.addProbe("cow_faults", [this] {
             return kernel_->cow_faults.value();
         });
-        if (attrib_) {
-            // Headline interference series: L2 TLB evictions whose
-            // aggressor and victim sit in different CCID groups.
-            sampler_.addProbe("cross_l2_evictions", [this] {
-                return attrib_->crossL2Evictions();
-            });
-        }
+        // Headline interference series: L2 TLB evictions whose
+        // aggressor and victim sit in different CCID groups.
+        sampler_.addProbe("cross_l2_evictions", [this] {
+            return attrib_->crossL2Evictions();
+        });
     }
     sampler_.setInterval(interval);
 }
@@ -498,31 +493,28 @@ System::restoreCheckpoint(const std::string &path)
 }
 
 void
-System::enableTopFile(std::string path, double min_interval_seconds)
+System::enableTopFile(std::string path)
 {
-    if (!attrib_)
-        return;
     top_path_ = std::move(path);
-    top_interval_ = min_interval_seconds;
     top_start_host_ =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count();
-    top_last_write_ = -top_interval_; // First barrier writes at once.
+    top_last_write_ = -topIntervalSeconds; // First barrier writes at once.
     top_instr_base_ = totalInstructions();
 }
 
 void
 System::maybeWriteTop()
 {
-    if (top_path_.empty() || !attrib_)
+    if (top_path_.empty())
         return;
     const double now =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count() -
         top_start_host_;
-    if (now - top_last_write_ < top_interval_)
+    if (now - top_last_write_ < topIntervalSeconds)
         return;
     top_last_write_ = now;
     const double mips =
@@ -565,8 +557,7 @@ System::resetStats()
     // reset, kernel-sourced ones (CoW, shootdowns) survive like the
     // kernel's own, so per-tenant sums still reconcile with the
     // globals after a warm-up reset.
-    if (attrib_)
-        attrib_->resetCoreStats();
+    attrib_->resetCoreStats();
     run_capped.reset();
     if (sampler_.enabled())
         sampler_.beginPhase();

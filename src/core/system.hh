@@ -98,23 +98,22 @@ class System
     const StatSampler &sampler() const { return sampler_; }
 
     /**
-     * The per-container attribution registry (common/attrib), or
-     * nullptr when params.attrib is off. Sinks are drained at every
-     * chunk barrier, so outside run() the registry always shows the
-     * complete, canonical per-tenant totals.
+     * The per-container attribution registry (common/attrib, DESIGN.md
+     * §17). Sinks are drained at every chunk barrier, so outside run()
+     * the registry always shows the complete, canonical per-tenant
+     * totals.
      */
-    attrib::Registry *attrib() { return attrib_.get(); }
-    const attrib::Registry *attrib() const { return attrib_.get(); }
+    attrib::Registry &attrib() { return *attrib_; }
+    const attrib::Registry &attrib() const { return *attrib_; }
 
     /**
      * Periodically render the live per-tenant table (bf_top's data
-     * source) into @p path: at most every @p min_interval_seconds of
-     * host time, written atomically (tmp + rename) at a chunk barrier.
-     * Host-side observability only — never touches simulated state.
-     * Benches wire BF_TOP. No-op when attribution is off.
+     * source) into @p path: at most every 0.5 s of host time, written
+     * atomically (tmp + rename) at a chunk barrier; the first barrier
+     * writes at once. Host-side observability only — never touches
+     * simulated state. Benches wire BF_TOP.
      */
-    void enableTopFile(std::string path,
-                       double min_interval_seconds = 0.5);
+    void enableTopFile(std::string path);
 
     /**
      * The event tracer, or nullptr when params.trace_path is empty (or
@@ -193,11 +192,11 @@ class System
     std::vector<std::unique_ptr<Core>> cores_;
     StatSampler sampler_;
     std::unique_ptr<trace::Tracer> tracer_;
+    /** Built after the cores: its stats group follows theirs. */
     std::unique_ptr<attrib::Registry> attrib_;
 
     /** @{ @name Live bf_top table (enableTopFile) */
     std::string top_path_;
-    double top_interval_ = 0.5;
     double top_last_write_ = 0;    //!< Host seconds since top_start_.
     double top_start_host_ = 0;    //!< steady_clock origin, seconds.
     std::uint64_t top_instr_base_ = 0; //!< Instructions at enable time.
@@ -225,10 +224,10 @@ class System
     void runChunk(Cycles barrier);
     /**
      * Flush every core's pending attribution window, then fold the
-     * per-core sinks into the registry's tenant scalars. No-op when
-     * attribution is off. Single-threaded, fixed core order. Const
-     * because it only moves already-earned credit between observability
-     * mirrors (saveCheckpoint needs the complete totals).
+     * per-core sinks into the registry's tenant scalars. Single-
+     * threaded, fixed core order. Const because it only moves
+     * already-earned credit between observability mirrors
+     * (saveCheckpoint needs the complete totals).
      */
     void drainAttrib() const;
 

@@ -149,8 +149,8 @@ checkReplayable(const trace::TraceHeader &header)
         }
         throw ReplayError("trace event mask is missing replay-required "
                           "kinds: " + missing +
-                          " — re-record with the default "
-                          "BF_TRACE_EVENTS");
+                          " — re-record it (this build records every "
+                          "kind)");
     }
     const auto backend =
         static_cast<translate::BackendKind>(header.config.backend);

@@ -46,7 +46,7 @@ class Process
      * @{
      * @name Attribution (common/attrib)
      * Dense tenant slot in the attrib::Registry, -1 when no registry is
-     * attached (standalone kernels, BF_ATTRIB=0). Cached here so the
+     * attached (a standalone kernel without a System). Cached here so the
      * translate hot path books per-tenant counters without a map
      * lookup.
      */

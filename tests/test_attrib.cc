@@ -9,7 +9,6 @@
  *    and the tenants JSON are byte-identical at BF_WORKERS {1,2,4};
  *  - checkpoint round trip: a restored twin reproduces the attribution
  *    subtree exactly and stays reconciled when run further;
- *  - BF_ATTRIB=0: no subtree, no registry, simulation unperturbed;
  *  - the live bf_top file: written, atomic, and rendering real rows.
  */
 
@@ -62,7 +61,7 @@ mongodbProfile()
  * bench_zoo, a competitor @p backend runs on the non-sharing baseline.
  */
 World
-makeWorld(unsigned workers, bool attrib = true, std::uint64_t seed = 37,
+makeWorld(unsigned workers, std::uint64_t seed = 37,
           translate::BackendKind backend = translate::BackendKind::BabelFish)
 {
     core::SystemParams params =
@@ -73,7 +72,6 @@ makeWorld(unsigned workers, bool attrib = true, std::uint64_t seed = 37,
     params.num_cores = 4;
     params.workers = workers;
     params.sync_chunk = 20000;
-    params.attrib = attrib;
     params.kernel.mem_frames = 1 << 22;
     params.core.quantum = msToCycles(0.25);
 
@@ -106,7 +104,7 @@ tenantSum(const attrib::Registry &reg, attrib::Counter c)
 void
 expectReconciled(core::System &sys)
 {
-    const attrib::Registry &reg = *sys.attrib();
+    const attrib::Registry &reg = sys.attrib();
 
     // The TranslateStats mirrors — attrib::Counter's leading lanes, in
     // the table's order — summed over the per-core MMUs.
@@ -165,16 +163,15 @@ TEST(Attrib, PerTenantSumsEqualGlobals)
 {
     World w = makeWorld(2);
     w.sys->run(msToCycles(0.5));
-    ASSERT_NE(w.sys->attrib(), nullptr);
     // One tenant per process: the container runtime + 8 containers.
-    ASSERT_EQ(w.sys->attrib()->numTenants(), 9u);
+    ASSERT_EQ(w.sys->attrib().numTenants(), 9u);
     expectReconciled(*w.sys);
-    EXPECT_GT(tenantSum(*w.sys->attrib(), attrib::kL1Hits), 0u);
+    EXPECT_GT(tenantSum(w.sys->attrib(), attrib::kL1Hits), 0u);
 
     w.sys->resetStats();
     w.sys->run(msToCycles(0.75));
     expectReconciled(*w.sys);
-    EXPECT_GT(tenantSum(*w.sys->attrib(), attrib::kWalks), 0u);
+    EXPECT_GT(tenantSum(w.sys->attrib(), attrib::kWalks), 0u);
 }
 
 // Each tenant receives exactly the shootdowns issued while it was a
@@ -331,7 +328,7 @@ class StatsReset : public ::testing::TestWithParam<translate::BackendKind>
 // tenant's identity and kernel-sourced stats keep their values.
 TEST_P(StatsReset, ScopeIsCoresAndCaches)
 {
-    World w = makeWorld(1, true, 37, GetParam());
+    World w = makeWorld(1, 37, GetParam());
     w.sys->run(msToCycles(0.5));
     FlatStats before, after;
     w.sys->stats().accept(before);
@@ -362,7 +359,7 @@ TEST_P(StatsReset, ScopeIsCoresAndCaches)
     EXPECT_GT(reset_before, 0u);
     EXPECT_GT(kept, 0u);
 
-    const attrib::Registry &reg = *w.sys->attrib();
+    const attrib::Registry &reg = w.sys->attrib();
     ASSERT_GT(reg.numTenants(), 0u);
     for (std::size_t t = 0; t < reg.numTenants(); ++t) {
         const std::string at = "system.attrib.t" + std::to_string(t) + ".";
@@ -401,7 +398,7 @@ TEST(Attrib, WorkerMatrixByteIdentical)
         w.sys->resetStats();
         w.sys->run(msToCycles(0.75));
         const std::string stats = stats::toJsonString(w.sys->stats());
-        const std::string tenants = w.sys->attrib()->tenantsJson();
+        const std::string tenants = w.sys->attrib().tenantsJson();
         if (ref_stats.empty()) {
             ref_stats = stats;
             ref_tenants = tenants;
@@ -430,61 +427,14 @@ TEST(Attrib, CheckpointRoundTripPreservesTenants)
     ASSERT_TRUE(b.sys->restoreCheckpoint(path));
     EXPECT_EQ(stats::toJsonString(a.sys->stats()),
               stats::toJsonString(b.sys->stats()));
-    EXPECT_EQ(a.sys->attrib()->tenantsJson(),
-              b.sys->attrib()->tenantsJson());
+    EXPECT_EQ(a.sys->attrib().tenantsJson(),
+              b.sys->attrib().tenantsJson());
 
     a.sys->run(msToCycles(0.5));
     b.sys->run(msToCycles(0.5));
     EXPECT_EQ(stats::toJsonString(a.sys->stats()),
               stats::toJsonString(b.sys->stats()));
     expectReconciled(*b.sys);
-}
-
-// A checkpoint saved with attribution on must not restore into a
-// system built with it off (the manifest records the flag).
-TEST(Attrib, CheckpointAttribFlagMismatchRejected)
-{
-    const std::string path = tmpPath("attrib-flag.ckpt");
-    World a = makeWorld(1);
-    a.sys->run(msToCycles(0.25));
-    ASSERT_TRUE(a.sys->saveCheckpoint(path));
-
-    World off = makeWorld(1, /*attrib=*/false);
-    EXPECT_FALSE(off.sys->restoreCheckpoint(path));
-}
-
-// ---------------------------------------------------------------------
-// BF_ATTRIB=0
-// ---------------------------------------------------------------------
-
-// With attribution off there is no registry and no attrib subtree, and
-// the architectural stats are byte-identical to an attributed run's
-// (attribution is pure observability).
-TEST(Attrib, DisabledLeavesNoSubtreeAndNoPerturbation)
-{
-    World off = makeWorld(2, /*attrib=*/false);
-    EXPECT_EQ(off.sys->attrib(), nullptr);
-    off.sys->run(msToCycles(0.75));
-    const std::string off_stats = stats::toJsonString(off.sys->stats());
-    EXPECT_EQ(off_stats.find("\"attrib\""), std::string::npos);
-
-    World on = makeWorld(2, /*attrib=*/true);
-    on.sys->run(msToCycles(0.75));
-    std::string on_stats = stats::toJsonString(on.sys->stats());
-    // Splice the attrib subtree out of the attributed export: the
-    // remainder must match the unattributed run byte for byte.
-    const std::size_t at = on_stats.find(",\"attrib\":");
-    ASSERT_NE(at, std::string::npos);
-    std::size_t depth = 0, end = on_stats.find('{', at);
-    ASSERT_NE(end, std::string::npos);
-    for (; end < on_stats.size(); ++end) {
-        if (on_stats[end] == '{')
-            ++depth;
-        else if (on_stats[end] == '}' && --depth == 0)
-            break;
-    }
-    on_stats.erase(at, end + 1 - at);
-    EXPECT_EQ(on_stats, off_stats);
 }
 
 // ---------------------------------------------------------------------
@@ -497,7 +447,7 @@ TEST(Attrib, TopFileWritten)
 {
     const std::string path = tmpPath("bftop.txt");
     World w = makeWorld(1);
-    w.sys->enableTopFile(path, /*min_interval_seconds=*/0.0);
+    w.sys->enableTopFile(path); // the first barrier writes at once
     w.sys->run(msToCycles(0.5));
 
     std::ifstream in(path);

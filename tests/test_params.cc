@@ -124,7 +124,6 @@ TEST(ParamVisitor, HostOnlyFieldsLeaveHashAndManifestAlone)
     host.workers = 4;
     host.mmu.l0_cache = false;
     host.trace_path = "run.trace";
-    host.trace_events = 0x3;
     host.trace_limit = 1000;
     EXPECT_EQ(cfg.configHash(host), cfg.configHash(base));
     EXPECT_EQ(checkManifest(manifest, host), "");
@@ -161,8 +160,8 @@ TEST(KnobsDeathTest, BadKnobsExit2NamingTheKnob)
                 ::testing::ExitedWithCode(2), "BF_SYNC_CHUNK");
     EXPECT_EXIT(fromEnvWith("BF_WORKERS", "0"),
                 ::testing::ExitedWithCode(2), "BF_WORKERS");
-    EXPECT_EXIT(fromEnvWith("BF_TRACE_EVENTS", "0xZZ"),
-                ::testing::ExitedWithCode(2), "BF_TRACE_EVENTS");
+    EXPECT_EXIT(fromEnvWith("BF_TRACE_LIMIT", "0xZZ"),
+                ::testing::ExitedWithCode(2), "BF_TRACE_LIMIT");
     EXPECT_EXIT(fromEnvWith("BF_MEASURE_MS", "abc"),
                 ::testing::ExitedWithCode(2), "BF_MEASURE_MS");
     EXPECT_EXIT(fromEnvWith("BF_WROKERS", "4"),
@@ -170,15 +169,18 @@ TEST(KnobsDeathTest, BadKnobsExit2NamingTheKnob)
     // A removed knob is an unknown one, not silently ignored.
     EXPECT_EXIT(fromEnvWith("BF_BATCH", "16"),
                 ::testing::ExitedWithCode(2), "BF_BATCH");
+    EXPECT_EXIT(fromEnvWith("BF_ATTRIB", "0"),
+                ::testing::ExitedWithCode(2), "unknown knob BF_ATTRIB");
+    EXPECT_EXIT(fromEnvWith("BF_TRACE_EVENTS", "0x1f"),
+                ::testing::ExitedWithCode(2), "unknown knob BF_TRACE_EVENTS");
 }
 
 TEST(Knobs, ValidValuesRoundTrip)
 {
     const std::vector<std::pair<const char *, const char *>> env = {
         { "BF_FAST", "1" },          { "BF_CORES", "3" },
-        { "BF_WORKERS", "2" },       { "BF_TRACE_EVENTS", "0x1f" },
-        { "BF_TRACE_LIMIT", "500" }, { "BF_SAMPLE_MS", "0.25" },
-        { "BF_BACKEND", "victima" }, { "BF_ATTRIB", "0" },
+        { "BF_WORKERS", "2" },       { "BF_TRACE_LIMIT", "0x1f4" },
+        { "BF_SAMPLE_MS", "0.25" },  { "BF_BACKEND", "victima" },
         { "BF_CKPT", "ckpts" },      { "BF_MEASURE_MS", "0.85" },
     };
     for (const auto &[name, value] : env)
@@ -193,11 +195,9 @@ TEST(Knobs, ValidValuesRoundTrip)
     EXPECT_DOUBLE_EQ(cfg.warm_ms, 6);
     EXPECT_DOUBLE_EQ(cfg.measure_ms, 0.85); // BF_MEASURE_MS wins too
     EXPECT_EQ(cfg.system_workers, 2u);
-    EXPECT_EQ(cfg.trace_events, 0x1fu);
-    EXPECT_EQ(cfg.trace_limit, 500u);
+    EXPECT_EQ(cfg.trace_limit, 500u); // 0x1f4: hex is accepted
     EXPECT_DOUBLE_EQ(cfg.sample_ms, 0.25);
     EXPECT_EQ(cfg.backend, translate::BackendKind::Victima);
-    EXPECT_FALSE(cfg.attrib);
     EXPECT_EQ(cfg.ckpt_dir, "ckpts");
     EXPECT_EQ(cfg.jobs, defaultWorkers()); // unset resolves to hardware
     EXPECT_DOUBLE_EQ(measure, 0.85);

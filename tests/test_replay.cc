@@ -107,7 +107,6 @@ liveCounters(System &sys)
  */
 std::vector<replay::Counters>
 runTracedMix(unsigned workers, const std::string &trace_path,
-             std::uint32_t mask = trace::allEvents,
              std::uint64_t limit = 0,
              translate::BackendKind backend =
                  translate::BackendKind::BabelFish)
@@ -120,7 +119,6 @@ runTracedMix(unsigned workers, const std::string &trace_path,
     params.kernel.mem_frames = 1 << 22;
     params.core.quantum = msToCycles(0.25);
     params.trace_path = trace_path;
-    params.trace_events = mask;
     params.trace_limit = limit;
 
     System sys(params);
@@ -352,8 +350,7 @@ TEST(Replay, CompetitorBackendsUseLiveStructures)
 TEST(Replay, RejectsVictimaRecording)
 {
     const std::string path = tmpPath("replay-victima.trace");
-    runTracedMix(1, path, trace::allEvents, 0,
-                 translate::BackendKind::Victima);
+    runTracedMix(1, path, 0, translate::BackendKind::Victima);
     trace::TraceReader reader(path);
     const trace::TraceHeader header = reader.header();
     const auto expectRejected = [](const std::function<void()> &build) {
@@ -384,7 +381,7 @@ TEST(Replay, RejectsVictimaRecording)
 TEST(Replay, RejectsLimitClippedTrace)
 {
     const std::string path = tmpPath("replay-clipped.trace");
-    runTracedMix(1, path, trace::allEvents, /*limit=*/5000);
+    runTracedMix(1, path, /*limit=*/5000);
     trace::TraceReader reader(path);
     ASSERT_GT(reader.header().dropped_count, 0u);
     const replay::ReplayParams params =
@@ -398,15 +395,21 @@ TEST(Replay, RejectsLimitClippedTrace)
     }
 }
 
-// A trace recorded without a replay-required event kind is rejected,
-// naming the missing kinds.
+// A trace whose header mask lacks a replay-required event kind is
+// rejected, naming the missing kinds. The tracer records every kind,
+// so the test patches the mask (u32 LE at header offset 20) of a full
+// recording, as an outside file might carry.
 TEST(Replay, RejectsInsufficientEventMask)
 {
     const std::string path = tmpPath("replay-masked.trace");
     const std::uint32_t no_fill =
         trace::allEvents &
         ~(1u << static_cast<unsigned>(trace::EventType::TlbFill));
-    runTracedMix(1, path, no_fill);
+    runTracedMix(1, path);
+    auto bytes = slurp(path);
+    for (unsigned i = 0; i < 4; ++i)
+        bytes[20 + i] = static_cast<std::uint8_t>(no_fill >> (8 * i));
+    spit(path, bytes);
     trace::TraceReader reader(path);
     const replay::ReplayParams params =
         replay::paramsFromTrace(reader.header().config);

@@ -5,8 +5,8 @@
  * introduced, bottom-up:
  *
  *  - Tracer/TraceReader unit round trip: canonical (ts, core, seq)
- *    merge order, header bookkeeping, event-mask filtering, limit
- *    truncation, and corruption rejection;
+ *    merge order, header bookkeeping, limit truncation, and
+ *    corruption rejection;
  *  - the headline system property: on a seeded multi-container mix the
  *    trace *file bytes* are identical at BF_WORKERS 1, 2 and 4 — same
  *    bar the stats tree already meets (test_parallel_system.cc);
@@ -86,9 +86,7 @@ mongodbProfile()
  * finalized when the System goes out of scope here.
  */
 std::string
-runTracedMix(unsigned workers, const std::string &trace_path,
-             std::uint32_t mask = trace::allEvents,
-             std::uint64_t limit = 0)
+runTracedMix(unsigned workers, const std::string &trace_path)
 {
     SystemParams params = SystemParams::babelfish();
     params.num_cores = 4;
@@ -97,8 +95,6 @@ runTracedMix(unsigned workers, const std::string &trace_path,
     params.kernel.mem_frames = 1 << 22;
     params.core.quantum = msToCycles(0.25);
     params.trace_path = trace_path;
-    params.trace_events = mask;
-    params.trace_limit = limit;
 
     System sys(params);
     const unsigned n = params.num_cores * 2;
@@ -172,32 +168,13 @@ TEST(Tracer, CanonicalMergeRoundTrip)
     EXPECT_EQ(reader.header().dropped_count, 0u);
 }
 
-// The event mask drops filtered types at record time.
-TEST(Tracer, EventMaskFilters)
-{
-    const std::string path = tmpPath("masked.trace");
-    const std::uint32_t miss_only =
-        1u << static_cast<unsigned>(trace::EventType::TlbMiss);
-    {
-        trace::Tracer tracer(path, 1, miss_only);
-        tracer.record(0, trace::EventType::TlbL1Hit, 10, 0, 1, 0x1000);
-        tracer.record(0, trace::EventType::TlbMiss, 20, 0, 1, 0x2000);
-        tracer.record(0, trace::EventType::WalkEnd, 30, 0, 1, 0x2000, 10);
-        tracer.finish();
-    }
-    const auto recs = readAll(path);
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(recs[0].type,
-              static_cast<std::uint8_t>(trace::EventType::TlbMiss));
-}
-
 // The record limit truncates at the canonical merge order, counting the
 // excess in the header instead of writing it.
 TEST(Tracer, LimitTruncatesDeterministically)
 {
     const std::string path = tmpPath("limited.trace");
     {
-        trace::Tracer tracer(path, 1, trace::allEvents, /*limit=*/3);
+        trace::Tracer tracer(path, 1, /*limit=*/3);
         for (std::uint64_t i = 0; i < 10; ++i)
             tracer.record(0, trace::EventType::TlbL1Hit, 10 * i, 0, 1,
                           0x1000);

@@ -14,9 +14,10 @@ report is judged (bench_simspeed only measures). The host row "total"
 regresses when its sim-MIPS falls below (100 - --threshold)% of the
 baseline (85% by default); every other host row, one per workload,
 regresses below ROW_FLOOR (80%) of its own baseline row, so one
-workload cannot hide behind the others' gains. A host row present in
-only one report is listed, not judged. Everything else — metric drift,
-tenant drift, phase-time shifts — is reported but informational,
+workload cannot hide behind the others' gains. A baseline host row the
+new report lacks regresses too (a lost workload is not a pass); a row
+only in the new report is listed, not judged. Everything else — metric
+drift, tenant drift, phase-time shifts — is reported but informational,
 because direction-of-goodness is metric-specific and tenant counters
 move whenever the model legitimately evolves. Runner hardware differs
 from the machine that recorded a baseline, so the floors catch large
@@ -32,7 +33,8 @@ Usage:
 
 Exit codes:
   0  no regression (deltas printed are informational)
-  1  REGRESSION: "total" or a workload row fell below its floor
+  1  REGRESSION: "total" or a workload row fell below its floor, or a
+     baseline host row is missing from the new report
   2  usage error (argparse)
   3  a report could not be read or parsed, or a host row's sim_mips
      is missing, not a number or not positive (the row is named)
@@ -152,15 +154,19 @@ def diff_metrics(old, new, pr):
 
 
 def diff_host(old, new, old_mips, new_mips, pr, threshold):
-    """Returns (label, delta %, floor) of every row below its floor."""
+    """Returns (label, delta %, floor) of every row below its floor;
+    delta % is None for a baseline row the new report lacks."""
     regressed = []
     if not old_mips and not new_mips:
         return regressed
     print("host:")
     for label in sorted(set(old_mips) | set(new_mips)):
-        if label not in old_mips or label not in new_mips:
-            side = "baseline" if label not in new_mips else "new report"
-            print(f"  {label:<48} only in {side}")
+        if label not in new_mips:
+            print(f"  {label:<48} only in baseline")
+            regressed.append((label, None, None))
+            continue
+        if label not in old_mips:
+            print(f"  {label:<48} only in new report")
             continue
         o, n = old_mips[label], new_mips[label]
         pr.row(f"{label}.sim_mips", o, n)
@@ -242,7 +248,11 @@ def main():
     if regressed:
         print("REGRESSION: sim-MIPS fell below its floor on:")
         for label, d, floor in regressed:
-            print(f"  {label}: {d:+.2f}% (floor {floor:.0%} of baseline)")
+            if d is None:
+                print(f"  {label}: missing from the new report")
+            else:
+                print(f"  {label}: {d:+.2f}% "
+                      f"(floor {floor:.0%} of baseline)")
         sys.exit(EXIT_REGRESSION)
     print("no sim-MIPS regression: every compared host row is within "
           "its floor")

@@ -16,7 +16,8 @@ Ignored fields, by design:
                          are identical across BF_WORKERS by
                          construction — that is the determinism this
                          check enforces)
-  - config.weave_workers, config.batch, config.ckpt_every_ms
+  - config.weave_workers, config.batch, config.ckpt_every_ms,
+    config.trace_events
                         (removed knobs that older reports, the
                          committed golden among them, still carry)
   - config.ckpt_dir, config.restore_dir
@@ -58,14 +59,14 @@ reported as an advisory (distinct exit code) rather than a hard
 failure — CI surfaces it without going red.
 
 --reconcile checks the produced report *against itself*: for every run
-whose "tenants" array is non-empty, the per-container rows must sum to
-the matching global counters in that run's stats tree bit-for-bit
-(DESIGN.md §17) — the 14 MMU translation scalars and the miss-latency
-distribution against the sum over core*.mmu, walks against
-core*.mmu.walker, instructions against core*, cow_privatizations and
-shootdowns against the kernel group. Runs without attribution
-(BF_ATTRIB=0) are skipped, but if *no* run carried attribution the
-check is vacuous and fails as a bench error. --reconcile composes with
+the per-container rows of its "tenants" array must sum to the matching
+global counters in that run's stats tree bit-for-bit (DESIGN.md §17) —
+the 14 MMU translation scalars and the miss-latency distribution
+against the sum over core*.mmu, walks against core*.mmu.walker,
+instructions against core*, cow_privatizations and shootdowns against
+the kernel group. Every System carries attribution, so a run whose
+"tenants" array is empty or missing fails the check, named; a report
+with no runs at all fails as a bench error. --reconcile composes with
 every other flag: with --golden both checks run (reconcile first);
 with --backend the reconciliation failure is always hard — every
 backend owes attribution consistency, the advisory carve-out covers
@@ -78,7 +79,7 @@ Exit codes distinguish the failure classes so CI can tell them apart:
   1  STAT DRIFT or RECONCILE FAILED — hard failure
   2  usage error (bad flag combination; argparse prints the reason)
   3  BENCH FAILED: the bench crashed, produced no report, or
-     --reconcile found no attributed runs to check
+     --reconcile found no runs to check
   4  ADVISORY DRIFT: a non-reference --backend diverges — informational
 """
 
@@ -92,7 +93,8 @@ import tempfile
 # Top-level keys that describe the host, not the modeled machine.
 IGNORED_TOP_LEVEL = ("schema_version", "host", "notes")
 IGNORED_CONFIG_KEYS = ("jobs", "workers", "weave_workers", "batch",
-                       "ckpt_every_ms", "ckpt_dir", "restore_dir")
+                       "ckpt_every_ms", "trace_events", "ckpt_dir",
+                       "restore_dir")
 
 PINNED_ENV = {
     "BF_FAST": "1",
@@ -179,8 +181,8 @@ def reconcile_run(label, run, problems):
     """Check one run's tenant rows against its global counters.
 
     Appends (path, global, tenant_sum) triples for every divergence.
-    Returns True when the run carried attribution data and was checked,
-    False when it was skipped (empty "tenants", i.e. BF_ATTRIB=0).
+    Returns False when the run has no tenant rows, which every System
+    run carries.
     """
     tenants = run.get("tenants") or []
     if not tenants:
@@ -232,13 +234,18 @@ def reconcile_run(label, run, problems):
 
 def reconcile(produced):
     """Run the tenant-vs-global check over every run; exit on failure."""
+    runs = produced.get("runs", {})
+    if not runs:
+        print("BENCH FAILED: --reconcile found no runs to check",
+              file=sys.stderr)
+        sys.exit(EXIT_BENCH_FAILED)
     problems = []
-    checked = skipped = 0
-    for label, run in produced.get("runs", {}).items():
-        if reconcile_run(label, run, problems):
-            checked += 1
-        else:
-            skipped += 1
+    empty = [label for label, run in runs.items()
+             if not reconcile_run(label, run, problems)]
+    if empty:
+        print(f"RECONCILE FAILED: {len(empty)} run(s) without tenant "
+              f"rows (every System run carries attribution): "
+              f"{', '.join(empty)}")
     if problems:
         print(f"RECONCILE FAILED: {len(problems)} per-tenant sums "
               f"diverge from the global counters "
@@ -246,15 +253,10 @@ def reconcile(produced):
         for path, global_value, tenant_value in problems:
             print(f"  - {path}: {global_value!r}")
             print(f"  + {path}: {tenant_value!r}")
+    if empty or problems:
         sys.exit(EXIT_DRIFT)
-    if checked == 0:
-        print("BENCH FAILED: --reconcile found no runs with attribution "
-              "data (was the bench run with BF_ATTRIB=0?)",
-              file=sys.stderr)
-        sys.exit(EXIT_BENCH_FAILED)
-    note = f", {skipped} without attribution skipped" if skipped else ""
     print(f"tenant sums reconcile with the global counters "
-          f"({checked} run(s) checked{note})")
+          f"({len(runs)} run(s) checked)")
 
 # The backend whose stats the goldens pin down (MmuParams default).
 REFERENCE_BACKEND = "babelfish"

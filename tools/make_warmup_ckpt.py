@@ -16,11 +16,12 @@ The checkpoint name hashes everything that shapes the warmed state
 core::forEachParam — the same list the checkpoint manifest checks on
 restore — plus the warm-up length, sampling period, containers per core
 and seed. So the generating and the consuming run must agree on
-BF_FAST / BF_CORES / BF_SAMPLE_MS / BF_SYNC_CHUNK / BF_BACKEND /
-BF_ATTRIB — run both under the same environment and that holds. The
-measurement length and BF_WORKERS are deliberately NOT part of the
-name: one warm-up serves every measurement length and host parallelism. Checkpoints from a build with an older archive format are
-rejected with a warning and the run cold-starts.
+BF_FAST / BF_CORES / BF_SAMPLE_MS / BF_SYNC_CHUNK / BF_BACKEND — run
+both under the same environment and that holds. The measurement length
+and BF_WORKERS are deliberately NOT part of the name: one warm-up
+serves every measurement length and host parallelism. Checkpoints from
+a build with an older archive format are rejected with a warning and
+the run cold-starts.
 
 Checkpoints are several MB each and fully reproducible from the config,
 which is why CI regenerates them per run instead of committing them.
