@@ -8,16 +8,18 @@
  *
  *  1. Obtain a trace. BF_REPLAY_TRACE=<file> replays an existing one;
  *     otherwise the bench self-records a fig11-style mongodb run (the
- *     full warm + measure protocol, traced) and times it — that
- *     full-simulation wall clock is the baseline for the speedup
- *     metric.
+ *     full warm + measure protocol, traced) with the reference backend
+ *     and times it — that full-simulation wall clock is the baseline
+ *     for the speedup metric.
  *  2. Fidelity gate: replay at the recording configuration and diff
  *     every reconstructed counter against the recorded tallies. Any
  *     mismatch fails the bench (exit 1).
  *  3. Sweep: up to BF_REPLAY_GRID points (default 64) over
  *     L2 geometry x L1 geometry x PWC size x O-PC width x replacement
- *     policy, fanned across BF_JOBS workers, one TraceReader + replay
- *     engine per point.
+ *     policy, fanned across BF_JOBS workers, one replay engine per
+ *     point. Each point replays under the BF_BACKEND design, so
+ *     BF_BACKEND=victima or coalesced asks how a competitor (DESIGN.md
+ *     §16) scales over the same reference trace.
  *
  * Output: the usual schema-v3 BENCH_replay_sweep.json with one run
  * entry per sweep point (the replayed stats tree) and headline metrics
@@ -91,8 +93,10 @@ buildGrid(unsigned cap)
 }
 
 replay::ReplayParams
-applyPoint(replay::ReplayParams params, const SweepPoint &p)
+applyPoint(replay::ReplayParams params, const SweepPoint &p,
+           translate::BackendKind backend)
 {
+    params.backend = backend;
     for (tlb::TlbParams *tp :
          { &params.l2_4k, &params.l2_2m, &params.l2_1g }) {
         tp->entries = p.l2_entries;
@@ -137,8 +141,10 @@ main()
     if (trace_path.empty()) {
         // Self-record: one traced full-sim run of the fig11 mongodb
         // point. Replay needs the cold-start fill history, so a warm-up
-        // checkpoint restore must not skip the traced warm-up.
+        // checkpoint restore must not skip the traced warm-up, and only
+        // the reference backend's recording can be replayed.
         RunConfig record_cfg = cfg;
+        record_cfg.backend = translate::BackendKind::BabelFish;
         record_cfg.restore_dir.clear();
         if (record_cfg.trace_dir.empty())
             record_cfg.trace_dir = "bf-replay-traces";
@@ -202,7 +208,7 @@ main()
         for (std::size_t i = 0; i < grid.size(); ++i) {
             jobs.push_back([&, i] {
                 auto engine = std::make_unique<replay::ReplayEngine>(
-                    applyPoint(recording, grid[i]), header);
+                    applyPoint(recording, grid[i], cfg.backend), header);
                 engine->run(schedule);
                 engines[i] = std::move(engine);
             });

@@ -232,8 +232,6 @@ inline const Knob knobs[] = {
       "bench_replay_sweep: replay this trace, don't record one" },
     { "BF_REPLAY_GRID", Count, 1, 1e6, {}, nullptr,
       "bench_replay_sweep: cap on sweep points (64)" },
-    { "BF_ZOO_GRID", Count, 0, 1e6, {}, nullptr,
-      "bench_zoo: cap on replay-tier sweep points (9)" },
 };
 
 /** The row of knob @p name, or null when the table has none. */

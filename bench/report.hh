@@ -79,7 +79,7 @@ struct RunArtifacts
     std::string timeseries_json; //!< StatSampler::toJson.
     std::string trace_path;      //!< Event-trace file ("" = tracing off).
     std::string tenants_json;    //!< attrib::Registry::tenantsJson
-                                 //!< ("" = attribution off).
+                                 //!< ("" = a replay run: no tenants).
     bool capped = false;         //!< Run hit the runUntilFinished cap.
 };
 

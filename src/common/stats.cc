@@ -10,32 +10,6 @@
 namespace bf::stats
 {
 
-void
-Histogram::sample(std::uint64_t value)
-{
-    std::size_t bucket = 0;
-    std::uint64_t v = value;
-    while (v > 1) {
-        v >>= 1;
-        ++bucket;
-    }
-    if (bucket >= buckets_.size())
-        buckets_.resize(bucket + 1, 0);
-    ++buckets_[bucket];
-    ++count_;
-    sum_ += static_cast<double>(value);
-    max_ = std::max(max_, value);
-}
-
-void
-Histogram::reset()
-{
-    buckets_.clear();
-    count_ = 0;
-    sum_ = 0;
-    max_ = 0;
-}
-
 std::uint64_t
 Distribution::percentile(double p) const
 {

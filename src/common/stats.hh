@@ -101,37 +101,6 @@ class Average
 };
 
 /**
- * A log2-bucketed histogram for wide-range values such as latencies.
- * Bucket i counts samples in [2^i, 2^(i+1)).
- */
-class Histogram
-{
-  public:
-    /** Record one sample. */
-    void sample(std::uint64_t value);
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Mean of the recorded samples. */
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-    /** Largest sample recorded. */
-    std::uint64_t max() const { return max_; }
-
-    /** Bucket counts (index = log2 of sample). */
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-
-    void reset();
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0;
-    std::uint64_t max_ = 0;
-};
-
-/**
  * A registered log2-bucketed distribution with approximate percentiles.
  *
  * Unlike LatencyTracker (exact, stores every sample) this is O(1) per

@@ -14,7 +14,7 @@ Mmu::Mmu(unsigned core_id, const MmuParams &params,
       // The backend registers its structure subgroups (TLBs, PWC, and
       // any competitor-specific groups) first, then the walker, then the
       // access-level scalars join the group — the construction order of
-      // the pre-interface Mmu, so the stats tree is byte-identical for
+      // the pre-zoo Mmu, so the stats tree is byte-identical for
       // the reference backend.
       backend_(translate::createBackend(core_id, params_, *this,
                                         stat_group_)),

@@ -1,14 +1,12 @@
 /**
  * @file
  * The per-core MMU: owns the "mmu" stat group, the access-level counters
- * every backend books into, the pluggable translation backend
- * (translate::Backend, DESIGN.md §16) that holds the TLB structures, and
- * everything around one backend pass — the live page walker and the
- * cache-line traffic behind it (the live WalkSource), the processBit
- * memo, and the page-fault retry loop with its single defer-or-service
- * site. MmuParams::backend selects the design; the rest of the
- * simulator talks to this class exactly as it did before the interface
- * existed.
+ * every backend books into, the translation backend that holds the TLB
+ * structures (translate::PipelineBackend or the competitor subclass
+ * MmuParams::backend selects, DESIGN.md §16), and everything around one
+ * backend pass — the live page walker and the cache-line traffic behind
+ * it (the live WalkSource), the processBit memo, and the page-fault
+ * retry loop with its single defer-or-service site.
  */
 
 #ifndef BF_CORE_MMU_HH
@@ -26,7 +24,7 @@
 #include "tlb/page_walk_cache.hh"
 #include "tlb/page_walker.hh"
 #include "tlb/tlb.hh"
-#include "translate/backend.hh"
+#include "translate/pipeline.hh"
 #include "vm/kernel.hh"
 #include "vm/tlb_hooks.hh"
 
@@ -127,8 +125,8 @@ class Mmu : public translate::TranslateStats, private translate::WalkSource
     /** Drop all cached translation state (tests / phase changes). */
     void flushAll() { backend_->flushAll(); }
 
-    /** The selected translation backend. */
-    translate::Backend &backend() { return *backend_; }
+    /** The selected translation backend (tests reach its structures). */
+    translate::PipelineBackend &backend() { return *backend_; }
 
     /** @{ @name Structure access for tests and the sampler */
     tlb::Tlb &l1d(PageSize size) { return backend_->l1d(size); }
@@ -171,7 +169,7 @@ class Mmu : public translate::TranslateStats, private translate::WalkSource
     mem::CacheHierarchy &hierarchy_;
     vm::Kernel &kernel_;
     stats::StatGroup stat_group_;
-    std::unique_ptr<translate::Backend> backend_;
+    std::unique_ptr<translate::PipelineBackend> backend_;
     /** Registers its "walker" group after the backend's structures. */
     tlb::PageWalker walker_;
     Addr meta_base_;

@@ -103,8 +103,8 @@ class CacheHierarchy
         /**
          * Per-tenant bills, parallel to data_extra / walk_extra but
          * keyed by the attribution slot the event carries. Sized by
-         * reset()'s num_slots (0 when attribution is off: the replay
-         * then skips them).
+         * reset()'s num_slots, the System's tenant count; the replay
+         * bills no tenant for a slot past the end (tests size none).
          */
         std::vector<Cycles> slot_data_extra;
         std::vector<Cycles> slot_walk_extra;

@@ -6,7 +6,7 @@
 
 #include "common/stats.hh"
 #include "common/stats_export.hh"
-#include "translate/backend.hh"
+#include "translate/pipeline.hh"
 #include "vm/paging.hh"
 #include "vm/tlb_hooks.hh"
 
@@ -933,7 +933,7 @@ struct ReplayEngine::Impl
         stats::StatGroup group;
         stats::StatGroup mmu;
         translate::TranslateStats ts;
-        std::unique_ptr<translate::Backend> backend;
+        std::unique_ptr<translate::PipelineBackend> backend;
         tlb::Pwc &pwc; //!< The backend's PWC, which walks step through.
 
         stats::Scalar accesses;

@@ -1,11 +1,9 @@
-#include "translate/backend.hh"
+#include "translate/pipeline.hh"
 
 #include <cstring>
 
 #include "common/logging.hh"
-#include "core/params.hh"
 #include "translate/coalesced.hh"
-#include "translate/pipeline.hh"
 #include "translate/victima.hh"
 
 namespace bf::translate
@@ -37,7 +35,7 @@ parseBackend(const char *name, BackendKind &out)
     return false;
 }
 
-std::unique_ptr<Backend>
+std::unique_ptr<PipelineBackend>
 createBackend(unsigned core_id, const core::MmuParams &params,
               TranslateStats &stats, stats::StatGroup &group)
 {

@@ -2,7 +2,7 @@
  * @file
  * Identity of a translation backend (DESIGN.md §16). Kept in its own
  * tiny header so core/params.hh can name the selected backend without
- * pulling in the backend interface itself.
+ * pulling in the pipeline itself.
  */
 
 #ifndef BF_TRANSLATE_KIND_HH

@@ -34,12 +34,6 @@ PipelineBackend::PipelineBackend(unsigned core_id,
     l0_enabled_ = !params_.l1Sharing() && params_.l0_cache;
 }
 
-void
-PipelineBackend::setTracer(trace::Tracer *tracer)
-{
-    tracer_ = tracer;
-}
-
 namespace
 {
 

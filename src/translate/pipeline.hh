@@ -1,18 +1,43 @@
 /**
  * @file
- * The reference translation backend: L0 front cache, L1 I/D TLBs, the
- * unified L2 TLB, the ASLR-HW transform between them and the page-walk
- * cache — the pre-interface core::Mmu lookup pipeline, extracted behind
- * translate::Backend (DESIGN.md §16). The walk itself comes from the
- * caller's WalkSource.
+ * The translation pipeline (DESIGN.md §16): one core's translation-
+ * caching structures — the L0 front cache, the L1 I/D TLBs, the unified
+ * L2 TLB, the ASLR-HW transform between them and the page-walk cache —
+ * and the pass that runs them.
  *
- * The competitor backends (Victima, Coalesced) subclass this and plug
- * into the protected hook points: the L2 lookup/fill paths, a backfill
- * probe between the L2 miss and the page walk, and the invalidate /
- * flush / checkpoint extension hooks. The reference implementation of
- * every hook is a no-op or the plain pipeline behavior, so the
- * BabelFish backend's stats stay byte-identical to the pre-interface
- * Mmu (the golden gate enforces this).
+ * One call, attempt(), runs one pass for one requester — L0/L1 → ASLR →
+ * L2 (plus any competitor probe) → backfill → walk → fill — and reports
+ * a hit or the fault that stopped it. What sits around the pipeline is
+ * the caller's:
+ *
+ *  - the WalkSource answers the page walk and the cache-line traffic of
+ *    backends that park translations in the data caches. core::Mmu
+ *    plugs in the live PageWalker and CacheHierarchy; the replay engine
+ *    (DESIGN.md §13) plugs in recorded and synthesized walks, so both
+ *    run the same pipeline code;
+ *  - core::Mmu owns the retry loop: it defers a fault to the bound-phase
+ *    epoch log or services it through the kernel, then retries.
+ *
+ * The competitor backends (Victima, Coalesced) subclass PipelineBackend
+ * and plug into the protected hook points: the L2 lookup/fill paths, a
+ * backfill probe between the L2 miss and the page walk, and the
+ * invalidate / flush / checkpoint extension hooks. The reference
+ * implementation of every hook is a no-op or the plain pipeline
+ * behavior. createBackend() builds the class MmuParams::backend names.
+ *
+ * Contract, for the reference backend and every subclass:
+ *  - attempt() books its access-level statistics into the
+ *    TranslateStats the owner registered. The stats-tree shape is part
+ *    of the contract: the reference backend's tree is the golden one.
+ *  - applyInvalidate() reaches *every* translation-caching structure —
+ *    including competitor-specific ones like the Victima backing store
+ *    or coalesced range entries (invalidateExtra) — so kernel
+ *    shootdowns keep all backends architecturally coherent.
+ *  - save()/restore() round-trip all backend state byte-identically.
+ *  - Bound-phase discipline: a backend never calls the kernel, and all
+ *    cache-hierarchy traffic goes through the WalkSource, whose live
+ *    implementation defers shared-level state to the weave. This is
+ *    what keeps every backend byte-identical at any BF_WORKERS.
  */
 
 #ifndef BF_TRANSLATE_PIPELINE_HH
@@ -21,47 +46,94 @@
 #include <array>
 #include <memory>
 
+#include "common/stats.hh"
 #include "common/trace/trace.hh"
 #include "core/params.hh"
 #include "tlb/page_walk_cache.hh"
 #include "tlb/tlb.hh"
 #include "translate/backend.hh"
+#include "translate/stats.hh"
+#include "vm/tlb_hooks.hh"
+
+namespace bf::attrib
+{
+class CoreSink;
+class Registry;
+}
 
 namespace bf::translate
 {
 
-/** The reference (BabelFish-capable) pipeline backend. */
-class PipelineBackend : public Backend
+/** One core's translation pipeline; the reference (BabelFish) backend. */
+class PipelineBackend
 {
   public:
+    /**
+     * @param core_id owning core.
+     * @param params TLB geometry and BabelFish/ASLR configuration.
+     * @param stats the owner's registered access-level counters.
+     * @param group the owner's "mmu" stat group; the structure
+     *        subgroups register under it.
+     */
     PipelineBackend(unsigned core_id, const core::MmuParams &params,
                     TranslateStats &stats, stats::StatGroup &group);
+    virtual ~PipelineBackend() = default;
+    PipelineBackend(const PipelineBackend &) = delete;
+    PipelineBackend &operator=(const PipelineBackend &) = delete;
 
+    /**
+     * One pass of the lookup pipeline for @p req at canonical @p va.
+     * Adds the pass's latency to @p out.cycles (event timestamps are
+     * @p now + out.cycles) and, on a hit, sets out.paddr and out.size.
+     * On a fault nothing is filled; the caller resolves the fault and
+     * calls again.
+     */
     Attempt attempt(const Requester &req, Addr va, AccessType type,
-                    Cycles now, WalkSource &src,
-                    Translation &out) override;
-    void applyInvalidate(const vm::TlbInvalidate &inv) override;
-    void setTracer(trace::Tracer *tracer) override;
-    void setAttrib(attrib::Registry *registry,
-                   attrib::CoreSink *sink) override
+                    Cycles now, WalkSource &src, Translation &out);
+
+    /** Apply a kernel shootdown to every translation-caching structure. */
+    void applyInvalidate(const vm::TlbInvalidate &inv);
+
+    /** Attach the run's event tracer (null detaches). */
+    void setTracer(trace::Tracer *tracer) { tracer_ = tracer; }
+
+    /**
+     * Attach the per-container attribution registry and this core's
+     * private sink (System wires them; nulls detach). With a sink the
+     * backend attributes TLB evictions via the owner tags of displaced
+     * entries (noteL1Evicted, noteL2Evicted).
+     */
+    void
+    setAttrib(attrib::Registry *registry, attrib::CoreSink *sink)
     {
         areg_ = registry;
         sink_ = sink;
     }
-    void flushAll() override;
-    void save(snap::ArchiveWriter &ar) const override;
-    void restore(snap::ArchiveReader &ar) override;
 
-    tlb::Tlb &l1i() override { return *l1i_4k_; }
-    tlb::Tlb &l1d(PageSize size) override
-    {
-        return *l1d_[sizeIndex(size)];
-    }
-    tlb::Tlb &l2(PageSize size) override
-    {
-        return *l2_[sizeIndex(size)];
-    }
-    tlb::Pwc &pwc() override { return *pwc_; }
+    /** Drop all cached translation state (tests / phase changes). */
+    void flushAll();
+
+    /**
+     * @{
+     * @name Checkpointing
+     * Full backend state: the TLB structures, the PWC, and any
+     * competitor-specific structures (extraIo), in a fixed order.
+     */
+    void save(snap::ArchiveWriter &ar) const;
+    void restore(snap::ArchiveReader &ar);
+    /** @} */
+
+    /**
+     * @{
+     * @name Structure access
+     * Tests, the sampler, the benches and walk sources reach the
+     * shared structures through these.
+     */
+    tlb::Tlb &l1i() { return *l1i_4k_; }
+    tlb::Tlb &l1d(PageSize size) { return *l1d_[sizeIndex(size)]; }
+    tlb::Tlb &l2(PageSize size) { return *l2_[sizeIndex(size)]; }
+    tlb::Pwc &pwc() { return *pwc_; }
+    /** @} */
 
   protected:
     /**
@@ -198,6 +270,15 @@ class PipelineBackend : public Backend
     void fillL1(const tlb::TlbEntry &entry, const Requester &req,
                 AccessType type);
 };
+
+/**
+ * Build the backend selected by @p params.backend: PipelineBackend or
+ * the competitor subclass. Arguments as for PipelineBackend.
+ */
+std::unique_ptr<PipelineBackend> createBackend(unsigned core_id,
+                                               const core::MmuParams &params,
+                                               TranslateStats &stats,
+                                               stats::StatGroup &group);
 
 } // namespace bf::translate
 

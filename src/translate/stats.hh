@@ -3,7 +3,7 @@
  * The access-level translation counters every backend books, and their
  * one description (DESIGN.md §8, §16, §17). Kept in its own small
  * header so the per-tenant attribution lanes (common/attrib) can derive
- * from the table without pulling in the backend interface.
+ * from the table without pulling in the pipeline.
  */
 
 #ifndef BF_TRANSLATE_STATS_HH
@@ -20,11 +20,11 @@ namespace bf::translate
 /**
  * The access-level counters every backend books (the owner — core::Mmu
  * or a replayed core — registers them, so their stats-tree names are
- * identical across backends and to the pre-interface Mmu).
+ * identical across backends and to the pre-zoo Mmu).
  */
 struct TranslateStats
 {
-    /** @{ @name Pipeline block (Backend::attempt books these) */
+    /** @{ @name Pipeline block (PipelineBackend::attempt books these) */
     stats::Scalar l1_hits;
     stats::Scalar l1_misses;
     stats::Scalar l2_data_hits;
@@ -49,7 +49,7 @@ struct TranslateStats
 
 /**
  * The pipeline block of the TranslateStats description: visit(name,
- * stat) for every counter Backend::attempt books, in member order.
+ * stat) for every counter PipelineBackend::attempt books, in member order.
  * Replay services no faults, so its cores register only this block.
  */
 template <typename S, typename Visit>

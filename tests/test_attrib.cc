@@ -57,8 +57,9 @@ mongodbProfile()
 }
 
 /**
- * The bench shape, shrunk: 4 cores x 2 containers, sampling on. Like
- * bench_zoo, a competitor @p backend runs on the non-sharing baseline.
+ * The bench shape, shrunk: 4 cores x 2 containers, sampling on. A
+ * competitor @p backend runs on the non-sharing baseline its paper
+ * assumes, as in bench_paper's baseline cells under BF_BACKEND.
  */
 World
 makeWorld(unsigned workers, std::uint64_t seed = 37,

@@ -36,8 +36,8 @@ constexpr Addr kVa = 0x7f00'0000'0000ull;
 /**
  * One-core world around an Mmu with a selectable backend, on the
  * system flavor the backend is benchmarked on (the reference design on
- * the paper configuration, competitors on the non-sharing baseline —
- * matching bench_zoo).
+ * the paper configuration, competitors on the non-sharing baseline
+ * their papers assume).
  */
 struct Fixture
 {

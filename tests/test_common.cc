@@ -148,21 +148,6 @@ TEST(Stats, AverageBasics)
     EXPECT_EQ(a.count(), 2u);
 }
 
-TEST(Stats, HistogramBuckets)
-{
-    stats::Histogram h;
-    h.sample(1);   // bucket 0
-    h.sample(2);   // bucket 1
-    h.sample(3);   // bucket 1
-    h.sample(100); // bucket 6
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.max(), 100u);
-    ASSERT_GE(h.buckets().size(), 7u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 2u);
-    EXPECT_EQ(h.buckets()[6], 1u);
-}
-
 TEST(Stats, LatencyPercentiles)
 {
     stats::LatencyTracker t;

@@ -173,6 +173,8 @@ TEST(KnobsDeathTest, BadKnobsExit2NamingTheKnob)
                 ::testing::ExitedWithCode(2), "unknown knob BF_ATTRIB");
     EXPECT_EXIT(fromEnvWith("BF_TRACE_EVENTS", "0x1f"),
                 ::testing::ExitedWithCode(2), "unknown knob BF_TRACE_EVENTS");
+    EXPECT_EXIT(fromEnvWith("BF_ZOO_GRID", "9"),
+                ::testing::ExitedWithCode(2), "unknown knob BF_ZOO_GRID");
 }
 
 TEST(Knobs, ValidValuesRoundTrip)
@@ -187,7 +189,7 @@ TEST(Knobs, ValidValuesRoundTrip)
         setenv(name, value, 1);
     const RunConfig cfg = RunConfig::fromEnv();
     const double measure = bfbench::knob("BF_MEASURE_MS", 0.0);
-    const unsigned grid = bfbench::knob("BF_ZOO_GRID", 9u);
+    const unsigned grid = bfbench::knob("BF_REPLAY_GRID", 64u);
     for (const auto &[name, value] : env)
         unsetenv(name);
 
@@ -201,5 +203,5 @@ TEST(Knobs, ValidValuesRoundTrip)
     EXPECT_EQ(cfg.ckpt_dir, "ckpts");
     EXPECT_EQ(cfg.jobs, defaultWorkers()); // unset resolves to hardware
     EXPECT_DOUBLE_EQ(measure, 0.85);
-    EXPECT_EQ(grid, 9u); // unset: the fallback
+    EXPECT_EQ(grid, 64u); // unset: the fallback
 }

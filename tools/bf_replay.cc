@@ -26,8 +26,9 @@
  *   --policy lru|fifo|random         replacement policy, every TLB
  *
  * Exit codes: 0 ok; 1 validation mismatch; 2 usage error (among them a
- * geometry value that is not a positive integer, or an entry count the
- * structure's associativity does not divide); 3 trace error
+ * geometry value that is not a positive integer, an entry count the
+ * structure's associativity does not divide, or an O-PC width above
+ * 32); 3 trace error
  * (unreadable, wrong version, limit-clipped, unreplayable).
  */
 
@@ -149,6 +150,13 @@ main(int argc, char **argv)
             if (!numArg(ov.pwc_entries)) return usage();
         } else if (arg == "--opc-width") {
             if (!numArg(ov.opc_width)) return usage();
+            if (ov.opc_width > 32) {
+                std::fprintf(stderr,
+                             "bf_replay: --opc-width %u: above 32, the "
+                             "O-PC bitmask's width\n",
+                             ov.opc_width);
+                return usage();
+            }
         } else if (arg == "--policy" && i + 1 < argc) {
             ov.policy = argv[++i];
         } else if (!arg.empty() && arg[0] == '-') {

@@ -3,8 +3,8 @@
 
 Prints one table per run of a schema-v3 BENCH_*.json report, headed by
 the run label, from the run's "tenants" rows (e.g.
-BENCH_fig11_performance.json from `bench_paper fig11_performance`, or
-the bench_fig9 and bench_zoo reports). The columns are a subset of the
+BENCH_fig11_performance.json from `bench_paper fig11_performance`, under
+any BF_BACKEND, or the bench_fig9 report). The columns are a subset of the
 live table `bf_top` shows: no sim-MIPS line and no missp99 or xevict
 columns. The l1hit/l2hit/shr percentages and the dram_xs sum are
 computed from the row's counters with the formulas of
